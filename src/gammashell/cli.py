@@ -51,8 +51,8 @@ _PASS, _FAIL, _USAGE, _BUDGET, _IO = 0, 1, 2, 3, 4
 class RunConfig:
     """Everything a subcommand needs; reports depend only on these fields.
 
-    threads is an execution knob and is deliberately left out of the
-    emitted reports so outputs are byte-identical regardless of it.
+    threads is accepted for compatibility and has no effect; it is left
+    out of the emitted reports, so outputs never depend on it.
     """
 
     command: str
@@ -487,7 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--witness-mode", choices=("constructive", "exhaustive", "both"),
                    default="constructive")
     s.add_argument("--witness-limit", type=int, default=100)
-    s.add_argument("--threads", type=int, default=1)
+    s.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
     s.add_argument("--face-budget", type=int, default=DEFAULT_FACE_BUDGET)
 
     s = sub.add_parser("betti", parents=[common], help="Betti numbers two ways")

@@ -15,15 +15,14 @@ entire boundary, each of which contributes one sphere of its dimension.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import itertools
 from dataclasses import dataclass, field
 
-from .complexes import ComplexParams, Face, Vertex, order_key, sigma_word
+from .complexes import ComplexParams, Face, Vertex, order_key
 from .errors import DomainError, PreconditionError
 from .facets import enumerate_facets, facet_certificate, twist_sets
 
 __all__ = [
-    "sigma_word",
     "order_O_compare",
     "sort_facets",
     "BlockPartition",
@@ -109,51 +108,79 @@ def block_partition(params: ComplexParams, face_i: Face, face_k: Face) -> BlockP
     return BlockPartition(c_blocks, i_blocks, k_blocks)
 
 
-class _PairEngine:
-    """Shared state for pairwise witness checks over one ordered facet list."""
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of mask, ascending."""
+    digits = bin(mask)[:1:-1]
+    out = []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out
+
+
+def _sweep(facets: list[Face]):
+    """Incidence bitsets of each facet F_k against the facets before it.
+
+    Keeps contain[v], the set of indices j < k with v in F_j, as one Python
+    int per vertex.  Yields (k, earlier, cols, peels, bad) for k in order:
+    earlier holds every j < k, cols[l] is contain[v_l], peels[l] holds the
+    j < k with F_k - F_j = {v_l} (prefix and suffix ANDs of cols give the
+    earlier facets holding every other vertex), and bad holds the i < k
+    containing every peelable vertex, the pairs no peel can witness.
+    """
+    contain: dict[Vertex, int] = {}
+    for k, f in enumerate(facets):
+        earlier = (1 << k) - 1
+        cols = [contain.get(v, 0) for v in f]
+        suffix = [earlier]
+        for col in reversed(cols):
+            suffix.append(suffix[-1] & col)
+        suffix.reverse()
+        peels = []
+        prefix = bad = earlier
+        for col, rest in zip(cols, suffix[1:]):
+            peel = prefix & rest & ~col
+            peels.append(peel)
+            if peel:
+                bad &= col
+            prefix &= col
+        yield k, earlier, cols, peels, bad
+        bit = 1 << k
+        for v in f:
+            contain[v] = contain.get(v, 0) | bit
+
+
+class _Twists:
+    """The constructive route over one ordered facet list."""
 
     def __init__(self, params: ComplexParams, facets: list[Face]):
-        self.params = params
-        self.facets = facets
         self.p, self.n = params.p, params.n
+        self.facets = facets
         vertices = sorted({v for f in facets for v in f})
         self.vbit = {v: 1 << i for i, v in enumerate(vertices)}
-        self.masks = [self._mask(f) for f in facets]
+        self.masks = [sum(self.vbit[v] for v in f) for f in facets]
         self.index = {f: i for i, f in enumerate(facets)}
-        self._twistable: dict[int, list[tuple[int, int, int]]] = {}
-        self._construct_memo: dict[tuple[int, int, int], int | None] = {}
-        self._peel: dict[int, dict[int, int]] = {}
 
-    def _mask(self, face: Face) -> int:
-        m = 0
-        for v in face:
-            m |= self.vbit[v]
-        return m
+    def twistable(self, k: int) -> list[tuple[int, int]]:
+        """(l, a) for each vertex v_l of F_k with nonempty down-twist set B_l.
 
-    def twistable(self, k: int) -> list[tuple[int, int, int]]:
-        """Vertices of F_k with nonempty down-twist set B_l, in order.
-
-        Returns (l, vertex bit, left-most position of B_l) triples.
+        a is the left-most position of B_l; vertices come in order.
         """
-        got = self._twistable.get(k)
-        if got is None:
-            got = []
-            f = self.facets[k]
-            for l, v in enumerate(f):
-                if l == 0:
-                    pos = next((a for a, c in enumerate(v) if c > 1), None)
-                else:
-                    prev = f[l - 1]
-                    pos = next(
-                        (a for a, c in enumerate(v) if c - prev[a] > 1), None
-                    )
-                if pos is not None:
-                    got.append((l, self.vbit[v], pos))
-            self._twistable[k] = got
+        got = []
+        f = self.facets[k]
+        for l, v in enumerate(f):
+            if l == 0:
+                pos = next((a for a, c in enumerate(v) if c > 1), None)
+            else:
+                prev = f[l - 1]
+                pos = next((a for a, c in enumerate(v) if c - prev[a] > 1), None)
+            if pos is not None:
+                got.append((l, pos))
         return got
 
-    def construct(self, k: int, l: int, a: int) -> int | None:
-        """Index of an earlier facet meeting F_k in exactly F_k - {v_l}.
+    def construct(self, k: int, l: int, a: int) -> tuple[int, Vertex] | None:
+        """Witness (j, v_l) with j < k and F_j /\\ F_k exactly F_k - {v_l}.
 
         Down-twists v_l at position a (the left-most entry of B_l).  When the
         twist alone would break a facet condition, one replacement vertex
@@ -185,50 +212,29 @@ class _PairEngine:
         # verify the witness condition instead of trusting the construction
         if self.masks[j] & self.masks[k] != self.masks[k] & ~self.vbit[v]:
             return None
-        return j
+        return (j, v)
 
-    def constructive(self, i: int, k: int) -> tuple[int, Vertex] | None:
-        """Witness for (i, k) from the first privately down-twistable vertex."""
+    def witness(
+        self, i: int, k: int, peels: list[int], cands: dict
+    ) -> tuple[int, Vertex] | None:
+        """Witness for (i, k), constructive where possible, else by search.
+
+        cands maps l to construct(k, l, a) for twistable vertices v_l in
+        order.  Unless it is empty (search only), it holds the first
+        twistable vertex missing from F_i, if there is one.  The search
+        takes the first vertex of F_k missing from F_i that an earlier
+        facet peels off, with the earliest such facet.
+        """
         mi = self.masks[i]
-        for l, bit, a in self.twistable(k):
-            if bit & mi:
-                continue
-            key = (k, l, a)
-            if key not in self._construct_memo:
-                self._construct_memo[key] = self.construct(k, l, a)
-            j = self._construct_memo[key]
-            if j is None:
-                return None
-            return (j, self.facets[k][l])
-        return None
-
-    def peel_witnesses(self, k: int) -> dict[int, int]:
-        """Map bit(v) -> earliest j < k with F_j /\\ F_k = F_k - {v}."""
-        got = self._peel.get(k)
-        if got is None:
-            got = {}
-            bk = self.masks[k]
-            want = bk.bit_count()
-            for j in range(k):
-                d = bk & ~self.masks[j]
-                if d.bit_count() == 1 and d not in got:
-                    got[d] = j
-                    if len(got) == want:
-                        break
-            self._peel[k] = got
-        return got
-
-    def exhaustive(self, i: int, k: int) -> tuple[int, Vertex] | None:
-        """Witness for (i, k) by search over all single-vertex peels of F_k."""
-        got = self.peel_witnesses(k)
-        mi = self.masks[i]
-        for v in self.facets[k]:
-            bit = self.vbit[v]
-            if bit & mi:
-                continue
-            j = got.get(bit)
-            if j is not None:
-                return (j, v)
+        f = self.facets[k]
+        for l, res in cands.items():
+            if not mi & self.vbit[f[l]]:
+                if res is not None:
+                    return res
+                break
+        for v, peel in zip(f, peels):
+            if peel and not mi & self.vbit[v]:
+                return ((peel & -peel).bit_length() - 1, v)
         return None
 
 
@@ -271,14 +277,6 @@ def _normalize_order(params: ComplexParams, order) -> list[Face]:
     return facets
 
 
-def _split_ranges(t: int, chunks: int) -> list[tuple[int, int]]:
-    # balance by pair count: pairs below K grow like K^2
-    chunks = max(1, min(chunks, t))
-    bounds = [round(t * (b / chunks) ** 0.5) for b in range(chunks + 1)]
-    bounds[0], bounds[-1] = 0, t
-    return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-
-
 def verify_shelling(
     params: ComplexParams,
     order=None,
@@ -290,76 +288,68 @@ def verify_shelling(
     """Check the pairwise shelling condition for every pair i < k.
 
     order defaults to the canonical facet order; an explicit order must be a
-    permutation of the facets.  witness_mode selects the constructive route
-    (with exhaustive fallback), the exhaustive search, or both with an
-    existence cross-check.  The report is independent of threads.
+    permutation of the facets.  One sweep over k settles all pairs (i, k) at
+    once with bitsets over i.  The search route: a pair has a witness iff
+    F_i misses some vertex of F_k that an earlier facet peels off, so the
+    pairs without one are those containing every peelable vertex (the
+    restriction criterion of Bjorner and Wachs for nonpure shellings).  The
+    constructive route groups the pairs by the first twistable vertex of
+    F_k missing from F_i and builds one candidate per group; pairs whose
+    candidate fails, or with no such vertex, go to the search.
+
+    witness_mode selects the constructive route (with search fallback), the
+    search alone, or both with an existence cross-check.  Witnesses are
+    worked out pair by pair for the first witness_limit pairs only.
+    threads is accepted for compatibility and has no effect.
     """
     if witness_mode not in _MODES:
         raise DomainError(f"witness_mode must be one of {_MODES}")
+    if witness_limit < 0:
+        raise DomainError(f"witness_limit must be nonnegative, got {witness_limit}")
     if order is None:
         facets = enumerate_facets(params)
     else:
         facets = _normalize_order(params, order)
-    eng = _PairEngine(params, facets)
-    t = len(facets)
-
-    def work(lo: int, hi: int):
-        masks = eng.masks
-        pairs = 0
-        built = 0
-        wits: list[tuple[tuple[int, int], tuple[int, Vertex]]] = []
-        bad: list[tuple[int, int]] = []
-        fell: list[tuple[int, int]] = []
-        dis: list[tuple[int, int]] = []
-        for k in range(lo, hi):
-            for i in range(k):
-                pairs += 1
-                if witness_mode == "exhaustive":
-                    res = eng.exhaustive(i, k)
-                else:
-                    res = eng.constructive(i, k)
-                    if res is not None:
-                        built += 1
-                        if witness_mode == "both" and eng.exhaustive(i, k) is None:
-                            dis.append((i, k))
-                    else:
-                        res = eng.exhaustive(i, k)
-                        if res is not None:
-                            fell.append((i, k))
-                if res is None:
-                    bad.append((i, k))
-                elif len(wits) < witness_limit:
-                    wits.append(((i, k), res))
-        return pairs, built, wits, bad, fell, dis
-
-    ranges = _split_ranges(t, max(1, threads) * 4)
-    if threads > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda r: work(*r), ranges))
-    else:
-        results = [work(*r) for r in ranges]
-
+    twists = _Twists(params, facets)
+    constructed = 0
     witnesses: dict[tuple[int, int], tuple[int, Vertex]] = {}
     violations: list[tuple[int, int]] = []
     fallbacks: list[tuple[int, int]] = []
     disagreements: list[tuple[int, int]] = []
-    total = 0
-    constructed = 0
-    for pairs, built, wits, bad, fell, dis in results:
-        total += pairs
-        constructed += built
-        for key, val in wits:
-            if len(witnesses) < witness_limit:
-                witnesses[key] = val
-        violations.extend(bad)
-        fallbacks.extend(fell)
-        disagreements.extend(dis)
+    for k, earlier, cols, peels, bad in _sweep(facets):
+        cands: dict[int, tuple[int, Vertex] | None] = {}
+        if witness_mode == "exhaustive":
+            search = earlier
+        else:
+            search = built = 0
+            rest = earlier
+            for l, a in twists.twistable(k):
+                group = rest & ~cols[l]
+                if group:
+                    rest ^= group
+                    cands[l] = twists.construct(k, l, a)
+                    if cands[l] is None:
+                        search |= group
+                    else:
+                        built |= group
+            search |= rest
+            constructed += built.bit_count()
+            fallbacks += [(i, k) for i in _bits(search & ~bad)]
+            if witness_mode == "both":
+                disagreements += [(i, k) for i in _bits(built & bad)]
+        violating = search & bad
+        violations += [(i, k) for i in _bits(violating)]
+        room = witness_limit - len(witnesses)
+        if room > 0:
+            for i in _bits(earlier & ~violating)[:room]:
+                witnesses[(i, k)] = twists.witness(i, k, peels, cands)
+    t = len(facets)
     return ShellingReport(
         p=params.p,
         n=params.n,
         mode=witness_mode,
         facet_count=t,
-        total_pairs=total,
+        total_pairs=t * (t - 1) // 2,
         constructed=constructed,
         witnesses=witnesses,
         witness_limit=witness_limit,
@@ -392,11 +382,10 @@ def shelling_witness(face_i, face_k, facets_in_order) -> tuple[int, Vertex] | No
         raise PreconditionError("the pair must consist of two distinct facets")
     if i > k:
         raise PreconditionError("the first facet must precede the second")
-    eng = _PairEngine(params, facets)
-    res = eng.constructive(i, k)
-    if res is None:
-        res = eng.exhaustive(i, k)
-    return res
+    twists = _Twists(params, facets)
+    cands = {l: twists.construct(k, l, a) for l, a in twists.twistable(k)}
+    _, _, _, peels, _ = next(itertools.islice(_sweep(facets), k, None))
+    return twists.witness(i, k, peels, cands)
 
 
 def homology_facet_by_criterion(params: ComplexParams, facet) -> bool:
@@ -427,23 +416,21 @@ def homology_facets_direct(params: ComplexParams, order=None) -> list[Face]:
 
     F_k qualifies iff every face F_k - {v} lies in some earlier facet; for a
     single vertex the boundary is the empty face, so any earlier facet
-    suffices.  An explicit order is verified to be a shelling first; the
-    default canonical order is used as given.
+    suffices.  An explicit order must also be a shelling, which the same
+    sweep checks; the default canonical order is used as given.
     """
     if order is None:
         facets = enumerate_facets(params)
     else:
         facets = _normalize_order(params, order)
-        report = verify_shelling(params, facets, witness_mode="exhaustive")
-        if not report.is_shelling:
-            raise PreconditionError(
-                f"order is not a shelling ({len(report.violations)} violating pairs)"
-            )
-    eng = _PairEngine(params, facets)
     out = []
-    for k, f in enumerate(facets):
-        if len(eng.peel_witnesses(k)) == len(f):
-            out.append(f)
+    violating = 0
+    for k, _, _, peels, bad in _sweep(facets):
+        if all(peels):
+            out.append(facets[k])
+        violating += bad.bit_count()
+    if order is not None and violating:
+        raise PreconditionError(f"order is not a shelling ({violating} violating pairs)")
     return out
 
 

@@ -103,7 +103,7 @@ def test_acceptance_04_facet_criterion():
 
 
 def test_acceptance_05_shelling():
-    with _Timed(5, "canonical order shells the complex, n <= 6, both witness routes", 600):
+    with _Timed(5, "canonical order shells the complex, n <= 7, both witness routes", 600):
         for n in range(1, 5):
             report = verify_shelling(make_complex(3, n), witness_mode="both")
             assert report.is_shelling
@@ -117,6 +117,12 @@ def test_acceptance_05_shelling():
         assert big.fallbacks == []
         assert big.total_pairs == 8377 * 8376 // 2
         assert big.constructed == big.total_pairs
+        huge = verify_shelling(make_complex(3, 7))
+        assert huge.facet_count == 54133
+        assert huge.total_pairs == 54133 * 54132 // 2
+        assert huge.constructed == huge.total_pairs
+        assert huge.fallbacks == []
+        assert huge.is_shelling
 
 
 def test_acceptance_06_homology_facets():
@@ -216,12 +222,14 @@ def test_acceptance_12_deterministic_reports(capsys):
 
 
 def test_acceptance_13_four_coordinate_report():
-    with _Timed(13, "exploratory four-coordinate shelling survey (reported, not asserted)", 600):
+    with _Timed(13, "four-coordinate canonical order shells the complex, n <= 5", 600):
         counts = {}
-        shelled = {}
-        for n in range(1, 5):
+        for n in range(1, 6):
             params = make_complex(4, n)
-            counts[n] = len(enumerate_facets(params))
-            shelled[n] = verify_shelling(params).is_shelling
-        assert counts == {1: 1, 2: 15, 3: 129, 4: 1419}
-        print(f"    four-coordinate survey: facets {counts}, shellable {shelled}")
+            report = verify_shelling(params)
+            counts[n] = report.facet_count
+            assert report.is_shelling, n
+            assert report.fallbacks == [], n
+            assert report.constructed == report.total_pairs, n
+        assert counts == {1: 1, 2: 15, 3: 129, 4: 1419, 5: 16151}
+        print(f"    four-coordinate survey: facets {counts}, all shellable")

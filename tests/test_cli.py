@@ -45,6 +45,15 @@ def test_domain_errors_exit_2(capsys):
         assert "error" in err
 
 
+def test_negative_witness_limit_exits_2(capsys):
+    code, out, err = run(
+        capsys, "shelling", "--n", "3", "--order", "reversed", "--witness-limit", "-1"
+    )
+    assert code == 2
+    assert not out
+    assert "witness_limit" in err
+
+
 def test_argparse_rejections_raise_system_exit(capsys):
     with pytest.raises(SystemExit) as info:
         main(["fvector"])

@@ -1,7 +1,10 @@
 """The canonical facet order, its shelling property, and homology facets."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from gammashell import (
     DomainError,
@@ -23,6 +26,7 @@ from gammashell import (
     x_family,
     y_family,
 )
+from gammashell.shelling import ShellingReport
 
 from .conftest import cached_facets, facet_pairs
 
@@ -131,6 +135,8 @@ def test_verify_shelling_rejects_bad_input():
     with pytest.raises(DomainError):
         verify_shelling(params, witness_mode="telepathy")
     with pytest.raises(DomainError):
+        verify_shelling(params, witness_limit=-1)
+    with pytest.raises(DomainError):
         verify_shelling(params, list(cached_facets(3, 2))[:-1])
     with pytest.raises(DomainError):
         verify_shelling(params, list(cached_facets(3, 3)))
@@ -238,3 +244,184 @@ def test_y_family_appends_the_top_vertex_to_the_smaller_x_family():
         xs_below = x_family(make_complex(3, n - 1))
         lifted = sorted(g + ((n, n, n),) for g in xs_below)
         assert sorted(ys) == lifted
+
+
+# -- frozen per-pair reference ------------------------------------------------
+#
+# The pairwise scan below checks one pair (i, k) at a time with the
+# constructive route, an exhaustive search over single-vertex peels, and a
+# memo per (k, l, a) and per k.  It is kept verbatim as an oracle for the
+# bitset sweep in verify_shelling and must not be changed with it.
+
+
+class _ReferenceEngine:
+    def __init__(self, params, facets):
+        self.facets = facets
+        self.p, self.n = params.p, params.n
+        vertices = sorted({v for f in facets for v in f})
+        self.vbit = {v: 1 << i for i, v in enumerate(vertices)}
+        self.masks = [self._mask(f) for f in facets]
+        self.index = {f: i for i, f in enumerate(facets)}
+        self._twistable = {}
+        self._construct_memo = {}
+        self._peel = {}
+
+    def _mask(self, face):
+        m = 0
+        for v in face:
+            m |= self.vbit[v]
+        return m
+
+    def twistable(self, k):
+        got = self._twistable.get(k)
+        if got is None:
+            got = []
+            f = self.facets[k]
+            for l, v in enumerate(f):
+                if l == 0:
+                    pos = next((a for a, c in enumerate(v) if c > 1), None)
+                else:
+                    prev = f[l - 1]
+                    pos = next(
+                        (a for a, c in enumerate(v) if c - prev[a] > 1), None
+                    )
+                if pos is not None:
+                    got.append((l, self.vbit[v], pos))
+            self._twistable[k] = got
+        return got
+
+    def construct(self, k, l, a):
+        f = self.facets[k]
+        r = len(f)
+        v = f[l]
+        w = tuple(c - 1 if idx == a else c for idx, c in enumerate(v))
+        if l < r - 1:
+            nxt = f[l + 1]
+            gaps = [nxt[idx] - v[idx] for idx in range(self.p) if idx != a]
+            if gaps and min(gaps) == 1:
+                cand = f[:l] + (w,) + f[l + 1 :]
+            else:
+                u = tuple(c if idx == a else c + 1 for idx, c in enumerate(v))
+                cand = f[:l] + (w, u) + f[l + 1 :]
+        else:
+            if any(v[idx] == self.n for idx in range(self.p) if idx != a):
+                cand = f[:l] + (w,)
+            else:
+                cand = f[:l] + (w, (self.n,) * self.p)
+        j = self.index.get(cand)
+        if j is None or j >= k:
+            return None
+        if self.masks[j] & self.masks[k] != self.masks[k] & ~self.vbit[v]:
+            return None
+        return j
+
+    def constructive(self, i, k):
+        mi = self.masks[i]
+        for l, bit, a in self.twistable(k):
+            if bit & mi:
+                continue
+            key = (k, l, a)
+            if key not in self._construct_memo:
+                self._construct_memo[key] = self.construct(k, l, a)
+            j = self._construct_memo[key]
+            if j is None:
+                return None
+            return (j, self.facets[k][l])
+        return None
+
+    def peel_witnesses(self, k):
+        got = self._peel.get(k)
+        if got is None:
+            got = {}
+            bk = self.masks[k]
+            want = bk.bit_count()
+            for j in range(k):
+                d = bk & ~self.masks[j]
+                if d.bit_count() == 1 and d not in got:
+                    got[d] = j
+                    if len(got) == want:
+                        break
+            self._peel[k] = got
+        return got
+
+    def exhaustive(self, i, k):
+        got = self.peel_witnesses(k)
+        mi = self.masks[i]
+        for v in self.facets[k]:
+            bit = self.vbit[v]
+            if bit & mi:
+                continue
+            j = got.get(bit)
+            if j is not None:
+                return (j, v)
+        return None
+
+
+def _reference_shelling(params, facets, witness_mode, witness_limit):
+    eng = _ReferenceEngine(params, facets)
+    total = built = 0
+    wits, bad, fell, dis = {}, [], [], []
+    for k in range(len(facets)):
+        for i in range(k):
+            total += 1
+            if witness_mode == "exhaustive":
+                res = eng.exhaustive(i, k)
+            else:
+                res = eng.constructive(i, k)
+                if res is not None:
+                    built += 1
+                    if witness_mode == "both" and eng.exhaustive(i, k) is None:
+                        dis.append((i, k))
+                else:
+                    res = eng.exhaustive(i, k)
+                    if res is not None:
+                        fell.append((i, k))
+            if res is None:
+                bad.append((i, k))
+            elif len(wits) < witness_limit:
+                wits[(i, k)] = res
+    return ShellingReport(
+        p=params.p,
+        n=params.n,
+        mode=witness_mode,
+        facet_count=len(facets),
+        total_pairs=total,
+        constructed=built,
+        witnesses=wits,
+        witness_limit=witness_limit,
+        violations=bad,
+        fallbacks=fell,
+        disagreements=dis,
+    )
+
+
+def _reference_homology_facets(params, facets):
+    eng = _ReferenceEngine(params, facets)
+    return [f for k, f in enumerate(facets) if len(eng.peel_witnesses(k)) == len(f)]
+
+
+@st.composite
+def shuffled_orders(draw):
+    """(params, order): a facet permutation of a small complex."""
+    p, n = draw(st.sampled_from([(1, 4), (2, 4), (3, 3), (4, 2)]))
+    return make_complex(p, n), draw(st.permutations(cached_facets(p, n)))
+
+
+@given(
+    shuffled_orders(),
+    st.sampled_from(["constructive", "exhaustive", "both"]),
+    st.sampled_from([0, 1, 5, 10**6]),
+)
+def test_sweep_matches_the_per_pair_reference(case, mode, limit):
+    params, order = case
+    got = verify_shelling(params, order, witness_mode=mode, witness_limit=limit)
+    want = _reference_shelling(params, list(order), mode, limit)
+    assert dataclasses.asdict(got) == dataclasses.asdict(want)
+    assert list(got.witnesses) == list(want.witnesses)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_direct_attachment_matches_the_per_pair_reference(n):
+    params = make_complex(3, n)
+    reference = _reference_homology_facets(params, list(cached_facets(3, n)))
+    assert homology_facets_direct(params) == reference
