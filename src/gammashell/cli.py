@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .complexes import (
     DEFAULT_FACE_BUDGET,
@@ -21,64 +20,27 @@ from .complexes import (
 )
 from .errors import BudgetError, DomainError, PreconditionError
 from .facets import enumerate_facets, format_facets
-from .genfun import (
-    aigner_rhs,
-    alignment_check,
-    dixon_lhs,
-    dixon_rhs,
-    power_sum_lhs,
-    series_g_r,
-    series_P,
-    series_XY,
-    threeF2_lhs,
-    threeF2_rhs,
-)
+from .genfun import alignment_check, series_g_r, series_P, series_XY
 from .homology import (
     DEFAULT_CELL_BUDGET,
-    betti_numbers,
+    betti_from_ranks,
     boundary_matrix,
     matrix_rank,
     matrix_to_triplets,
     shuffled_rank,
 )
+from .identities import (
+    aigner_rhs,
+    dixon_lhs,
+    dixon_rhs,
+    power_sum_lhs,
+    threeF2_lhs,
+    threeF2_rhs,
+)
 from .series import dump_series
 from .shelling import betti_from_shelling, verify_shelling
 
 _PASS, _FAIL, _USAGE, _BUDGET, _IO = 0, 1, 2, 3, 4
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a subcommand needs; reports depend only on these fields.
-
-    threads is accepted for compatibility and has no effect; it is left
-    out of the emitted reports, so outputs never depend on it.
-    """
-
-    command: str
-    fmt: str = "json"
-    output: str | None = None
-    p: int = 3
-    n: int | None = None
-    n_max: int = 40
-    max_value: int = 8
-    k: int | None = None
-    r: int = 1
-    truncation: int = 6
-    order: str = "canonical"
-    witness_mode: str = "constructive"
-    witness_limit: int = 100
-    threads: int = 1
-    method: str = "both"
-    enumerate_check: bool = False
-    check_alignment: bool = False
-    series: str | None = None
-    seed: int = 0
-    shuffle_check: bool = False
-    face_budget: int = DEFAULT_FACE_BUDGET
-    cell_budget: int = DEFAULT_CELL_BUDGET
-    kind: str | None = None
-    what: str | None = None
 
 
 def _alternating(values) -> int:
@@ -96,50 +58,51 @@ def _report(command: str, params: dict, constants: dict, results: dict, ok: bool
 
 
 # -- subcommand handlers -----------------------------------------------------
-# each returns (report dict, exit code, extra) where extra may carry a raw
-# text payload ("payload") or tabular rows ("rows") for the CSV renderer
+# each takes the parsed arguments and returns (report dict, extra) where extra
+# may carry a raw text payload ("payload") or tabular rows ("rows") for the
+# CSV renderer; report["pass"] decides the exit code
 
 
-def cmd_fvector(cfg: RunConfig):
-    params = make_complex(cfg.p, cfg.n)
+def cmd_fvector(args: argparse.Namespace):
+    params = make_complex(args.p, args.n)
     f = f_vector_formula(params)
     results = {
         "f_vector": list(f),
         "reduced_euler": reduced_euler_characteristic(f),
     }
     ok = True
-    if cfg.enumerate_check:
-        enumerated = f_vector_enumerated(params, cfg.face_budget)
+    if args.enumerate_check:
+        enumerated = f_vector_enumerated(params, args.face_budget)
         results["f_vector_enumerated"] = list(enumerated)
         ok = enumerated == f
         results["match"] = ok
     report = _report(
         "fvector",
-        {"p": cfg.p, "n": cfg.n},
-        {"face_budget": cfg.face_budget},
+        {"p": args.p, "n": args.n},
+        {"face_budget": args.face_budget},
         results,
         ok,
     )
     rows = [{"dim": d - 1, "count": c} for d, c in enumerate(f)]
-    return report, _PASS if ok else _FAIL, {"rows": rows}
+    return report, {"rows": rows}
 
 
-def cmd_shelling(cfg: RunConfig):
-    params = make_complex(cfg.p, cfg.n)
-    facets = enumerate_facets(params, cfg.face_budget)
-    if cfg.order == "reversed":
+def cmd_shelling(args: argparse.Namespace):
+    params = make_complex(args.p, args.n)
+    facets = enumerate_facets(params, args.face_budget)
+    if args.order == "reversed":
         facets = list(reversed(facets))
     rep = verify_shelling(
         params,
         facets,
-        witness_mode=cfg.witness_mode,
-        witness_limit=cfg.witness_limit,
-        threads=cfg.threads,
+        witness_mode=args.witness_mode,
+        witness_limit=args.witness_limit,
+        threads=args.threads,
     )
     ok = rep.is_shelling and not rep.disagreements
     limit = rep.witness_limit
     results = {
-        "order": cfg.order,
+        "order": args.order,
         "mode": rep.mode,
         "facet_count": rep.facet_count,
         "total_pairs": rep.total_pairs,
@@ -158,63 +121,67 @@ def cmd_shelling(cfg: RunConfig):
     }
     report = _report(
         "shelling",
-        {"p": cfg.p, "n": cfg.n},
-        {"face_budget": cfg.face_budget},
+        {"p": args.p, "n": args.n},
+        {"face_budget": args.face_budget},
         results,
         ok,
     )
-    return report, _PASS if ok else _FAIL, {}
+    return report, {}
 
 
-def cmd_betti(cfg: RunConfig):
-    params = make_complex(cfg.p, cfg.n)
+def cmd_betti(args: argparse.Namespace):
+    if args.shuffle_check and args.method == "shelling":
+        raise DomainError("--shuffle-check needs the matrix route (--method matrix or both)")
+    params = make_complex(args.p, args.n)
     chi = reduced_euler_characteristic(f_vector_formula(params))
-    results: dict = {"reduced_euler": chi, "method": cfg.method}
+    results: dict = {"reduced_euler": chi, "method": args.method}
     ok = True
     from_shelling = from_matrix = None
-    if cfg.method in ("both", "shelling"):
+    if args.method in ("both", "shelling"):
         from_shelling = betti_from_shelling(params)
         results["betti_from_shelling"] = list(from_shelling)
-    if cfg.method in ("both", "matrix"):
-        from_matrix = betti_numbers(params, cfg.cell_budget)
+    if args.method in ("both", "matrix"):
+        # each boundary matrix is built and ranked once; the shuffled rank is
+        # its own elimination of the permuted matrix, compared to that rank
+        ranks, stable = [], True
+        for k in range(params.n):
+            m = boundary_matrix(params, k, args.cell_budget)
+            ranks.append(matrix_rank(m))
+            if args.shuffle_check:
+                stable = stable and shuffled_rank(m, args.seed) == ranks[-1]
+            del m  # one matrix alive at a time
+        from_matrix = betti_from_ranks(params, ranks)
         results["betti_from_matrix"] = list(from_matrix)
-    if cfg.method == "both":
+        if args.shuffle_check:
+            results["shuffle_check"] = stable
+            results["seed"] = args.seed
+            ok = stable
+    if args.method == "both":
         results["match"] = from_shelling == from_matrix
         ok = ok and results["match"]
     betti = from_matrix if from_matrix is not None else from_shelling
     results["alternating_betti_sum"] = _alternating(betti)
     results["euler_poincare"] = results["alternating_betti_sum"] == chi
     ok = ok and results["euler_poincare"]
-    if cfg.shuffle_check and from_matrix is not None:
-        stable = all(
-            matrix_rank(m) == shuffled_rank(m, cfg.seed)
-            for m in (
-                boundary_matrix(params, k, cfg.cell_budget)
-                for k in range(params.n)
-            )
-        )
-        results["shuffle_check"] = stable
-        results["seed"] = cfg.seed
-        ok = ok and stable
     report = _report(
         "betti",
-        {"p": cfg.p, "n": cfg.n},
-        {"cell_budget": cfg.cell_budget},
+        {"p": args.p, "n": args.n},
+        {"cell_budget": args.cell_budget},
         results,
         ok,
     )
-    return report, _PASS if ok else _FAIL, {}
+    return report, {}
 
 
-def cmd_identity(cfg: RunConfig):
+def cmd_identity(args: argparse.Namespace):
     rows = []
-    if cfg.kind == "dixon":
-        for n in range(1, cfg.n_max + 1):
+    if args.kind == "dixon":
+        for n in range(1, args.n_max + 1):
             lhs, rhs = dixon_lhs(n), dixon_rhs(n)
             rows.append({"n": n, "lhs": lhs, "rhs": rhs, "equal": lhs == rhs})
-        params = {"n_max": cfg.n_max}
-    elif cfg.kind == "aigner":
-        for n in range(1, cfg.n_max + 1):
+        params = {"n_max": args.n_max}
+    elif args.kind == "aigner":
+        for n in range(1, args.n_max + 1):
             lhs, rhs = power_sum_lhs(n, 2), aigner_rhs(n)
             linear = power_sum_lhs(n, 1)
             rows.append(
@@ -226,9 +193,9 @@ def cmd_identity(cfg: RunConfig):
                     "equal": lhs == rhs and linear == 0,
                 }
             )
-        params = {"n_max": cfg.n_max}
+        params = {"n_max": args.n_max}
     else:
-        bound = cfg.max_value
+        bound = args.max_value
         for n1 in range(bound + 1):
             for n2 in range(bound + 1):
                 for n3 in range(bound + 1):
@@ -247,23 +214,23 @@ def cmd_identity(cfg: RunConfig):
         params = {"max": bound}
     failures = [r for r in rows if not r["equal"]]
     results = {
-        "kind": cfg.kind,
+        "kind": args.kind,
         "checked": len(rows),
         "failed": len(failures),
         "failures": failures[:50],
     }
-    if cfg.kind in ("dixon", "aigner"):
+    if args.kind in ("dixon", "aigner"):
         results["table"] = rows
     ok = not failures
     report = _report("identity", params, {}, results, ok)
-    return report, _PASS if ok else _FAIL, {"rows": rows}
+    return report, {"rows": rows}
 
 
-def cmd_genfun(cfg: RunConfig):
-    if cfg.check_alignment:
-        if cfg.series is not None:
+def cmd_genfun(args: argparse.Namespace):
+    if args.check_alignment:
+        if args.series is not None:
             raise DomainError("--check-alignment does not take a series name")
-        rep = alignment_check(n_max=cfg.n_max)
+        rep = alignment_check(n_max=args.n_max)
         results = {
             "deltas": list(rep.deltas),
             "alternating_counts": {str(n): v for n, v in rep.alternating_counts.items()},
@@ -280,67 +247,67 @@ def cmd_genfun(cfg: RunConfig):
         }
         ok = rep.pinned_delta is not None and rep.end_to_end_ok
         report = _report(
-            "genfun", {"n_max": cfg.n_max}, {"deltas": list(rep.deltas)}, results, ok
+            "genfun", {"n_max": args.n_max}, {"deltas": list(rep.deltas)}, results, ok
         )
-        return report, _PASS if ok else _FAIL, {}
+        return report, {}
 
-    if cfg.series is None:
+    if args.series is None:
         raise DomainError("choose a series (P, XY, g) or pass --check-alignment")
-    if cfg.series == "P":
-        s = series_P(cfg.truncation)
-    elif cfg.series == "XY":
-        s = series_XY(cfg.truncation)
+    if args.series == "P":
+        s = series_P(args.truncation)
+    elif args.series == "XY":
+        s = series_XY(args.truncation)
     else:
-        s = series_g_r(cfg.r, cfg.truncation)
+        s = series_g_r(args.r, args.truncation)
     results = {
-        "series": cfg.series,
-        "truncation": cfg.truncation,
+        "series": args.series,
+        "truncation": args.truncation,
         "terms": len(s.coeffs),
         "coefficients": {
             " ".join(str(x) for x in e): c for e, c in sorted(s.coeffs.items())
         },
     }
-    if cfg.series == "g":
-        results["r"] = cfg.r
+    if args.series == "g":
+        results["r"] = args.r
     report = _report(
-        "genfun", {"series": cfg.series}, {"truncation": cfg.truncation}, results, True
+        "genfun", {"series": args.series}, {"truncation": args.truncation}, results, True
     )
-    return report, _PASS, {"payload": dump_series(s)}
+    return report, {"payload": dump_series(s)}
 
 
-def cmd_export(cfg: RunConfig):
-    params = make_complex(cfg.p, cfg.n)
-    if cfg.what == "facets":
-        facets = enumerate_facets(params, cfg.face_budget)
+def cmd_export(args: argparse.Namespace):
+    params = make_complex(args.p, args.n)
+    if args.what == "facets":
+        facets = enumerate_facets(params, args.face_budget)
         payload = format_facets(params, facets)
         results: dict = {"what": "facets", "count": len(facets)}
     else:
-        if cfg.k is None:
+        if args.k is None:
             raise DomainError("export matrix requires --k")
-        m = boundary_matrix(params, cfg.k, cfg.cell_budget)
+        m = boundary_matrix(params, args.k, args.cell_budget)
         payload = matrix_to_triplets(m)
         results = {
             "what": "matrix",
-            "k": cfg.k,
+            "k": args.k,
             "rows": m.rows,
             "cols": m.cols,
             "entries": len(m.entries),
         }
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(payload)
-        results["written"] = cfg.output
+        results["written"] = args.output
         results["bytes"] = len(payload.encode("utf-8"))
     else:
         results["content"] = payload
     report = _report(
         "export",
-        {"p": cfg.p, "n": cfg.n},
-        {"face_budget": cfg.face_budget, "cell_budget": cfg.cell_budget},
+        {"p": args.p, "n": args.n},
+        {"face_budget": args.face_budget, "cell_budget": args.cell_budget},
         results,
         True,
     )
-    return report, _PASS, {"payload": payload}
+    return report, {"payload": payload}
 
 
 _COMMANDS = {
@@ -360,7 +327,7 @@ def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _render_text(cfg: RunConfig, report: dict, extra: dict) -> str:
+def _render_text(report: dict, extra: dict) -> str:
     cmd = report["command"]
     res = report["results"]
     lines: list[str] = []
@@ -437,7 +404,7 @@ def _render_text(cfg: RunConfig, report: dict, extra: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_csv(cfg: RunConfig, report: dict, extra: dict) -> str:
+def _render_csv(report: dict, extra: dict) -> str:
     rows = extra.get("rows")
     if not rows:
         raise DomainError(f"csv output is not available for {report['command']}")
@@ -448,12 +415,12 @@ def _render_csv(cfg: RunConfig, report: dict, extra: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render(cfg: RunConfig, report: dict, extra: dict) -> str:
-    if cfg.fmt == "json":
+def _render(args: argparse.Namespace, report: dict, extra: dict) -> str:
+    if args.fmt == "json":
         return json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if cfg.fmt == "csv":
-        return _render_csv(cfg, report, extra)
-    return _render_text(cfg, report, extra)
+    if args.fmt == "csv":
+        return _render_csv(report, extra)
+    return _render_text(report, extra)
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -524,18 +491,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {f: getattr(args, f) for f in RunConfig.__dataclass_fields__ if hasattr(args, f)}
-    return RunConfig(**fields)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = _config_from_args(args)
     try:
-        report, code, extra = _COMMANDS[cfg.command](cfg)
-        rendered = _render(cfg, report, extra)
+        report, extra = _COMMANDS[args.command](args)
+        rendered = _render(args, report, extra)
     except (DomainError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE
@@ -550,15 +511,15 @@ def main(argv=None) -> int:
         return _FAIL
 
     try:
-        if cfg.output and cfg.command != "export":
-            with open(cfg.output, "w", encoding="utf-8") as fh:
+        if args.output and args.command != "export":
+            with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(rendered)
         else:
             sys.stdout.write(rendered)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return _IO
-    return code
+    return _PASS if report["pass"] else _FAIL
 
 
 if __name__ == "__main__":

@@ -24,7 +24,6 @@ from .complexes import (
     Face,
     Vertex,
     canonical_face,
-    is_face,
     order_key,
 )
 from .errors import BudgetError, DomainError, PreconditionError
@@ -62,17 +61,21 @@ class TwistSets:
 
 
 def facet_certificate(params: ComplexParams, face: Iterable[Sequence[int]]) -> FacetCertificate:
-    """Evaluate P1-P3 on a nonempty face."""
+    """Evaluate P1-P3 on a nonempty face.
+
+    The minimum coordinate gap between consecutive vertices decides both
+    questions: a gap below 1 means the vertices do not form a face, and P3
+    asks for every gap to equal 1.
+    """
     f = canonical_face(params, face)
     if not f:
         raise DomainError("facet conditions are undefined for the empty face")
-    if not is_face(params, f):
+    gaps = [min(b - a for a, b in zip(prev, cur)) for prev, cur in zip(f, f[1:])]
+    if any(g < 1 for g in gaps):
         raise DomainError(f"{f} is not a face of Gamma_{params.p}({params.n})")
     p1 = max(f[-1]) == params.n
     p2 = min(f[0]) == 1
-    p3 = all(
-        min(b - a for a, b in zip(prev, cur)) == 1 for prev, cur in zip(f, f[1:])
-    )
+    p3 = all(g == 1 for g in gaps)
     return FacetCertificate(f, p1, p2, p3)
 
 

@@ -18,14 +18,7 @@ from .complexes import (
     reduced_euler_characteristic,
 )
 from .errors import DomainError
-from .identities import (  # noqa: F401  (re-exported: identity verifiers live here)
-    aigner_rhs,
-    dixon_lhs,
-    dixon_rhs,
-    power_sum_lhs,
-    threeF2_lhs,
-    threeF2_rhs,
-)
+from .identities import dixon_lhs, dixon_rhs
 from .series import MSeries
 from .shelling import homology_facets_by_criterion
 

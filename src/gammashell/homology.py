@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import gcd
+from typing import Sequence
 
 from .complexes import (
     ComplexParams,
@@ -153,23 +154,23 @@ def shuffled_rank(matrix: SparseBoundaryMatrix, seed: int) -> int:
     return sparse_rank(rows)
 
 
+def betti_from_ranks(params: ComplexParams, ranks: Sequence[int]) -> tuple[int, ...]:
+    """Reduced Betti numbers (beta_-1, ..., beta_{n-1}) from rank d_0..d_{n-1}.
+
+    beta_k = f_k - rank d_k - rank d_{k+1}, with rank d_-1 = rank d_n = 0;
+    the empty-face row makes beta_-1 vanish for every nonempty complex.
+    """
+    f = f_vector_formula(params)
+    r = [0, *ranks, 0]
+    return tuple(f[i] - r[i] - r[i + 1] for i in range(params.n + 1))
+
+
 def betti_numbers(
     params: ComplexParams, budget: int | None = DEFAULT_CELL_BUDGET
 ) -> tuple[int, ...]:
-    """Reduced Betti numbers (beta_-1, ..., beta_{n-1}) from matrix ranks.
-
-    beta_k = f_k - rank d_k - rank d_{k+1}; the empty-face row makes
-    beta_-1 vanish for every nonempty complex.
-    """
-    n = params.n
-    f = f_vector_formula(params)
-    ranks = [matrix_rank(boundary_matrix(params, k, budget)) for k in range(n)]
-    betti = []
-    for d in range(-1, n):
-        r_here = ranks[d] if 0 <= d < n else 0
-        r_above = ranks[d + 1] if 0 <= d + 1 < n else 0
-        betti.append(f[d + 1] - r_here - r_above)
-    return tuple(betti)
+    """Reduced Betti numbers (beta_-1, ..., beta_{n-1}) from matrix ranks."""
+    ranks = [matrix_rank(boundary_matrix(params, k, budget)) for k in range(params.n)]
+    return betti_from_ranks(params, ranks)
 
 
 def verify_euler_poincare(

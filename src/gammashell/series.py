@@ -176,25 +176,6 @@ class MSeries:
         return MSeries(self.num_vars, truncation, kept)
 
 
-# -- functional aliases used throughout the package -------------------------
-
-
-def add(a: MSeries, b: MSeries) -> MSeries:
-    return a + b
-
-
-def mul(a: MSeries, b: MSeries) -> MSeries:
-    return a * b
-
-
-def invert_unit(a: MSeries) -> MSeries:
-    return a.invert_unit()
-
-
-def coefficient(a: MSeries, exponent: Exponent) -> int:
-    return a.coefficient(exponent)
-
-
 # -- text form ---------------------------------------------------------------
 
 

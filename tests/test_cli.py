@@ -6,9 +6,11 @@ import pytest
 
 from gammashell import (
     boundary_matrix,
+    cli,
     dump_series,
     enumerate_facets,
     format_facets,
+    homology,
     make_complex,
     matrix_to_triplets,
     series_P,
@@ -38,6 +40,7 @@ def test_domain_errors_exit_2(capsys):
         ["genfun", "P", "--truncate", "1"],
         ["export", "matrix", "--n", "2"],
         ["shelling", "--n", "2", "--format", "csv"],
+        ["betti", "--n", "2", "--method", "shelling", "--shuffle-check"],
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
@@ -124,6 +127,25 @@ def test_betti_report_carries_both_routes(capsys):
     assert res["euler_poincare"] is True
     assert res["alternating_betti_sum"] == 6
     assert res["shuffle_check"] is True
+
+
+def test_betti_shuffle_check_builds_and_ranks_each_matrix_once(capsys, monkeypatch):
+    calls = {"boundary_matrix": 0, "matrix_rank": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        wrapped = counting(name, getattr(homology, name))
+        for module in (cli, homology):
+            monkeypatch.setattr(module, name, wrapped)
+    report = run_json(capsys, "betti", "--n", "3", "--shuffle-check")
+    assert report["results"]["shuffle_check"] is True
+    assert calls == {"boundary_matrix": 3, "matrix_rank": 3}
 
 
 def test_identity_report(capsys):
