@@ -18,7 +18,7 @@ from .complexes import (
     make_complex,
     reduced_euler_characteristic,
 )
-from .errors import BudgetError, DomainError, PreconditionError
+from .errors import BudgetError, DomainError, PreconditionError, VerificationError
 from .facets import enumerate_facets, format_facets
 from .genfun import alignment_check, series_g_r, series_P, series_XY
 from .homology import (
@@ -38,7 +38,7 @@ from .identities import (
     threeF2_rhs,
 )
 from .series import dump_series
-from .shelling import betti_from_shelling, verify_shelling
+from .shelling import _verify_order, betti_from_shelling
 
 _PASS, _FAIL, _USAGE, _BUDGET, _IO = 0, 1, 2, 3, 4
 
@@ -92,13 +92,8 @@ def cmd_shelling(args: argparse.Namespace):
     facets = enumerate_facets(params, args.face_budget)
     if args.order == "reversed":
         facets = list(reversed(facets))
-    rep = verify_shelling(
-        params,
-        facets,
-        witness_mode=args.witness_mode,
-        witness_limit=args.witness_limit,
-        threads=args.threads,
-    )
+    # a budgeted enumeration, reversed or not, lists every facet once
+    rep = _verify_order(params, facets, args.witness_mode, args.witness_limit)
     ok = rep.is_shelling and not rep.disagreements
     limit = rep.witness_limit
     results = {
@@ -506,7 +501,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return _IO
-    except RuntimeError as exc:
+    except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return _FAIL
 

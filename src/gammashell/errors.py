@@ -11,3 +11,7 @@ class PreconditionError(ValueError):
 
 class BudgetError(RuntimeError):
     """Requested computation exceeds the configured resource budget."""
+
+
+class VerificationError(RuntimeError):
+    """Two routes that must agree on a mathematical claim disagree."""

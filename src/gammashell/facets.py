@@ -263,14 +263,21 @@ def parse_facets(text: str) -> tuple[ComplexParams, list[Face]]:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("#"):
         raise DomainError("facet text must start with a '# p=<p> n=<n>' header")
-    fields = dict(part.split("=") for part in lines[0].lstrip("# ").split())
-    params = ComplexParams(int(fields["p"]), int(fields["n"]))
+    try:
+        fields = dict(part.split("=") for part in lines[0].lstrip("# ").split())
+        p, n = int(fields["p"]), int(fields["n"])
+    except (KeyError, ValueError) as exc:
+        raise DomainError(f"malformed facet header {lines[0]!r}") from exc
+    params = ComplexParams(p, n)
     facets = []
     for ln in lines[1:]:
         verts = []
         for tok in ln.split():
             if not (tok.startswith("(") and tok.endswith(")")):
                 raise DomainError(f"malformed vertex token {tok!r}")
-            verts.append(tuple(int(c) for c in tok[1:-1].split(",")))
+            try:
+                verts.append(tuple(int(c) for c in tok[1:-1].split(",")))
+            except ValueError as exc:
+                raise DomainError(f"malformed vertex token {tok!r}") from exc
         facets.append(canonical_face(params, verts))
     return params, facets

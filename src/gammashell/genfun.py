@@ -17,7 +17,7 @@ from .complexes import (
     make_complex,
     reduced_euler_characteristic,
 )
-from .errors import DomainError
+from .errors import DomainError, VerificationError
 from .identities import dixon_lhs, dixon_rhs
 from .series import MSeries
 from .shelling import homology_facets_by_criterion
@@ -47,7 +47,7 @@ def _require_dual_equal(name: str, first: MSeries, second: MSeries) -> None:
             for e in set(first.coeffs) | set(second.coeffs)
             if first.coeffs.get(e, 0) != second.coeffs.get(e, 0)
         ]
-        raise RuntimeError(
+        raise VerificationError(
             f"{name}: dual constructions disagree at {sorted(diffs)[:5]} ..."
         )
 

@@ -3,11 +3,22 @@
 Coefficients are Python ints, so all ring operations are exact.  Truncation
 is per variable (a box, not a total-degree simplex) because diagonal
 coefficient extraction needs every monomial with all exponents <= T.
+
+Multiplication and inversion work on packed exponents: the tuple
+(e_1, ..., e_v) becomes one int with a field of k = T.bit_length() + 1 bits
+per variable, e_1 in the most significant field.  An in-box exponent fills
+at most k - 1 bits, so the top bit of each field is a guard bit that stays
+clear, and the sum of two in-box exponents never carries into the next
+field.  Adding the bias, 2^(k-1) - 1 - T in every field, sets a field's
+guard bit exactly when that field of the sum exceeds T, so a product term
+leaves the box iff (packed + bias) & guard is nonzero.  Dually, d <= e in
+every field iff subtracting d from e with all guard bits set clears none of
+them.  The public coeffs dict stays keyed by exponent tuples; each result
+is unpacked once.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .errors import DomainError
@@ -22,6 +33,30 @@ def _check_exponent(e: Exponent, num_vars: int, truncation: int) -> None:
         raise DomainError(f"negative exponent in {e}")
     if any(x > truncation for x in e):
         raise DomainError(f"exponent {e} exceeds truncation {truncation}")
+
+
+def _packing(num_vars: int, truncation: int):
+    """Width, guard mask and bias of the packed exponent, with pack and unpack.
+
+    Variable 0 takes the most significant field, so increasing packed order
+    is the lexicographic order of exponent tuples.
+    """
+    width = truncation.bit_length() + 1
+    shifts = range((num_vars - 1) * width, -1, -width)
+    guard = sum(1 << (s + width - 1) for s in shifts)
+    bias = sum(((1 << (width - 1)) - 1 - truncation) << s for s in shifts)
+    mask = (1 << width) - 1
+
+    def pack(e: Exponent) -> int:
+        q = 0
+        for x in e:
+            q = q << width | x
+        return q
+
+    def unpack(q: int) -> Exponent:
+        return tuple(q >> s & mask for s in shifts)
+
+    return width, guard, bias, pack, unpack
 
 
 @dataclass(frozen=True)
@@ -91,19 +126,26 @@ class MSeries:
 
     def __mul__(self, other: "MSeries") -> "MSeries":
         self._require_compatible(other)
-        t = self.truncation
-        out: dict[Exponent, int] = {}
-        # iterate the smaller operand outside for fewer dict rebuilds
+        _, guard, bias, pack, unpack = _packing(self.num_vars, self.truncation)
+        # iterate the smaller operand outside; its side carries the bias, so
+        # a sum's guard bits are set exactly when it leaves the box
         a, b = self.coeffs, other.coeffs
         if len(a) > len(b):
             a, b = b, a
+        inner = [(pack(eb), cb) for eb, cb in b.items()]
+        out: dict[int, int] = {}
         for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                if any(x > t for x in e):
+            qa = pack(ea) + bias
+            for qb, cb in inner:
+                q = qa + qb
+                if q & guard:
                     continue
-                out[e] = out.get(e, 0) + ca * cb
-        return MSeries(self.num_vars, self.truncation, out)
+                out[q] = out.get(q, 0) + ca * cb
+        return MSeries(
+            self.num_vars,
+            self.truncation,
+            {unpack(q - bias): c for q, c in out.items()},
+        )
 
     def __pow__(self, exponent: int) -> "MSeries":
         if exponent < 0:
@@ -137,30 +179,34 @@ class MSeries:
     def invert_unit(self) -> "MSeries":
         """Multiplicative inverse, valid when the constant term is +-1.
 
-        Solves (self * h)[e] = [e == 0] degree by degree:
+        Solves (self * h)[e] = [e == 0] over the box in increasing packed
+        order, where every e - d precedes e:
         h[e] = -c0 * sum of self[d] * h[e - d] over nonconstant terms d <= e.
         """
         v, t = self.num_vars, self.truncation
         c0 = self.coeffs.get((0,) * v, 0)
         if c0 not in (1, -1):
             raise DomainError(f"constant term {c0} is not a unit")
-        tail = [(d, c) for d, c in self.coeffs.items() if any(d)]
-        inv: dict[Exponent, int] = {(0,) * v: c0}
-        exponents = sorted(
-            itertools.product(range(t + 1), repeat=v), key=lambda e: (sum(e), e)
-        )
-        for e in exponents:
-            if not any(e):
-                continue
+        width, guard, _, pack, unpack = _packing(v, t)
+        tail = sorted((pack(d), c) for d, c in self.coeffs.items() if any(d))
+        box = [0]
+        for _ in range(v):
+            box = [q << width | x for q in box for x in range(t + 1)]
+        inv: dict[int, int] = {0: c0}
+        for e in box[1:]:
             s = 0
+            eg = e | guard
             for d, c in tail:
-                if all(x <= y for x, y in zip(d, e)):
-                    prev = inv.get(tuple(y - x for x, y in zip(d, e)), 0)
+                if d > e:
+                    break
+                # d <= e in every field iff no field borrows its guard bit
+                if (eg - d) & guard == guard:
+                    prev = inv.get(e - d)
                     if prev:
                         s += c * prev
             if s:
                 inv[e] = -c0 * s
-        return MSeries(v, t, inv)
+        return MSeries(v, t, {unpack(q): c for q, c in inv.items()})
 
     def truncate(self, truncation: int) -> "MSeries":
         """Restrict to a smaller box; enlarging would fabricate coefficients."""

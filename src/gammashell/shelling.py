@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import sub
 
 from .complexes import ComplexParams, Face, Vertex, order_key
-from .errors import DomainError, PreconditionError
-from .facets import enumerate_facets, facet_certificate, twist_sets
+from .errors import DomainError, PreconditionError, VerificationError
+from .facets import enumerate_facets, facet_certificate
 
 __all__ = [
     "order_O_compare",
@@ -101,7 +102,7 @@ def block_partition(params: ComplexParams, face_i: Face, face_k: Face) -> BlockP
         and facet_certificate(params, fk).is_facet
     )
     if both_facets and len(i_blocks) != len(k_blocks):
-        raise RuntimeError(
+        raise VerificationError(
             f"private block counts differ for facets {fi} and {fk}: "
             f"{len(i_blocks)} vs {len(k_blocks)}"
         )
@@ -302,14 +303,21 @@ def verify_shelling(
     worked out pair by pair for the first witness_limit pairs only.
     threads is accepted for compatibility and has no effect.
     """
-    if witness_mode not in _MODES:
-        raise DomainError(f"witness_mode must be one of {_MODES}")
-    if witness_limit < 0:
-        raise DomainError(f"witness_limit must be nonnegative, got {witness_limit}")
     if order is None:
         facets = enumerate_facets(params)
     else:
         facets = _normalize_order(params, order)
+    return _verify_order(params, facets, witness_mode, witness_limit)
+
+
+def _verify_order(
+    params: ComplexParams, facets: list[Face], witness_mode: str, witness_limit: int
+) -> ShellingReport:
+    """The body of verify_shelling for a list known to order every facet once."""
+    if witness_mode not in _MODES:
+        raise DomainError(f"witness_mode must be one of {_MODES}")
+    if witness_limit < 0:
+        raise DomainError(f"witness_limit must be nonnegative, got {witness_limit}")
     twists = _Twists(params, facets)
     constructed = 0
     witnesses: dict[tuple[int, int], tuple[int, Vertex]] = {}
@@ -388,6 +396,30 @@ def shelling_witness(face_i, face_k, facets_in_order) -> tuple[int, Vertex] | No
     return twists.witness(i, k, peels, cands)
 
 
+def _down_twistable(params: ComplexParams, face: Face) -> bool:
+    """Check that a canonical face is a facet, then apply the criterion.
+
+    One pass over the junctions: every vertex must have p coordinates, the
+    coordinate differences at each junction must have minimum 1 (P3, which
+    with P1 and P2 also keeps every coordinate increasing within 1..n), and
+    the criterion asks for a maximum above 1 at every junction and for the
+    first vertex to exceed 1 somewhere.  Raises PreconditionError if the
+    face is not a facet.
+    """
+    p = params.p
+    first = face[0]
+    if len(first) != p or min(first) != 1 or max(face[-1]) != params.n:
+        raise PreconditionError(f"{face} is not a facet")
+    twistable = max(first) > 1
+    for prev, cur in zip(face, face[1:]):
+        diffs = list(map(sub, cur, prev))
+        if len(cur) != p or min(diffs) != 1:
+            raise PreconditionError(f"{face} is not a facet")
+        if max(diffs) == 1:
+            twistable = False
+    return twistable
+
+
 def homology_facet_by_criterion(params: ComplexParams, facet) -> bool:
     """True iff every vertex of the facet has a nonempty down-twist set.
 
@@ -398,17 +430,16 @@ def homology_facet_by_criterion(params: ComplexParams, facet) -> bool:
     cert = facet_certificate(params, facet)
     if not cert.is_facet:
         raise PreconditionError(f"{cert.face} is not a facet")
-    sets = twist_sets(params, cert.face)
-    return all(sets.b_sets)
+    return _down_twistable(params, cert.face)
 
 
 def homology_facets_by_criterion(params: ComplexParams) -> list[Face]:
-    """All facets selected by the down-twist criterion, in canonical order."""
-    return [
-        f
-        for f in enumerate_facets(params)
-        if homology_facet_by_criterion(params, f)
-    ]
+    """All facets selected by the down-twist criterion, in canonical order.
+
+    The enumerated facets are canonical already, so each is checked and
+    tested in the one pass of _down_twistable.
+    """
+    return [f for f in enumerate_facets(params) if _down_twistable(params, f)]
 
 
 def homology_facets_direct(params: ComplexParams, order=None) -> list[Face]:

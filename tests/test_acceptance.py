@@ -150,6 +150,7 @@ def test_acceptance_08_series_constructions():
     with _Timed(8, "dual series constructions agree; g_r diagonals count facets", 120):
         series_P(12, construction="both")
         series_XY(10, construction="both")
+        series_XY(14, construction="both")
         for r in (1, 2, 3):
             g = series_g_r(r, 7)
             for m in range(2, 8):
@@ -177,7 +178,7 @@ def test_acceptance_09_master_theorem():
 
 def test_acceptance_10_diagonal_alignment():
     with _Timed(10, "diagonal offset is pinned at one and the identity chain closes", 600):
-        report = alignment_check(n_max=6)
+        report = alignment_check(n_max=7)
         assert report.pinned_delta == 1
         assert [d for d, hit in report.matches.items() if hit] == [1]
         assert report.end_to_end_ok

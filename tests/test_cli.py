@@ -5,15 +5,18 @@ import json
 import pytest
 
 from gammashell import (
+    MSeries,
     boundary_matrix,
     cli,
     dump_series,
     enumerate_facets,
     format_facets,
+    genfun,
     homology,
     make_complex,
     matrix_to_triplets,
     series_P,
+    shelling,
 )
 from gammashell.cli import main
 
@@ -83,10 +86,48 @@ def test_budget_overruns_exit_3(capsys):
     for argv in (
         ["fvector", "--n", "4", "--enumerate", "--face-budget", "10"],
         ["export", "facets", "--n", "3", "--face-budget", "2"],
+        ["shelling", "--n", "3", "--face-budget", "10"],
     ):
         code, out, err = run(capsys, *argv)
         assert code == 3, argv
         assert "budget" in err
+
+
+def test_disagreeing_series_constructions_exit_1(capsys, monkeypatch):
+    # only the alternating build of series_XY uses series_P
+    def shifted_P(T, construction="both"):
+        return series_P(T, construction) + MSeries.monomial(3, T, (2, 2, 2))
+
+    monkeypatch.setattr(genfun, "series_P", shifted_P)
+    code, out, err = run(capsys, "genfun", "--check-alignment", "--n-max", "2")
+    assert code == 1
+    assert not out
+    assert "verification failure" in err and "series_XY" in err
+
+
+def test_internal_errors_are_not_verification_failures(capsys, monkeypatch):
+    def recurse(args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setitem(cli._COMMANDS, "fvector", recurse)
+    with pytest.raises(RecursionError):
+        main(["fvector", "--n", "2"])
+
+
+@pytest.mark.parametrize("order,exit_code", [("canonical", 0), ("reversed", 1)])
+def test_shelling_enumerates_the_facets_once(capsys, monkeypatch, order, exit_code):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_facets(*args, **kwargs)
+
+    for module in (cli, shelling):
+        monkeypatch.setattr(module, "enumerate_facets", counted)
+    code, out, err = run(capsys, "shelling", "--n", "3", "--order", order)
+    assert code == exit_code, err
+    assert json.loads(out)["results"]["facet_count"] == 37
+    assert len(calls) == 1
 
 
 # -- json reports -------------------------------------------------------------

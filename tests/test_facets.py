@@ -254,6 +254,15 @@ def test_parse_facets_errors():
         parse_facets("(1,1,1)\n")
     with pytest.raises(DomainError):
         parse_facets("# p=3 n=2\n1,1,1\n")
+    for text in (
+        "# p=3\n",
+        "# p=x n=2\n",
+        "# p=3 n\n",
+        "# p=3 n=2\n(1,a,1)\n",
+        "# p=3 n=2\n()\n",
+    ):
+        with pytest.raises(DomainError):
+            parse_facets(text)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -1,5 +1,6 @@
 """Ring behavior of the truncated integer power series."""
 
+import itertools
 import math
 
 import pytest
@@ -172,3 +173,111 @@ def test_parse_tolerates_comments_and_rejects_garbage():
         parse_series("0 0 = 7\n", 2, 3)
     with pytest.raises(DomainError, match="line 2"):
         parse_series("0 0 : 7\nnot a line\n", 2, 3)
+
+
+# -- frozen oracle for the packed-exponent kernels ----------------------------
+#
+# The seed's tuple-keyed multiplication and inversion, kept verbatim as an
+# oracle for the packed kernels in MSeries.__mul__ and invert_unit; they
+# must not be changed with them.
+
+
+def _reference_mul(self, other):
+    t = self.truncation
+    out = {}
+    a, b = self.coeffs, other.coeffs
+    if len(a) > len(b):
+        a, b = b, a
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if any(x > t for x in e):
+                continue
+            out[e] = out.get(e, 0) + ca * cb
+    return MSeries(self.num_vars, self.truncation, out)
+
+
+def _reference_invert_unit(self):
+    v, t = self.num_vars, self.truncation
+    c0 = self.coeffs.get((0,) * v, 0)
+    if c0 not in (1, -1):
+        raise DomainError(f"constant term {c0} is not a unit")
+    tail = [(d, c) for d, c in self.coeffs.items() if any(d)]
+    inv = {(0,) * v: c0}
+    exponents = sorted(
+        itertools.product(range(t + 1), repeat=v), key=lambda e: (sum(e), e)
+    )
+    for e in exponents:
+        if not any(e):
+            continue
+        s = 0
+        for d, c in tail:
+            if all(x <= y for x, y in zip(d, e)):
+                prev = inv.get(tuple(y - x for x, y in zip(d, e)), 0)
+                if prev:
+                    s += c * prev
+        if s:
+            inv[e] = -c0 * s
+    return MSeries(v, t, inv)
+
+
+# every change of the packed field width: k = T.bit_length() + 1 grows
+# between 0 and 1, 1 and 2, 3 and 4, 7 and 8, 15 and 16
+ORACLE_TRUNCATIONS = [0, 1, 2, 3, 4, 7, 8, 15, 16]
+
+
+def edge_series(num_vars, truncation):
+    """Sparse series whose exponents favour 0, T, and the two halves of T.
+
+    Two halves of T sum to T, on the box edge, or for odd T to T + 1, one
+    step outside it.
+    """
+    t = truncation
+    edges = st.sampled_from(sorted({0, t // 2, (t + 1) // 2, t}))
+    component = st.one_of(st.integers(0, t), edges)
+    exponents = st.tuples(*[component] * num_vars)
+    return st.dictionaries(exponents, st.integers(-9, 9), max_size=8).map(
+        lambda d: MSeries(num_vars, t, d)
+    )
+
+
+@st.composite
+def operand_pairs(draw, truncation):
+    """(a, b) where b also holds the complements T - e of some terms of a,
+    so that their products land exactly on the corner of the box."""
+    v = draw(st.integers(1, 4))
+    a = draw(edge_series(v, truncation))
+    b = draw(edge_series(v, truncation))
+    corner = {
+        tuple(truncation - x for x in e): c
+        for e, c in a.coeffs.items()
+        if draw(st.booleans())
+    }
+    return a, b + MSeries(v, truncation, corner)
+
+
+@st.composite
+def edge_units(draw, truncation):
+    """Units with constant term +-1; the box stays at most 17**3 terms."""
+    v = draw(st.integers(1, 4 if truncation <= 7 else 3))
+    coeffs = dict(draw(edge_series(v, truncation)).coeffs)
+    coeffs[(0,) * v] = draw(st.sampled_from([1, -1]))
+    return MSeries(v, truncation, coeffs)
+
+
+@pytest.mark.parametrize("t", ORACLE_TRUNCATIONS)
+@given(data=st.data())
+def test_packed_mul_matches_the_tuple_reference(t, data):
+    a, b = data.draw(operand_pairs(t))
+    assert a * b == _reference_mul(a, b)
+    assert b * a == _reference_mul(b, a)
+    zero = MSeries.zero(a.num_vars, t)
+    assert a * zero == _reference_mul(a, zero) == zero
+    assert zero * zero == zero
+
+
+@pytest.mark.parametrize("t", ORACLE_TRUNCATIONS)
+@given(data=st.data())
+def test_packed_inverse_matches_the_tuple_reference(t, data):
+    s = data.draw(edge_units(t))
+    assert s.invert_unit() == _reference_invert_unit(s)

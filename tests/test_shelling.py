@@ -12,6 +12,7 @@ from gammashell import (
     betti_from_shelling,
     block_partition,
     dixon_lhs,
+    enumerate_facets,
     f_vector_formula,
     homology_facet_by_criterion,
     homology_facets_by_criterion,
@@ -26,7 +27,7 @@ from gammashell import (
     x_family,
     y_family,
 )
-from gammashell.shelling import ShellingReport
+from gammashell.shelling import ShellingReport, _down_twistable
 
 from .conftest import cached_facets, facet_pairs
 
@@ -183,10 +184,38 @@ def test_homology_criterion_examples():
         homology_facet_by_criterion(params, ((1, 1, 1),))
 
 
-@pytest.mark.parametrize("p,n", [(2, 4), (3, 4), (3, 5)])
+@pytest.mark.parametrize(
+    "p,n", [(2, 4), (3, 4), (3, 5), (3, 1), (3, 2), (3, 3), (3, 6)]
+)
 def test_homology_criterion_matches_direct_attachment(p, n):
     params = make_complex(p, n)
     assert homology_facets_by_criterion(params) == homology_facets_direct(params)
+
+
+@pytest.mark.parametrize(
+    "p,n", [(1, 6), (2, 5), (3, 1), (3, 2), (3, 3), (3, 4), (4, 3), (4, 4)]
+)
+def test_criterion_scan_matches_the_per_facet_criterion(p, n):
+    params = make_complex(p, n)
+    assert homology_facets_by_criterion(params) == [
+        f for f in enumerate_facets(params) if homology_facet_by_criterion(params, f)
+    ]
+
+
+def test_criterion_scan_rejects_non_facets():
+    params = make_complex(3, 3)
+    assert _down_twistable(params, ((1, 1, 2), (2, 3, 3)))
+    for face in (
+        ((1, 1), (2, 2, 2), (3, 3, 3)),  # arity of the first vertex
+        ((1, 3),),  # arity of a single vertex
+        ((1, 1, 1), (2, 2), (3, 3, 3)),  # arity of a later vertex
+        ((2, 2, 2), (3, 3, 3)),  # P2
+        ((1, 1, 1), (2, 2, 2)),  # P1
+        ((1, 1, 1), (3, 3, 3)),  # P3: no difference equal to 1
+        ((1, 1, 1), (2, 2, 1), (3, 3, 3)),  # not increasing
+    ):
+        with pytest.raises(PreconditionError):
+            _down_twistable(params, face)
 
 
 def test_homology_census():
