@@ -2,8 +2,9 @@
 
 For each n: enumerate facets, verify the canonical shelling, compute Betti
 numbers by both routes, and compare the alternating sums with the closed
-form.  Everything is exact; expect about six seconds at --n-max 6 on a
-2-core machine, almost all of it in the rank-based Betti route.
+form.  Everything is exact; --n-max 6 takes about one second on a 2-core
+machine (Python 3.11), of which the rank-based Betti route at n = 6 is
+about 0.4 s (skip it with --skip-matrix).
 """
 
 import argparse

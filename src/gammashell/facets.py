@@ -24,7 +24,6 @@ from .complexes import (
     Face,
     Vertex,
     canonical_face,
-    order_key,
 )
 from .errors import BudgetError, DomainError, PreconditionError
 
@@ -107,7 +106,9 @@ def enumerate_facets(
     for v in itertools.product(range(1, n + 1), repeat=p):
         if min(v) == 1:
             extend([v])
-    out.sort(key=order_key)
+    # the search emits facets in sigma-word order, so a stable sort by
+    # length alone gives complexes.order_key's order
+    out.sort(key=len, reverse=True)
     return out
 
 

@@ -10,10 +10,11 @@ torsion on tiny instances.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from math import gcd
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .complexes import (
     ComplexParams,
@@ -76,57 +77,88 @@ def _normalize_row(row: dict[int, int]) -> None:
             row[c] //= g
 
 
-def sparse_rank(rows: list[dict[int, int]]) -> int:
-    """Exact rank of an integer matrix given as one dict per row.
-
-    Fraction-free elimination: the pivot column is the one meeting the
-    fewest rows and the pivot row the shortest with a unit entry preferred,
-    which keeps fill-in and coefficient growth small; rows are divided by
-    their gcd after every update.
-    """
-    active: dict[int, dict[int, int]] = {
-        i: dict(r) for i, r in enumerate(rows) if r
-    }
+def _pivots(rows: list[dict[int, int]]) -> Iterator[int]:
+    """Yield the pivot columns of the elimination behind sparse_rank, in order."""
+    active: dict[int, dict[int, int]] = {}
+    for i, r in enumerate(rows):
+        row = {}
+        for c, v in r.items():
+            if not isinstance(v, int):
+                raise DomainError(f"row {i} column {c}: entry {v!r} is not an int")
+            if v:
+                row[c] = v
+        if row:
+            active[i] = row
     col_rows: dict[int, set[int]] = {}
     for i, row in active.items():
         for c in row:
             col_rows.setdefault(c, set()).add(i)
-    rank = 0
+    queue = [(len(ids), c) for c, ids in col_rows.items()]
+    heapq.heapify(queue)
     while active:
-        pivot_col = min(col_rows, key=lambda c: (len(col_rows[c]), c))
-        candidates = col_rows[pivot_col]
+        count, pivot_col = heapq.heappop(queue)
+        candidates = col_rows.get(pivot_col)
+        if candidates is None or len(candidates) != count:
+            continue
         pivot_row_id = min(
             candidates,
             key=lambda i: (abs(active[i][pivot_col]) != 1, len(active[i]), i),
         )
-        pivot_row = active[pivot_row_id]
+        pivot_row = active.pop(pivot_row_id)
         pivot_val = pivot_row[pivot_col]
-        rank += 1
+        yield pivot_col
         for i in list(candidates):
             if i == pivot_row_id:
                 continue
             row = active[i]
             factor = row[pivot_col]
-            for c in row:
-                col_rows[c].discard(i)
-            new_row: dict[int, int] = {}
-            for c in set(row) | set(pivot_row):
-                val = pivot_val * row.get(c, 0) - factor * pivot_row.get(c, 0)
-                if val:
-                    new_row[c] = val
+            new_row = row
+            if pivot_val != 1:
+                new_row = {c: pivot_val * v for c, v in row.items()}
+            # only columns of the pivot row can enter or leave this row
+            for c, v in pivot_row.items():
+                if c in new_row:
+                    val = new_row[c] - factor * v
+                    if val:
+                        new_row[c] = val
+                    else:
+                        del new_row[c]
+                        col_rows[c].discard(i)
+                else:
+                    new_row[c] = -factor * v
+                    col_rows[c].add(i)
             _normalize_row(new_row)
             if new_row:
                 active[i] = new_row
-                for c in new_row:
-                    col_rows.setdefault(c, set()).add(i)
             else:
                 del active[i]
+        # every row count that changed in this step belongs to a pivot-row column
         for c in pivot_row:
-            col_rows[c].discard(pivot_row_id)
-            if not col_rows[c]:
+            ids = col_rows[c]
+            ids.discard(pivot_row_id)
+            if ids:
+                heapq.heappush(queue, (len(ids), c))
+            else:
                 del col_rows[c]
-        del active[pivot_row_id]
-    return rank
+
+
+def sparse_rank(rows: list[dict[int, int]]) -> int:
+    """Exact rank of an integer matrix given as one dict per row.
+
+    Zero entries are dropped on the way in; an entry that is not an int
+    raises DomainError.  Fraction-free elimination: the pivot column is the
+    one meeting the fewest rows, ties going to the smallest column index,
+    and the pivot row the shortest with a unit entry preferred, which keeps
+    fill-in and coefficient growth small; rows are divided by their gcd
+    after every update.  The pivot column is taken from a min-heap of
+    (row count, column) entries with lazy deletion, so no step rescans the
+    live columns: only the pivot row's columns can change their count in a
+    step, so the step pushes a fresh entry for each of them still live, and
+    a popped entry is discarded when its column is gone or its count is
+    stale.  The pivots are those of a full rescan for the (count, column)
+    minimum.
+    """
+    return sum(1 for _ in _pivots(rows))
 
 
 def matrix_rank(matrix: SparseBoundaryMatrix) -> int:

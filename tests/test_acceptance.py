@@ -136,7 +136,12 @@ def test_acceptance_06_homology_facets():
 
 
 def test_acceptance_07_betti_numbers():
-    with _Timed(7, "shelling and matrix Betti numbers agree, with Euler-Poincare", 300):
+    with _Timed(
+        7,
+        "shelling and matrix Betti numbers agree, with Euler-Poincare; "
+        "the matrix route also at p=3 n=6 and, without a cell budget, n=7",
+        300,
+    ):
         for p, ns in ((3, range(1, 6)), (2, range(1, 7))):
             for n in ns:
                 params = make_complex(p, n)
@@ -144,6 +149,14 @@ def test_acceptance_07_betti_numbers():
                 assert verify_euler_poincare(params)
         assert betti_numbers(make_complex(2, 6)) == (0, 2, 20, 44, 6, 0, 0)
         assert betti_from_shelling(make_complex(3, 5)) == (0, 24, 396, 372, 0, 0)
+        six = make_complex(3, 6)
+        assert betti_numbers(six) == betti_from_shelling(six) == (
+            0, 30, 948, 3138, 540, 0, 0,
+        )
+        seven = make_complex(3, 7)
+        assert betti_numbers(seven, budget=None) == betti_from_shelling(seven) == (
+            0, 36, 1860, 13704, 12240, 360, 0, 0,
+        )
 
 
 def test_acceptance_08_series_constructions():

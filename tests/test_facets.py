@@ -93,6 +93,14 @@ def test_enumerate_facets_sorted_and_certified():
         assert all(facet_certificate(params, f).is_facet for f in fs)
 
 
+@pytest.mark.parametrize(
+    "p,n", [(1, 6), (2, 6), (3, 5), (3, 6), (3, 7), (4, 4), (4, 5), (5, 3)]
+)
+def test_enumerate_facets_is_in_order_key_order(p, n):
+    fs = enumerate_facets(make_complex(p, n))
+    assert fs == sorted(fs, key=order_key)
+
+
 def test_enumerate_facets_equals_maximal_faces():
     for p, n in [(2, 3), (3, 3)]:
         params = make_complex(p, n)

@@ -1,9 +1,12 @@
 """Boundary matrices, exact sparse rank, and matrix-route Betti numbers."""
 
 import random
+from math import gcd
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gammashell import (
     BudgetError,
@@ -21,6 +24,8 @@ from gammashell import (
     sparse_rank,
     verify_euler_poincare,
 )
+from gammashell import homology
+from gammashell.homology import _pivots
 
 
 def to_sympy(matrix: SparseBoundaryMatrix) -> sympy.Matrix:
@@ -107,6 +112,144 @@ def test_sparse_rank_matches_sympy_on_random_matrices():
             for row in dense
         ]
         assert sparse_rank(rows) == sympy.Matrix(dense).rank()
+
+
+def test_sparse_rank_ignores_explicit_zeros():
+    assert sparse_rank([{0: 0}]) == 0
+    assert sparse_rank([{0: 0, 1: 0}, {1: 0}]) == 0
+    assert sparse_rank([{0: 1, 1: 0}, {0: 2, 1: 0}]) == 1
+
+
+@pytest.mark.parametrize(
+    "rows", [[{0: 1.5, 1: 2}, {0: 3, 1: 1}], [{0: "1"}, {0: 1}]]
+)
+def test_sparse_rank_rejects_non_integer_entries(rows):
+    with pytest.raises(DomainError, match="not an int"):
+        sparse_rank(rows)
+
+
+# -- frozen elimination reference ---------------------------------------------
+#
+# The elimination below rescans every live column for the pivot, one min()
+# per step.  It is kept verbatim (plus the pivot record) as an oracle for the
+# pivot queue in sparse_rank and must not be changed with it.  It counts an
+# explicit zero entry as a nonzero, so it is fed rows without zeros.
+
+
+def _reference_normalize_row(row):
+    g = 0
+    for v in row.values():
+        g = gcd(g, v)
+        if g == 1:
+            return
+    if g > 1:
+        for c in row:
+            row[c] //= g
+
+
+def _reference_sparse_rank(rows, pivots):
+    active = {i: dict(r) for i, r in enumerate(rows) if r}
+    col_rows = {}
+    for i, row in active.items():
+        for c in row:
+            col_rows.setdefault(c, set()).add(i)
+    rank = 0
+    while active:
+        pivot_col = min(col_rows, key=lambda c: (len(col_rows[c]), c))
+        pivots.append(pivot_col)
+        candidates = col_rows[pivot_col]
+        pivot_row_id = min(
+            candidates,
+            key=lambda i: (abs(active[i][pivot_col]) != 1, len(active[i]), i),
+        )
+        pivot_row = active[pivot_row_id]
+        pivot_val = pivot_row[pivot_col]
+        rank += 1
+        for i in list(candidates):
+            if i == pivot_row_id:
+                continue
+            row = active[i]
+            factor = row[pivot_col]
+            for c in row:
+                col_rows[c].discard(i)
+            new_row = {}
+            for c in set(row) | set(pivot_row):
+                val = pivot_val * row.get(c, 0) - factor * pivot_row.get(c, 0)
+                if val:
+                    new_row[c] = val
+            _reference_normalize_row(new_row)
+            if new_row:
+                active[i] = new_row
+                for c in new_row:
+                    col_rows.setdefault(c, set()).add(i)
+            else:
+                del active[i]
+        for c in pivot_row:
+            col_rows[c].discard(pivot_row_id)
+            if not col_rows[c]:
+                del col_rows[c]
+        del active[pivot_row_id]
+    return rank
+
+
+def reference_pivots(rows):
+    pivots = []
+    nonzero = [{c: v for c, v in r.items() if v} for r in rows]
+    rank = _reference_sparse_rank(nonzero, pivots)
+    assert rank == len(pivots)
+    return pivots
+
+
+@st.composite
+def integer_matrices(draw):
+    """Sparse rows with entries in -3..3, explicit zeros kept, of any shape.
+
+    Absent and zero entries make up most draws so rows stay sparse; some
+    rows are multiples of earlier ones, which makes rank deficits and rows
+    that cancel to nothing.
+    """
+    n_rows = draw(st.integers(0, 9))
+    n_cols = draw(st.integers(1, 9))
+    entry = st.one_of(st.none(), st.just(0), st.integers(-3, 3))
+    rows = []
+    for _ in range(n_rows):
+        if rows and draw(st.integers(0, 3)) == 0:
+            source = draw(st.sampled_from(rows))
+            scale = draw(st.sampled_from([1, -1, 2, -3]))
+            rows.append({c: scale * v for c, v in source.items()})
+        else:
+            drawn = {c: draw(entry) for c in range(n_cols)}
+            rows.append({c: v for c, v in drawn.items() if v is not None})
+    return rows
+
+
+@settings(max_examples=300)
+@given(integer_matrices())
+def test_sparse_rank_matches_the_frozen_elimination(rows):
+    expected = reference_pivots(rows)
+    assert sparse_rank(rows) == len(expected)
+    assert list(_pivots(rows)) == expected
+
+
+@pytest.mark.parametrize("p,n", [(1, 4), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4)])
+def test_pivot_sequence_matches_the_frozen_elimination(p, n, monkeypatch):
+    seen = []
+    real = homology.sparse_rank
+
+    def recording(rows):
+        seen.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(homology, "sparse_rank", recording)
+    params = make_complex(p, n)
+    for k in range(n):
+        m = boundary_matrix(params, k)
+        matrix_rank(m)
+        for seed in range(3):
+            shuffled_rank(m, seed)
+    assert len(seen) == 4 * n
+    for rows in seen:
+        assert list(_pivots(rows)) == reference_pivots(rows)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
