@@ -449,8 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--witness-mode", choices=("constructive", "exhaustive", "both"),
                    default="constructive")
     s.add_argument("--witness-limit", type=int, default=100)
-    s.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility; has no effect")
     s.add_argument("--face-budget", type=int, default=DEFAULT_FACE_BUDGET)
 
     s = sub.add_parser("betti", parents=[common], help="Betti numbers two ways")

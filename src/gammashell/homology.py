@@ -4,8 +4,10 @@ Boundary matrices are assembled in the canonical face order and ranks are
 computed exactly by fraction-free integer elimination, so Betti numbers are
 exact integers.  The complexes here are homotopy equivalent to wedges of
 spheres, hence integral homology is free and rational ranks tell the whole
-story; a small Smith-form routine is included to spot-check the absence of
-torsion on tiny instances.
+story.  The same elimination certifies that: when every pivot is +-1 and no
+row is divided by a gcd > 1, every row operation is unimodular and every
+nonzero elementary divisor is 1 (Dumas, Heckenbach, Saunders and Welker,
+2003).
 """
 
 from __future__ import annotations
@@ -66,19 +68,25 @@ def boundary_matrix(
     return SparseBoundaryMatrix(k, len(sub_faces), len(faces), entries)
 
 
-def _normalize_row(row: dict[int, int]) -> None:
+def _normalize_row(row: dict[int, int]) -> bool:
+    """Divide row by the gcd of its entries; True iff that gcd was > 1."""
     g = 0
     for v in row.values():
         g = gcd(g, v)
         if g == 1:
-            return
+            return False
     if g > 1:
         for c in row:
             row[c] //= g
+    return g > 1
 
 
-def _pivots(rows: list[dict[int, int]]) -> Iterator[int]:
-    """Yield the pivot columns of the elimination behind sparse_rank, in order."""
+def _pivots(rows: list[dict[int, int]]) -> Iterator[tuple[int, bool]]:
+    """Yield (pivot column, unimodular) after each elimination step of sparse_rank.
+
+    A step is unimodular when its pivot is +-1 and none of its row updates
+    divided a row by a gcd > 1; then it changes no elementary divisor.
+    """
     active: dict[int, dict[int, int]] = {}
     for i, r in enumerate(rows):
         row = {}
@@ -106,7 +114,7 @@ def _pivots(rows: list[dict[int, int]]) -> Iterator[int]:
         )
         pivot_row = active.pop(pivot_row_id)
         pivot_val = pivot_row[pivot_col]
-        yield pivot_col
+        unimodular = pivot_val in (1, -1)
         for i in list(candidates):
             if i == pivot_row_id:
                 continue
@@ -127,7 +135,8 @@ def _pivots(rows: list[dict[int, int]]) -> Iterator[int]:
                 else:
                     new_row[c] = -factor * v
                     col_rows[c].add(i)
-            _normalize_row(new_row)
+            if _normalize_row(new_row):
+                unimodular = False
             if new_row:
                 active[i] = new_row
             else:
@@ -140,6 +149,7 @@ def _pivots(rows: list[dict[int, int]]) -> Iterator[int]:
                 heapq.heappush(queue, (len(ids), c))
             else:
                 del col_rows[c]
+        yield pivot_col, unimodular
 
 
 def sparse_rank(rows: list[dict[int, int]]) -> int:
@@ -161,12 +171,19 @@ def sparse_rank(rows: list[dict[int, int]]) -> int:
     return sum(1 for _ in _pivots(rows))
 
 
-def matrix_rank(matrix: SparseBoundaryMatrix) -> int:
-    """Rank of a sparse boundary matrix over the rationals."""
+def _rows(
+    matrix: SparseBoundaryMatrix, row_perm: Sequence[int], col_perm: Sequence[int]
+) -> list[dict[int, int]]:
+    """One dict per row, entry (r, c) placed at (row_perm[r], col_perm[c])."""
     rows: list[dict[int, int]] = [dict() for _ in range(matrix.rows)]
     for (r, c), v in matrix.entries.items():
-        rows[r][c] = v
-    return sparse_rank(rows)
+        rows[row_perm[r]][col_perm[c]] = v
+    return rows
+
+
+def matrix_rank(matrix: SparseBoundaryMatrix) -> int:
+    """Rank of a sparse boundary matrix over the rationals."""
+    return sparse_rank(_rows(matrix, range(matrix.rows), range(matrix.cols)))
 
 
 def shuffled_rank(matrix: SparseBoundaryMatrix, seed: int) -> int:
@@ -180,10 +197,7 @@ def shuffled_rank(matrix: SparseBoundaryMatrix, seed: int) -> int:
     col_perm = list(range(matrix.cols))
     rng.shuffle(row_perm)
     rng.shuffle(col_perm)
-    rows: list[dict[int, int]] = [dict() for _ in range(matrix.rows)]
-    for (r, c), v in matrix.entries.items():
-        rows[row_perm[r]][col_perm[c]] = v
-    return sparse_rank(rows)
+    return sparse_rank(_rows(matrix, row_perm, col_perm))
 
 
 def betti_from_ranks(params: ComplexParams, ranks: Sequence[int]) -> tuple[int, ...]:
@@ -228,74 +242,17 @@ def matrix_to_triplets(matrix: SparseBoundaryMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def elementary_divisors(matrix: SparseBoundaryMatrix) -> list[int]:
-    """Nonnegative diagonal of the Smith normal form (small matrices only).
+def is_torsion_free(params: ComplexParams) -> bool | None:
+    """True when the exact elimination certifies free integral homology, else None.
 
-    Dense cubic-ish elimination over the integers; intended for the torsion
-    spot-check on n <= 3, not for production rank computation.
-    """
-    a = [[0] * matrix.cols for _ in range(matrix.rows)]
-    for (r, c), v in matrix.entries.items():
-        a[r][c] = v
-
-    rows, cols = matrix.rows, matrix.cols
-    divisors = []
-    top = 0
-    while top < min(rows, cols):
-        pivot = min(
-            (
-                (abs(a[r][c]), r, c)
-                for r in range(top, rows)
-                for c in range(top, cols)
-                if a[r][c]
-            ),
-            default=None,
-        )
-        if pivot is None:
-            break
-        _, pr, pc = pivot
-        a[top], a[pr] = a[pr], a[top]
-        for r in range(rows):
-            a[r][top], a[r][pc] = a[r][pc], a[r][top]
-        dirty = True
-        while dirty:
-            dirty = False
-            for r in range(top + 1, rows):
-                if a[r][top]:
-                    q = a[r][top] // a[top][top]
-                    for c in range(top, cols):
-                        a[r][c] -= q * a[top][c]
-                    if a[r][top]:
-                        a[top], a[r] = a[r], a[top]
-                        dirty = True
-            for c in range(top + 1, cols):
-                if a[top][c]:
-                    q = a[top][c] // a[top][top]
-                    for r in range(top, rows):
-                        a[r][c] -= q * a[r][top]
-                    if a[top][c]:
-                        for r in range(rows):
-                            a[r][top], a[r][c] = a[r][c], a[r][top]
-                        dirty = True
-        divisors.append(abs(a[top][top]))
-        top += 1
-    # enforce the divisibility chain
-    for i in range(len(divisors)):
-        for j in range(i + 1, len(divisors)):
-            if divisors[j] % divisors[i]:
-                g = gcd(divisors[i], divisors[j])
-                divisors[i], divisors[j] = g, divisors[i] * divisors[j] // g
-    divisors.sort()
-    return divisors
-
-
-def is_torsion_free(params: ComplexParams) -> bool:
-    """True iff every boundary matrix has unit elementary divisors.
-
-    Wedge-of-spheres homotopy types have free integral homology, so this
-    should always hold; it is a debug check for small n.
+    Each boundary matrix is built once and run through sparse_rank's
+    elimination.  When every step is unimodular, every nonzero elementary
+    divisor is 1.  Otherwise the answer is None (undecided): nothing here
+    can prove torsion, so this never returns False.
     """
     for k in range(params.n):
-        if any(d > 1 for d in elementary_divisors(boundary_matrix(params, k))):
-            return False
+        m = boundary_matrix(params, k)
+        rows = _rows(m, range(m.rows), range(m.cols))
+        if not all(unimodular for _, unimodular in _pivots(rows)):
+            return None
     return True

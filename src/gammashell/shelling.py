@@ -284,7 +284,6 @@ def verify_shelling(
     *,
     witness_mode: str = "constructive",
     witness_limit: int = 100,
-    threads: int = 1,
 ) -> ShellingReport:
     """Check the pairwise shelling condition for every pair i < k.
 
@@ -301,7 +300,6 @@ def verify_shelling(
     witness_mode selects the constructive route (with search fallback), the
     search alone, or both with an existence cross-check.  Witnesses are
     worked out pair by pair for the first witness_limit pairs only.
-    threads is accepted for compatibility and has no effect.
     """
     if order is None:
         facets = enumerate_facets(params)

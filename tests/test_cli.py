@@ -67,6 +67,9 @@ def test_argparse_rejections_raise_system_exit(capsys):
     with pytest.raises(SystemExit) as info:
         main(["identity", "unknown-kind"])
     assert info.value.code == 2
+    with pytest.raises(SystemExit) as info:
+        main(["shelling", "--n", "3", "--threads", "2"])
+    assert info.value.code == 2
     capsys.readouterr()
 
 
@@ -291,9 +294,3 @@ def test_repeated_runs_are_byte_identical(capsys, argv):
     second = run(capsys, *argv)
     assert first == second
     assert first[0] == 0
-
-
-def test_thread_count_does_not_change_the_report(capsys):
-    base = run(capsys, "shelling", "--n", "3", "--threads", "1")
-    multi = run(capsys, "shelling", "--n", "3", "--threads", "2")
-    assert base == multi

@@ -7,6 +7,7 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.matrices.normalforms import invariant_factors
 
 from gammashell import (
     BudgetError,
@@ -15,7 +16,6 @@ from gammashell import (
     betti_from_shelling,
     betti_numbers,
     boundary_matrix,
-    elementary_divisors,
     is_torsion_free,
     make_complex,
     matrix_rank,
@@ -228,7 +228,7 @@ def integer_matrices(draw):
 def test_sparse_rank_matches_the_frozen_elimination(rows):
     expected = reference_pivots(rows)
     assert sparse_rank(rows) == len(expected)
-    assert list(_pivots(rows)) == expected
+    assert [c for c, _ in _pivots(rows)] == expected
 
 
 @pytest.mark.parametrize("p,n", [(1, 4), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4)])
@@ -249,7 +249,7 @@ def test_pivot_sequence_matches_the_frozen_elimination(p, n, monkeypatch):
             shuffled_rank(m, seed)
     assert len(seen) == 4 * n
     for rows in seen:
-        assert list(_pivots(rows)) == reference_pivots(rows)
+        assert [c for c, _ in _pivots(rows)] == reference_pivots(rows)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -293,29 +293,56 @@ def test_triplet_rendering():
     assert matrix_to_triplets(m) == "%% 8 1\n0 0 1\n7 0 -1\n"
 
 
-def test_elementary_divisors_of_a_diagonal_matrix():
-    m = SparseBoundaryMatrix(k=0, rows=2, cols=2, entries={(0, 0): 2, (1, 1): 3})
-    # 2 and 3 are coprime, so the smith chain regroups them as 1, 6
-    assert elementary_divisors(m) == [1, 6]
+# -- torsion certificate --------------------------------------------------------
 
 
-def test_elementary_divisors_respect_divisibility():
-    rng = random.Random(1)
-    for _ in range(10):
-        entries = {
-            (r, c): rng.randint(-4, 4)
-            for r in range(4)
-            for c in range(5)
-            if rng.random() < 0.6
-        }
-        m = SparseBoundaryMatrix(0, 4, 5, {k: v for k, v in entries.items() if v})
-        divisors = elementary_divisors(m)
-        assert all(d > 0 for d in divisors)
-        for a, b in zip(divisors, divisors[1:]):
-            assert b % a == 0
-        assert len(divisors) == matrix_rank(m)
+def certified(rows):
+    return all(unimodular for _, unimodular in _pivots(rows))
 
 
-@pytest.mark.parametrize("p,n", [(1, 3), (2, 3), (3, 2), (3, 3)])
+def invariant_factor_set(dense) -> set:
+    """sympy's invariant factors, the oracle independent of the elimination."""
+    return set(invariant_factors(dense, domain=sympy.ZZ))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [{0: 2}],
+        # [[1, 0], [1, 2]]: Z/2 torsion behind a pivot of 2
+        [{0: 1}, {0: 1, 1: 2}],
+        [{0: 2, 1: 4}],
+        # [[1, 1], [1, -1]]: unit pivots, but the update divides a row by 2
+        [{0: 1, 1: 1}, {0: 1, 1: -1}],
+    ],
+)
+def test_non_unimodular_eliminations_are_not_certified(rows):
+    assert not certified(rows)
+
+
+@settings(max_examples=300)
+@given(integer_matrices())
+def test_certified_matrices_have_unit_invariant_factors(rows):
+    if not certified(rows):
+        return
+    cols = 1 + max((c for r in rows for c in r), default=0)
+    dense = sympy.Matrix(len(rows), cols, lambda i, j: rows[i].get(j, 0))
+    assert invariant_factor_set(dense) <= {0, 1}
+
+
+TORSION_FREE_CASES = (
+    [(1, 3)]
+    + [(2, n) for n in range(1, 8)]
+    + [(3, n) for n in range(1, 7)]
+    + [(4, n) for n in range(1, 6)]
+)
+
+
+@pytest.mark.parametrize("p,n", TORSION_FREE_CASES)
 def test_integral_homology_is_torsion_free(p, n):
-    assert is_torsion_free(make_complex(p, n))
+    params = make_complex(p, n)
+    assert is_torsion_free(params) is True
+    if p <= 3 and n <= 4:
+        for k in range(n):
+            dense = to_sympy(boundary_matrix(params, k))
+            assert invariant_factor_set(dense) <= {0, 1}

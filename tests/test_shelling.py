@@ -118,13 +118,6 @@ def test_witness_routes_agree(n):
     assert report.constructed == report.total_pairs
 
 
-def test_report_is_independent_of_threads():
-    params = make_complex(3, 3)
-    single = verify_shelling(params, threads=1)
-    multi = verify_shelling(params, threads=3)
-    assert single == multi
-
-
 def test_witness_limit_caps_stored_witnesses():
     report = verify_shelling(make_complex(3, 3), witness_limit=5)
     assert len(report.witnesses) == 5
