@@ -8,6 +8,7 @@ plain text with --format text, CSV for the tabular commands.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -60,7 +61,8 @@ def _report(command: str, params: dict, constants: dict, results: dict, ok: bool
 # -- subcommand handlers -----------------------------------------------------
 # each takes the parsed arguments and returns (report dict, extra) where extra
 # may carry a raw text payload ("payload") or tabular rows ("rows") for the
-# CSV renderer; report["pass"] decides the exit code
+# CSV renderer; report["pass"] decides the exit code.  Handlers touch no file:
+# main renders and writes, so a command that fails writes nothing
 
 
 def cmd_fvector(args: argparse.Namespace):
@@ -170,43 +172,25 @@ def cmd_betti(args: argparse.Namespace):
 
 def cmd_identity(args: argparse.Namespace):
     rows = []
-    if args.kind == "dixon":
-        for n in range(1, args.n_max + 1):
-            lhs, rhs = dixon_lhs(n), dixon_rhs(n)
-            rows.append({"n": n, "lhs": lhs, "rhs": rhs, "equal": lhs == rhs})
-        params = {"n_max": args.n_max}
-    elif args.kind == "aigner":
-        for n in range(1, args.n_max + 1):
-            lhs, rhs = power_sum_lhs(n, 2), aigner_rhs(n)
-            linear = power_sum_lhs(n, 1)
+    if args.kind == "3f2":
+        params = {"max": args.max_value}
+        for n1, n2, n3 in itertools.product(range(args.max_value + 1), repeat=3):
+            lhs, rhs = threeF2_lhs(n1, n2, n3), threeF2_rhs(n1, n2, n3)
             rows.append(
-                {
-                    "n": n,
-                    "lhs": lhs,
-                    "rhs": rhs,
-                    "linear_sum": linear,
-                    "equal": lhs == rhs and linear == 0,
-                }
+                {"n1": n1, "n2": n2, "n3": n3, "lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
             )
-        params = {"n_max": args.n_max}
     else:
-        bound = args.max_value
-        for n1 in range(bound + 1):
-            for n2 in range(bound + 1):
-                for n3 in range(bound + 1):
-                    lhs = threeF2_lhs(n1, n2, n3)
-                    rhs = threeF2_rhs(n1, n2, n3)
-                    rows.append(
-                        {
-                            "n1": n1,
-                            "n2": n2,
-                            "n3": n3,
-                            "lhs": lhs,
-                            "rhs": rhs,
-                            "equal": lhs == rhs,
-                        }
-                    )
-        params = {"max": bound}
+        params = {"n_max": args.n_max}
+        for n in range(1, args.n_max + 1):
+            if args.kind == "dixon":
+                row = {"n": n, "lhs": dixon_lhs(n), "rhs": dixon_rhs(n)}
+            else:
+                row = {"n": n, "lhs": power_sum_lhs(n, 2), "rhs": aigner_rhs(n),
+                       "linear_sum": power_sum_lhs(n, 1)}
+            row["equal"] = row["lhs"] == row["rhs"] and row.get("linear_sum", 0) == 0
+            rows.append(row)
+    if not rows:
+        raise DomainError(f"identity {args.kind} has no case to check: {params}")
     failures = [r for r in rows if not r["equal"]]
     results = {
         "kind": args.kind,
@@ -289,8 +273,7 @@ def cmd_export(args: argparse.Namespace):
             "entries": len(m.entries),
         }
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        # main writes the payload; the report records where and how much
         results["written"] = args.output
         results["bytes"] = len(payload.encode("utf-8"))
     else:
@@ -325,6 +308,10 @@ def _yesno(flag: bool) -> str:
 def _render_text(report: dict, extra: dict) -> str:
     cmd = report["command"]
     res = report["results"]
+    # a raw payload (series dump, facet list, triplets) is the text output,
+    # unless export has written it to a file
+    if "payload" in extra and "written" not in res:
+        return extra["payload"]
     lines: list[str] = []
     if cmd == "fvector":
         lines.append(f"p={report['params']['p']} n={report['params']['n']}")
@@ -379,8 +366,6 @@ def _render_text(report: dict, extra: dict) -> str:
             cells = "  ".join(f"{k}={v}" for k, v in row.items() if k != "equal")
             lines.append(f"{cells}  ok={_yesno(row['equal'])}")
     elif cmd == "genfun":
-        if "payload" in extra:
-            return extra["payload"]
         lines.append(f"pinned offset delta: {res['pinned_delta']}")
         for d in res["matches"]:
             lines.append(f"delta={d}: matches={_yesno(res['matches'][d])}")
@@ -391,10 +376,7 @@ def _render_text(report: dict, extra: dict) -> str:
             lines.append(f"n={n}: {shown}  ok={_yesno(agree)}")
         lines.append(f"end-to-end: {_yesno(res['end_to_end_ok'])}")
     elif cmd == "export":
-        if "written" in res:
-            lines.append(f"wrote {res['bytes']} bytes to {res['written']}")
-        else:
-            return extra["payload"]
+        lines.append(f"wrote {res['bytes']} bytes to {res['written']}")
     lines.append("PASS" if report["pass"] else "FAIL")
     return "\n".join(lines) + "\n"
 
@@ -435,25 +417,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("fvector", parents=[common], help="face counts and Euler characteristic")
-    s.add_argument("--p", type=int, default=3)
-    s.add_argument("--n", type=int, required=True)
+    # the complex Gamma_p(n) that fvector, shelling, betti and export work on
+    complex_args = argparse.ArgumentParser(add_help=False)
+    complex_args.add_argument("--p", type=int, default=3)
+    complex_args.add_argument("--n", type=int, required=True)
+    on_complex = [common, complex_args]
+
+    s = sub.add_parser("fvector", parents=on_complex, help="face counts and Euler characteristic")
     s.add_argument("--enumerate", action="store_true", dest="enumerate_check",
                    help="cross-check the formula against enumeration")
     s.add_argument("--face-budget", type=int, default=DEFAULT_FACE_BUDGET)
 
-    s = sub.add_parser("shelling", parents=[common], help="pairwise shelling verification")
-    s.add_argument("--p", type=int, default=3)
-    s.add_argument("--n", type=int, required=True)
+    s = sub.add_parser("shelling", parents=on_complex, help="pairwise shelling verification")
     s.add_argument("--order", choices=("canonical", "reversed"), default="canonical")
     s.add_argument("--witness-mode", choices=("constructive", "exhaustive", "both"),
                    default="constructive")
     s.add_argument("--witness-limit", type=int, default=100)
     s.add_argument("--face-budget", type=int, default=DEFAULT_FACE_BUDGET)
 
-    s = sub.add_parser("betti", parents=[common], help="Betti numbers two ways")
-    s.add_argument("--p", type=int, default=3)
-    s.add_argument("--n", type=int, required=True)
+    s = sub.add_parser("betti", parents=on_complex, help="Betti numbers two ways")
     s.add_argument("--method", choices=("both", "shelling", "matrix"), default="both")
     s.add_argument("--cell-budget", type=int, default=DEFAULT_CELL_BUDGET)
     s.add_argument("--shuffle-check", action="store_true",
@@ -473,10 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--check-alignment", action="store_true")
     s.add_argument("--n-max", type=int, default=6)
 
-    s = sub.add_parser("export", parents=[common], help="facet lists and boundary matrices")
+    s = sub.add_parser("export", parents=on_complex, help="facet lists and boundary matrices")
     s.add_argument("what", choices=("facets", "matrix"))
-    s.add_argument("--p", type=int, default=3)
-    s.add_argument("--n", type=int, required=True)
     s.add_argument("--k", type=int, default=None)
     s.add_argument("--face-budget", type=int, default=DEFAULT_FACE_BUDGET)
     s.add_argument("--cell-budget", type=int, default=DEFAULT_CELL_BUDGET)
@@ -490,6 +470,13 @@ def main(argv=None) -> int:
     try:
         report, extra = _COMMANDS[args.command](args)
         rendered = _render(args, report, extra)
+        # the one write site: export puts its payload in the file and prints
+        # the report; every other command puts there what it would print
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(extra["payload"] if args.command == "export" else rendered)
+        if args.command == "export" or not args.output:
+            sys.stdout.write(rendered)
     except (DomainError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE
@@ -502,16 +489,6 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return _FAIL
-
-    try:
-        if args.output and args.command != "export":
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(rendered)
-        else:
-            sys.stdout.write(rendered)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return _IO
     return _PASS if report["pass"] else _FAIL
 
 

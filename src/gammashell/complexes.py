@@ -106,7 +106,8 @@ def enumerate_faces(
     values = range(1, params.n + 1)
     columns = itertools.product(itertools.combinations(values, r), repeat=params.p)
     faces = [tuple(zip(*cols)) for cols in columns]
-    faces.sort(key=sigma_word)
+    # all vertices have p coordinates: tuple order is sigma-word order here
+    faces.sort()
     yield from faces
 
 

@@ -179,10 +179,10 @@ def det_I_minus_X(matrix: IntMatrix, T: int) -> MSeries:
     return det(cells)
 
 
-def master_theorem_product_coefficient(
-    matrix: IntMatrix, k: tuple[int, ...], T: int | None = None
-) -> int:
-    """Coefficient of x^k in the product over i of (row_i . x)^{k_i}."""
+def _validate_exponents(
+    matrix: IntMatrix, k: tuple[int, ...], T: int | None
+) -> tuple[int, int]:
+    """Matrix side and truncation for extracting x^k; T defaults to max(k)."""
     m = _validate_matrix(matrix)
     if len(k) != m:
         raise DomainError("exponent vector length must match matrix side")
@@ -190,6 +190,14 @@ def master_theorem_product_coefficient(
         T = max(k)
     if T < max(k):
         raise DomainError(f"truncation {T} below max exponent {max(k)}")
+    return m, T
+
+
+def master_theorem_product_coefficient(
+    matrix: IntMatrix, k: tuple[int, ...], T: int | None = None
+) -> int:
+    """Coefficient of x^k in the product over i of (row_i . x)^{k_i}."""
+    m, T = _validate_exponents(matrix, k, T)
     product = MSeries.const(m, T, 1)
     for i, row in enumerate(matrix):
         form = MSeries.zero(m, T)
@@ -205,13 +213,7 @@ def master_theorem_inverse_coefficient(
     matrix: IntMatrix, k: tuple[int, ...], T: int | None = None
 ) -> int:
     """Coefficient of x^k in 1 / det(I - XA)."""
-    m = _validate_matrix(matrix)
-    if len(k) != m:
-        raise DomainError("exponent vector length must match matrix side")
-    if T is None:
-        T = max(k)
-    if T < max(k):
-        raise DomainError(f"truncation {T} below max exponent {max(k)}")
+    _, T = _validate_exponents(matrix, k, T)
     return det_I_minus_X(matrix, T).invert_unit().coefficient(tuple(k))
 
 

@@ -1,6 +1,7 @@
 """End-to-end command line behavior: exit codes, formats, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,7 @@ from gammashell import (
     homology,
     make_complex,
     matrix_to_triplets,
+    series_g_r,
     series_P,
     shelling,
 )
@@ -41,14 +43,44 @@ def test_domain_errors_exit_2(capsys):
         ["fvector", "--p", "0", "--n", "2"],
         ["genfun"],
         ["genfun", "P", "--truncate", "1"],
+        ["genfun", "P", "--check-alignment"],
         ["export", "matrix", "--n", "2"],
         ["shelling", "--n", "2", "--format", "csv"],
         ["betti", "--n", "2", "--method", "shelling", "--shuffle-check"],
+        ["identity", "dixon", "--n-max", "0"],
+        ["identity", "aigner", "--n-max", "-1"],
+        ["identity", "3f2", "--max", "-1"],
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
         assert not out
         assert "error" in err
+
+
+def test_usage_error_writes_no_file(tmp_path, capsys):
+    target = tmp_path / "facets.csv"
+    code, out, err = run(
+        capsys, "export", "facets", "--n", "2", "--format", "csv",
+        "--output", str(target),
+    )
+    assert code == 2
+    assert not out
+    assert "error" in err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["betti", "--n", "2"], ["export", "facets", "--n", "2"]],
+    ids=["report", "export"],
+)
+def test_unwritable_output_exits_4(tmp_path, capsys, argv):
+    target = tmp_path / "missing-dir" / "out.txt"
+    code, out, err = run(capsys, *argv, "--output", str(target))
+    assert code == 4
+    assert not out
+    assert err.startswith("i/o error: ")
+    assert not target.exists()
 
 
 def test_negative_witness_limit_exits_2(capsys):
@@ -200,12 +232,96 @@ def test_identity_report(capsys):
     assert [row["lhs"] for row in res["table"]] == [0, -6, 0, 90, 0, -1680]
 
 
+def test_aigner_report(capsys):
+    report = run_json(capsys, "identity", "aigner", "--n-max", "4")
+    res = report["results"]
+    assert res["checked"] == 4
+    assert res["failed"] == 0
+    assert [row["lhs"] for row in res["table"]] == [0, -2, 0, 6]
+    assert {row["linear_sum"] for row in res["table"]} == {0}
+
+
 def test_alignment_report(capsys):
     report = run_json(capsys, "genfun", "--check-alignment", "--n-max", "3")
     res = report["results"]
     assert res["pinned_delta"] == 1
     assert res["matches"] == {"0": False, "1": True, "2": False, "3": False}
     assert res["end_to_end_ok"] is True
+
+
+def test_g_series_report(capsys):
+    report = run_json(capsys, "genfun", "g", "--r", "2")
+    res = report["results"]
+    assert res["series"] == "g"
+    assert res["r"] == 2
+    assert res["truncation"] == 6
+    expected = series_g_r(2, 6).coeffs
+    assert res["terms"] == len(expected)
+    assert res["coefficients"] == {
+        " ".join(map(str, e)): c for e, c in sorted(expected.items())
+    }
+
+
+# -- text summaries -----------------------------------------------------------
+
+TEXT = {
+    "fvector": (
+        ["fvector", "--n", "2", "--enumerate"],
+        "p=3 n=2\n"
+        "f-vector: 1 8 1\n"
+        "reduced Euler characteristic: 6\n"
+        "enumerated: 1 8 1\n"
+        "match: yes\n"
+        "PASS\n",
+    ),
+    "shelling": (
+        ["shelling", "--n", "2"],
+        "p=3 n=2 order=canonical mode=constructive\n"
+        "facets: 7  pairs: 21  constructed: 21  fallbacks: 0\n"
+        "violations: 0  disagreements: 0\n"
+        "is shelling: yes\n"
+        "PASS\n",
+    ),
+    "betti": (
+        ["betti", "--n", "2", "--shuffle-check"],
+        "p=3 n=2\n"
+        "betti (shelling): 0 6 0\n"
+        "betti (matrix):   0 6 0\n"
+        "match: yes\n"
+        "alternating Betti sum: 6  reduced Euler: 6  Euler-Poincare: yes\n"
+        "shuffle check (seed 0): yes\n"
+        "PASS\n",
+    ),
+    "identity": (
+        ["identity", "dixon", "--n-max", "3"],
+        "identity dixon: checked 3, failed 0\n"
+        "n=1  lhs=0  rhs=0  ok=yes\n"
+        "n=2  lhs=-6  rhs=-6  ok=yes\n"
+        "n=3  lhs=0  rhs=0  ok=yes\n"
+        "PASS\n",
+    ),
+    "genfun": (
+        ["genfun", "--check-alignment", "--n-max", "2"],
+        "pinned offset delta: 1\n"
+        "delta=0: matches=no\n"
+        "delta=1: matches=yes\n"
+        "delta=2: matches=no\n"
+        "delta=3: matches=no\n"
+        "n=1: alternating_homology_count=0  dixon_lhs=0  dixon_rhs=0  "
+        "neg_reduced_euler=0  product_coefficient=0  xy_diagonal=0  ok=yes\n"
+        "n=2: alternating_homology_count=-6  dixon_lhs=-6  dixon_rhs=-6  "
+        "neg_reduced_euler=-6  product_coefficient=-6  xy_diagonal=-6  ok=yes\n"
+        "end-to-end: yes\n"
+        "PASS\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv,expected", TEXT.values(), ids=list(TEXT))
+def test_text_summaries(capsys, argv, expected):
+    code, out, err = run(capsys, *argv, "--format", "text")
+    assert code == 0, err
+    assert out == expected
 
 
 # -- payload formats ----------------------------------------------------------
@@ -245,6 +361,12 @@ def test_export_writes_payload_to_file(tmp_path, capsys):
     assert target.read_text() == format_facets(params, enumerate_facets(params))
     assert report["results"]["written"] == str(target)
     assert "content" not in report["results"]
+    code, out, _ = run(
+        capsys, "export", "facets", "--n", "2", "--format", "text",
+        "--output", str(target),
+    )
+    assert code == 0
+    assert out == f"wrote {report['results']['bytes']} bytes to {target}\nPASS\n"
 
 
 def test_report_commands_write_rendered_output_to_file(tmp_path, capsys):
@@ -265,6 +387,9 @@ def test_csv_tables(capsys):
     code, out, _ = run(capsys, "fvector", "--n", "2", "--format", "csv")
     assert code == 0
     assert out.splitlines()[0] == "dim,count"
+    code, out, _ = run(capsys, "identity", "aigner", "--n-max", "2", "--format", "csv")
+    assert code == 0
+    assert out == "n,lhs,rhs,linear_sum,equal\n1,0,0,0,True\n2,-2,-2,0,True\n"
 
 
 def test_threeF2_scan(capsys):
@@ -294,3 +419,16 @@ def test_repeated_runs_are_byte_identical(capsys, argv):
     second = run(capsys, *argv)
     assert first == second
     assert first[0] == 0
+
+
+SCHEMA = json.loads(
+    (Path(__file__).resolve().parents[1] / "schema" / "report.json").read_text()
+)
+
+
+@pytest.mark.parametrize("argv", REPEATED, ids=[a[0] for a in REPEATED])
+def test_reports_carry_the_schema_envelope(capsys, argv):
+    report = run_json(capsys, *argv)
+    assert sorted(report) == sorted(SCHEMA["required"])
+    assert report["command"] in SCHEMA["properties"]["command"]["enum"]
+    assert isinstance(report["pass"], bool)

@@ -85,12 +85,13 @@ def test_enumerate_faces_matches_subset_filtering(p, n):
 
 
 def test_enumerate_faces_is_sorted_and_duplicate_free():
-    params = make_complex(3, 4)
-    for dim in range(-1, 4):
-        got = list(enumerate_faces(params, dim))
-        assert len(set(got)) == len(got)
-        assert got == sorted(got, key=sigma_word)
-        assert all(is_face(params, f) for f in got)
+    for p, n in ((3, 4), (2, 5), (4, 3)):
+        params = make_complex(p, n)
+        for dim in range(-1, n):
+            got = list(enumerate_faces(params, dim))
+            assert len(set(got)) == len(got)
+            assert got == sorted(got, key=sigma_word)
+            assert all(is_face(params, f) for f in got)
 
 
 def test_enumerate_faces_degenerate_dimensions():

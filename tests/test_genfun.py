@@ -17,6 +17,7 @@ from gammashell import (
     dump_series,
     make_complex,
     master_theorem_check,
+    master_theorem_inverse_coefficient,
     master_theorem_product_coefficient,
     matrix_A,
     matrix_B,
@@ -212,12 +213,13 @@ def test_master_theorem_on_the_named_matrices(matrix_factory):
 
 
 def test_master_theorem_rejects_bad_input():
-    with pytest.raises(DomainError):
-        master_theorem_check(((1, 0), (0, 1), (0, 0)), (1, 1))
-    with pytest.raises(DomainError):
-        master_theorem_check(matrix_A(), (1, 1))
-    with pytest.raises(DomainError):
-        master_theorem_check(matrix_A(), (2, 2, 2), T=1)
+    for extract in (master_theorem_check, master_theorem_inverse_coefficient):
+        with pytest.raises(DomainError):
+            extract(((1, 0), (0, 1), (0, 0)), (1, 1))
+        with pytest.raises(DomainError):
+            extract(matrix_A(), (1, 1))
+        with pytest.raises(DomainError):
+            extract(matrix_A(), (2, 2, 2), T=1)
 
 
 def test_dixon_product_coefficient_matches_the_sum():

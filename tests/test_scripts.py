@@ -1,0 +1,33 @@
+"""Smoke runs of the sweep scripts: each exits 0 and reports no mismatch."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# the words each script prints when a cross-check disagrees
+MISMATCH_WORDS = {
+    "run_pipeline.py": ("FAIL", "NO", "!!"),
+    "homology_census.py": ("MISMATCH",),
+    "series_alignment.py": ("MISMATCH", "FAILED"),
+}
+
+
+@pytest.mark.parametrize("script", sorted(MISMATCH_WORDS))
+def test_script_runs_clean(script):
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), "--n-max", "3"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    words = proc.stdout.split()
+    assert words
+    for bad in MISMATCH_WORDS[script]:
+        assert bad not in words, proc.stdout
