@@ -403,6 +403,17 @@ def _render(args: argparse.Namespace, report: dict, extra: dict) -> str:
 # -- argument parsing ---------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for budgets: a budget below 1 admits no work at all."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -426,18 +437,18 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("fvector", parents=on_complex, help="face counts and Euler characteristic")
     s.add_argument("--enumerate", action="store_true", dest="enumerate_check",
                    help="cross-check the formula against enumeration")
-    s.add_argument("--face-budget", type=int, default=DEFAULT_FACE_BUDGET)
+    s.add_argument("--face-budget", type=_positive_int, default=DEFAULT_FACE_BUDGET)
 
     s = sub.add_parser("shelling", parents=on_complex, help="pairwise shelling verification")
     s.add_argument("--order", choices=("canonical", "reversed"), default="canonical")
     s.add_argument("--witness-mode", choices=("constructive", "exhaustive", "both"),
                    default="constructive")
     s.add_argument("--witness-limit", type=int, default=100)
-    s.add_argument("--face-budget", type=int, default=DEFAULT_FACE_BUDGET)
+    s.add_argument("--face-budget", type=_positive_int, default=DEFAULT_FACE_BUDGET)
 
     s = sub.add_parser("betti", parents=on_complex, help="Betti numbers two ways")
     s.add_argument("--method", choices=("both", "shelling", "matrix"), default="both")
-    s.add_argument("--cell-budget", type=int, default=DEFAULT_CELL_BUDGET)
+    s.add_argument("--cell-budget", type=_positive_int, default=DEFAULT_CELL_BUDGET)
     s.add_argument("--shuffle-check", action="store_true",
                    help="recompute ranks under a seeded face shuffle")
     s.add_argument("--seed", type=int, default=0)
@@ -458,8 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("export", parents=on_complex, help="facet lists and boundary matrices")
     s.add_argument("what", choices=("facets", "matrix"))
     s.add_argument("--k", type=int, default=None)
-    s.add_argument("--face-budget", type=int, default=DEFAULT_FACE_BUDGET)
-    s.add_argument("--cell-budget", type=int, default=DEFAULT_CELL_BUDGET)
+    s.add_argument("--face-budget", type=_positive_int, default=DEFAULT_FACE_BUDGET)
+    s.add_argument("--cell-budget", type=_positive_int, default=DEFAULT_CELL_BUDGET)
 
     return parser
 

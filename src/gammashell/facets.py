@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import sub
 from typing import Iterable, Sequence
 
 from .complexes import (
@@ -78,6 +79,64 @@ def facet_certificate(params: ComplexParams, face: Iterable[Sequence[int]]) -> F
     return FacetCertificate(f, p1, p2, p3)
 
 
+def _chain_search(
+    params: ComplexParams, budget: int | None = None, twistable: bool = False
+) -> list[Face]:
+    """Facet chains by depth-first extension, sorted like complexes.order_key.
+
+    Starts at the vertices satisfying P2, extends only along edges at minimum
+    difference 1 (P3) and emits a chain once its last vertex has a
+    coordinate equal to n (P1), which no extension passes.  Each vertex's
+    edges, with whether their head is terminal, are worked out once per
+    search: the first visit scans the vertex's coordinate box in
+    itertools.product order and follows each edge as it is found, and the
+    list is memoised only when that scan completes.  Every edge raises every
+    coordinate, so no vertex is entered again while its first visit runs,
+    and a budget stops the search before any further box is scanned.
+
+    With twistable set, the search keeps only the facets selected by the
+    down-twist criterion: it starts only at vertices that are not all ones
+    and follows only edges whose maximum difference exceeds 1.  A chain that
+    reaches a non-terminal vertex with no such edge is a dead end and emits
+    nothing.  Each predicate is tested once per vertex or edge, not once per
+    facet through it.
+    """
+    n = params.n
+    out: list[Face] = []
+    memo: dict[Vertex, list[tuple[Vertex, bool]]] = {}
+
+    def scan(v: Vertex):
+        """Yield the edges out of v as found; memoise them once all are."""
+        found = []
+        for w in itertools.product(*(range(c + 1, n + 1) for c in v)):
+            diffs = list(map(sub, w, v))
+            if min(diffs) == 1 and (not twistable or max(diffs) > 1):
+                edge = (w, max(w) == n)
+                found.append(edge)
+                yield edge
+        memo[v] = found
+
+    def follow(chain: Face, edges) -> None:
+        for w, terminal in edges:
+            if terminal:
+                out.append(chain + (w,))
+                if budget is not None and len(out) > budget:
+                    raise BudgetError(f"facet count exceeds the budget of {budget}")
+            else:
+                follow(chain + (w,), memo[w] if w in memo else scan(w))
+
+    starts = (
+        (v, max(v) == n)
+        for v in itertools.product(range(1, n + 1), repeat=params.p)
+        if min(v) == 1 and (not twistable or max(v) > 1)
+    )
+    follow((), starts)
+    # the search emits chains in sigma-word order, so a stable sort by
+    # length alone gives complexes.order_key's order
+    out.sort(key=len, reverse=True)
+    return out
+
+
 def enumerate_facets(
     params: ComplexParams, budget: int | None = None
 ) -> list[Face]:
@@ -85,31 +144,12 @@ def enumerate_facets(
 
     Depth-first construction: start at vertices satisfying P2, extend only by
     successors at minimum difference 1 (P3), and emit once a coordinate hits
-    n (P1), after which no extension exists.
+    n (P1), after which no extension exists.  Each vertex's successors are
+    memoised once its first visit has scanned them, so no coordinate box is
+    scanned twice.  BudgetError is raised as soon as more than budget facets
+    have been found.
     """
-    p, n = params.p, params.n
-    out: list[Face] = []
-
-    def extend(chain: list[Vertex]) -> None:
-        last = chain[-1]
-        if max(last) == n:
-            out.append(tuple(chain))
-            if budget is not None and len(out) > budget:
-                raise BudgetError(f"facet count exceeds the budget of {budget}")
-            return
-        for w in itertools.product(*(range(c + 1, n + 1) for c in last)):
-            if min(a - b for a, b in zip(w, last)) == 1:
-                chain.append(w)
-                extend(chain)
-                chain.pop()
-
-    for v in itertools.product(range(1, n + 1), repeat=p):
-        if min(v) == 1:
-            extend([v])
-    # the search emits facets in sigma-word order, so a stable sort by
-    # length alone gives complexes.order_key's order
-    out.sort(key=len, reverse=True)
-    return out
+    return _chain_search(params, budget)
 
 
 def twist_sets(params: ComplexParams, face: Iterable[Sequence[int]]) -> TwistSets:

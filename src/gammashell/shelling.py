@@ -21,7 +21,7 @@ from operator import sub
 
 from .complexes import ComplexParams, Face, Vertex, order_key
 from .errors import DomainError, PreconditionError, VerificationError
-from .facets import enumerate_facets, facet_certificate
+from .facets import _chain_search, enumerate_facets, facet_certificate
 
 __all__ = [
     "order_O_compare",
@@ -434,10 +434,13 @@ def homology_facet_by_criterion(params: ComplexParams, facet) -> bool:
 def homology_facets_by_criterion(params: ComplexParams) -> list[Face]:
     """All facets selected by the down-twist criterion, in canonical order.
 
-    The enumerated facets are canonical already, so each is checked and
-    tested in the one pass of _down_twistable.
+    Runs the facet search pruned by the criterion instead of filtering every
+    facet: it starts only at first vertices that are not all ones, follows
+    only junctions whose maximum difference exceeds 1, and drops chains that
+    reach a dead end before a coordinate hits n.  homology_facet_by_criterion
+    checks single faces junction by junction, independently of the search.
     """
-    return [f for f in enumerate_facets(params) if _down_twistable(params, f)]
+    return _chain_search(params, twistable=True)
 
 
 def homology_facets_direct(params: ComplexParams, order=None) -> list[Face]:

@@ -11,7 +11,7 @@ from functools import lru_cache
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from gammashell import enumerate_facets, is_face, make_complex
+from gammashell import BudgetError, enumerate_facets, is_face, make_complex
 
 settings.register_profile(
     "suite",
@@ -45,6 +45,40 @@ def is_maximal_bruteforce(params, face):
         if v not in present and is_face(params, tuple(face) + (v,)):
             return False
     return True
+
+
+def reference_enumerate_facets(params, budget=None):
+    """Frozen copy of the facet search that scanned a whole coordinate box at
+    every node of the chain tree; the memoised search must match it, order and
+    budget behaviour included."""
+    p, n = params.p, params.n
+    out = []
+
+    def extend(chain):
+        last = chain[-1]
+        if max(last) == n:
+            out.append(tuple(chain))
+            if budget is not None and len(out) > budget:
+                raise BudgetError(f"facet count exceeds the budget of {budget}")
+            return
+        for w in itertools.product(*(range(c + 1, n + 1) for c in last)):
+            if min(a - b for a, b in zip(w, last)) == 1:
+                chain.append(w)
+                extend(chain)
+                chain.pop()
+
+    for v in itertools.product(range(1, n + 1), repeat=p):
+        if min(v) == 1:
+            extend([v])
+    out.sort(key=len, reverse=True)
+    return out
+
+
+# the shapes on which the facet and criterion searches are compared with
+# their frozen references
+REFERENCE_SHAPES = [(1, 1), (1, 6), (2, 8)] + [(3, n) for n in range(1, 8)] + [
+    (4, 5), (5, 3)
+]
 
 
 @lru_cache(maxsize=None)

@@ -191,7 +191,7 @@ def test_acceptance_09_master_theorem():
 
 def test_acceptance_10_diagonal_alignment():
     with _Timed(10, "diagonal offset is pinned at one and the identity chain closes", 600):
-        report = alignment_check(n_max=7)
+        report = alignment_check(n_max=8)
         assert report.pinned_delta == 1
         assert [d for d, hit in report.matches.items() if hit] == [1]
         assert report.end_to_end_ok
@@ -231,7 +231,12 @@ def test_acceptance_12_deterministic_reports(capsys):
 
 
 def test_acceptance_13_four_coordinate_report():
-    with _Timed(13, "four-coordinate canonical order shells the complex, n <= 5", 600):
+    with _Timed(
+        13,
+        "four-coordinate canonical order shells the complex, n <= 5; the signed "
+        "criterion count is the power sum for p=2 n <= 8, p=4 n <= 6, p=5 n <= 5",
+        600,
+    ):
         counts = {}
         for n in range(1, 6):
             params = make_complex(4, n)
@@ -242,3 +247,14 @@ def test_acceptance_13_four_coordinate_report():
             assert report.constructed == report.total_pairs, n
         assert counts == {1: 1, 2: 15, 3: 129, 4: 1419, 5: 16151}
         print(f"    four-coordinate survey: facets {counts}, all shellable")
+        for p, n_max in ((2, 8), (4, 6), (5, 5)):
+            for n in range(1, n_max + 1):
+                params = make_complex(p, n)
+                signed = sum(
+                    -1 if len(f) % 2 else 1
+                    for f in homology_facets_by_criterion(params)
+                )
+                assert signed == power_sum_lhs(n, p), (p, n)
+                assert signed == -reduced_euler_characteristic(
+                    f_vector_formula(params)
+                ), (p, n)

@@ -1,6 +1,7 @@
 """End-to-end command line behavior: exit codes, formats, determinism."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -102,6 +103,13 @@ def test_argparse_rejections_raise_system_exit(capsys):
     with pytest.raises(SystemExit) as info:
         main(["shelling", "--n", "3", "--threads", "2"])
     assert info.value.code == 2
+    # a budget below 1 is a usage error, not a budget overrun
+    with pytest.raises(SystemExit) as info:
+        main(["betti", "--n", "2", "--cell-budget", "-1"])
+    assert info.value.code == 2
+    with pytest.raises(SystemExit) as info:
+        main(["fvector", "--n", "3", "--enumerate", "--face-budget", "0"])
+    assert info.value.code == 2
     capsys.readouterr()
 
 
@@ -126,6 +134,18 @@ def test_budget_overruns_exit_3(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 3, argv
         assert "budget" in err
+
+
+def test_small_facet_budget_stops_a_huge_search_at_once(capsys):
+    # Gamma_8(10) has 10^8 vertices: the facet search must stop at the
+    # budget without tabulating them or scanning further coordinate boxes
+    start = time.perf_counter()
+    code, out, err = run(capsys, "export", "facets", "--p", "8", "--n", "10",
+                         "--face-budget", "10")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert not out
+    assert "budget" in err
 
 
 def test_disagreeing_series_constructions_exit_1(capsys, monkeypatch):

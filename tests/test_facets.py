@@ -26,10 +26,12 @@ from gammashell import (
 )
 
 from .conftest import (
+    REFERENCE_SHAPES,
     all_faces_bruteforce,
     cached_facets,
     facets,
     is_maximal_bruteforce,
+    reference_enumerate_facets,
 )
 
 # facet counts of Delta(n), frozen from enumeration cross-checked against
@@ -116,6 +118,22 @@ def test_enumerate_facets_equals_maximal_faces():
 def test_enumerate_facets_budget():
     with pytest.raises(BudgetError):
         enumerate_facets(make_complex(3, 3), budget=5)
+
+
+@pytest.mark.parametrize("p,n", REFERENCE_SHAPES)
+def test_enumerate_facets_matches_the_frozen_search(p, n):
+    params = make_complex(p, n)
+    want = reference_enumerate_facets(params)
+    assert enumerate_facets(params) == want
+    count = len(want)
+    for budget in (0, 5, count - 1, count):
+        try:
+            want_budgeted = reference_enumerate_facets(params, budget)
+        except BudgetError:
+            with pytest.raises(BudgetError):
+                enumerate_facets(params, budget)
+        else:
+            assert enumerate_facets(params, budget) == want_budgeted
 
 
 def test_complex_is_nonpure_and_disconnected():

@@ -29,7 +29,12 @@ from gammashell import (
 )
 from gammashell.shelling import ShellingReport, _down_twistable
 
-from .conftest import cached_facets, facet_pairs
+from .conftest import (
+    REFERENCE_SHAPES,
+    cached_facets,
+    facet_pairs,
+    reference_enumerate_facets,
+)
 
 # homology facet counts of Delta(n) by vertex count, frozen from the direct
 # attachment computation and cross-checked against matrix-rank Betti numbers
@@ -195,6 +200,20 @@ def test_criterion_scan_matches_the_per_facet_criterion(p, n):
     ]
 
 
+def _reference_homology_facets_by_criterion(params):
+    """Frozen copy of the scan that enumerated every facet and then filtered
+    it junction by junction."""
+    return [f for f in reference_enumerate_facets(params) if _down_twistable(params, f)]
+
+
+@pytest.mark.parametrize("p,n", REFERENCE_SHAPES)
+def test_criterion_scan_matches_the_frozen_filter_scan(p, n):
+    params = make_complex(p, n)
+    assert homology_facets_by_criterion(params) == (
+        _reference_homology_facets_by_criterion(params)
+    )
+
+
 def test_criterion_scan_rejects_non_facets():
     params = make_complex(3, 3)
     assert _down_twistable(params, ((1, 1, 2), (2, 3, 3)))
@@ -209,6 +228,19 @@ def test_criterion_scan_rejects_non_facets():
     ):
         with pytest.raises(PreconditionError):
             _down_twistable(params, face)
+
+
+@pytest.mark.slow
+def test_criterion_matches_direct_attachment_at_n8():
+    # ~40 s on a 2-core machine, nearly all of it in the direct attachment sweep
+    params = make_complex(3, 8)
+    direct = homology_facets_direct(params)
+    assert homology_facets_by_criterion(params) == direct
+    assert len(direct) == 173034
+    betti = [0] * 9
+    for f in direct:
+        betti[len(f)] += 1
+    assert tuple(betti) == (0, 42, 3222, 42510, 100530, 26640, 90, 0, 0)
 
 
 def test_homology_census():
