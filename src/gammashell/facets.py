@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import sub
+from operator import eq
 from typing import Iterable, Sequence
 
 from .complexes import (
@@ -79,62 +79,101 @@ def facet_certificate(params: ComplexParams, face: Iterable[Sequence[int]]) -> F
     return FacetCertificate(f, p1, p2, p3)
 
 
-def _chain_search(
-    params: ComplexParams, budget: int | None = None, twistable: bool = False
-) -> list[Face]:
-    """Facet chains by depth-first extension, sorted like complexes.order_key.
+def _chain_dag(params: ComplexParams, twistable: bool):
+    """Start vertices and successor edges of the facet chain DAG.
 
-    Starts at the vertices satisfying P2, extends only along edges at minimum
-    difference 1 (P3) and emits a chain once its last vertex has a
-    coordinate equal to n (P1), which no extension passes.  Each vertex's
-    edges, with whether their head is terminal, are worked out once per
-    search: the first visit scans the vertex's coordinate box in
-    itertools.product order and follows each edge as it is found, and the
-    list is memoised only when that scan completes.  Every edge raises every
-    coordinate, so no vertex is entered again while its first visit runs,
-    and a budget stops the search before any further box is scanned.
+    A facet is a path that starts at a vertex satisfying P2, follows edges at
+    minimum difference 1 (P3) and ends at the first vertex with a coordinate
+    equal to n (P1), which no edge leaves.  Starts and edges come as
+    (vertex, is_terminal) pairs.  edges(v) scans v's coordinate box in
+    itertools.product order the first time and yields each edge as it is
+    found; the list is memoised only when that scan completes.  Every edge
+    raises every coordinate, so no vertex is entered again while its first
+    scan runs, and a caller that stops early scans no further box.
 
-    With twistable set, the search keeps only the facets selected by the
+    With twistable set, the DAG keeps only the paths selected by the
     down-twist criterion: it starts only at vertices that are not all ones
-    and follows only edges whose maximum difference exceeds 1.  A chain that
-    reaches a non-terminal vertex with no such edge is a dead end and emits
-    nothing.  Each predicate is tested once per vertex or edge, not once per
-    facet through it.
+    and keeps only edges whose maximum difference exceeds 1.  A path that
+    reaches a non-terminal vertex with no such edge is a dead end.  Each
+    predicate is tested once per vertex or edge, not once per facet through
+    it.
     """
     n = params.n
-    out: list[Face] = []
     memo: dict[Vertex, list[tuple[Vertex, bool]]] = {}
 
     def scan(v: Vertex):
-        """Yield the edges out of v as found; memoise them once all are."""
+        # every difference w - v is at least 1, so its minimum is 1 iff some
+        # w_i = v_i + 1, and its maximum exceeds 1 iff w is not v + (1, ..., 1)
         found = []
-        for w in itertools.product(*(range(c + 1, n + 1) for c in v)):
-            diffs = list(map(sub, w, v))
-            if min(diffs) == 1 and (not twistable or max(diffs) > 1):
+        step = tuple(c + 1 for c in v)
+        for w in itertools.product(*(range(c, n + 1) for c in step)):
+            if any(map(eq, w, step)) and (not twistable or w != step):
                 edge = (w, max(w) == n)
                 found.append(edge)
                 yield edge
         memo[v] = found
 
-    def follow(chain: Face, edges) -> None:
-        for w, terminal in edges:
-            if terminal:
-                out.append(chain + (w,))
-                if budget is not None and len(out) > budget:
-                    raise BudgetError(f"facet count exceeds the budget of {budget}")
-            else:
-                follow(chain + (w,), memo[w] if w in memo else scan(w))
+    def edges(v: Vertex):
+        return memo[v] if v in memo else scan(v)
 
     starts = (
         (v, max(v) == n)
         for v in itertools.product(range(1, n + 1), repeat=params.p)
         if min(v) == 1 and (not twistable or max(v) > 1)
     )
+    return starts, edges
+
+
+def _chain_search(
+    params: ComplexParams, budget: int | None = None, twistable: bool = False
+) -> list[Face]:
+    """Facet chains by depth-first search of the chain DAG, in order_key order.
+
+    Emits a chain at each terminal vertex; a budget stops the search as soon
+    as more than budget chains are found.  twistable prunes the DAG to the
+    down-twist criterion (see _chain_dag).
+    """
+    out: list[Face] = []
+    starts, edges = _chain_dag(params, twistable)
+
+    def follow(chain: Face, out_edges) -> None:
+        for w, terminal in out_edges:
+            if terminal:
+                out.append(chain + (w,))
+                if budget is not None and len(out) > budget:
+                    raise BudgetError(f"facet count exceeds the budget of {budget}")
+            else:
+                follow(chain + (w,), edges(w))
+
     follow((), starts)
     # the search emits chains in sigma-word order, so a stable sort by
     # length alone gives complexes.order_key's order
     out.sort(key=len, reverse=True)
     return out
+
+
+def _signed_chain_count(params: ComplexParams) -> int:
+    """Sum of (-1)^len over the criterion-pruned chains, without listing them.
+
+    g(v), the signed count of the chain tails after v, is the sum over edges
+    v -> w of -(1 if w is terminal else g(w)), memoised per vertex; the count
+    is the same sum over the start vertices.  A dead end has g = 0.
+    """
+    starts, edges = _chain_dag(params, twistable=True)
+    g: dict[Vertex, int] = {}
+
+    def signed(out_edges) -> int:
+        total = 0
+        for w, terminal in out_edges:
+            if terminal:
+                total -= 1
+            else:
+                if w not in g:
+                    g[w] = signed(edges(w))
+                total -= g[w]
+        return total
+
+    return signed(starts)
 
 
 def enumerate_facets(

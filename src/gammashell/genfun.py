@@ -18,9 +18,9 @@ from .complexes import (
     reduced_euler_characteristic,
 )
 from .errors import DomainError, VerificationError
+from .facets import _signed_chain_count
 from .identities import dixon_lhs, dixon_rhs
 from .series import MSeries
-from .shelling import homology_facets_by_criterion
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -69,15 +69,15 @@ def series_P(T: int, construction: str = "both") -> MSeries:
     if construction in ("both", "closed"):
         one = MSeries.const(3, T, 1)
         xyz = MSeries.monomial(3, T, (1, 1, 1))
-        inner = (one - xyz) * _geometric_denominator(T).invert_unit() - one
+        inner = (one - xyz) / _geometric_denominator(T) - one
         closed = xyz * inner
         if construction == "closed":
             return closed
 
-    f = MSeries.monomial(3, T, (1, 2, 2)) * (
+    f = MSeries.monomial(3, T, (1, 2, 2)) / (
         _one_minus(1, 3, T) * _one_minus(2, 3, T)
-    ).invert_unit()
-    h = MSeries.monomial(3, T, (1, 1, 2)) * _one_minus(2, 3, T).invert_unit()
+    )
+    h = MSeries.monomial(3, T, (1, 1, 2)) / _one_minus(2, 3, T)
     permuted = (
         f
         + f.permute_vars((1, 0, 2))
@@ -117,7 +117,7 @@ def series_XY(T: int, construction: str = "both") -> MSeries:
     if construction in ("both", "closed"):
         xyz = MSeries.monomial(3, T, (1, 1, 1))
         denom = _geometric_denominator(T) + xyz
-        closed = xyz * denom.invert_unit()
+        closed = xyz / denom
         if construction == "closed":
             return closed
 
@@ -125,7 +125,7 @@ def series_XY(T: int, construction: str = "both") -> MSeries:
     p = series_P(T, construction="closed") if T >= 2 else MSeries.zero(3, T)
     one = MSeries.const(3, T, 1)
     xyz = MSeries.monomial(3, T, (1, 1, 1))
-    alternating = (p + xyz) * (one + p).invert_unit()
+    alternating = (p + xyz) / (one + p)
     if construction == "alternating":
         return alternating
     _require_dual_equal("series_XY", closed, alternating)
@@ -240,18 +240,15 @@ def dixon_product_coefficient(n: int) -> int:
 # -- diagonal alignment -------------------------------------------------------
 
 
-def alternating_homology_count(n: int) -> int:
-    """Signed count of homology facets of Gamma_3(n).
+def alternating_homology_count(n: int, p: int = 3) -> int:
+    """Signed count of homology facets of Gamma_p(n).
 
     A facet with r vertices spans r + 1 shift-vector columns and enters
     with sign (-1)^{(r+1)-1} = (-1)^r, matching the column-indexed
-    alternating series sum over g_r.
+    alternating series sum over g_r.  The facets are counted on the
+    criterion-pruned chain DAG, not listed.
     """
-    params = make_complex(3, n)
-    total = 0
-    for facet in homology_facets_by_criterion(params):
-        total += -1 if len(facet) % 2 else 1
-    return total
+    return _signed_chain_count(make_complex(p, n))
 
 
 @dataclass(frozen=True)
@@ -290,6 +287,8 @@ def alignment_check(
         raise DomainError(f"n_max must be at least 2, got {n_max}")
     if not deltas or any(d < 0 for d in deltas):
         raise DomainError("deltas must be nonnegative and nonempty")
+    if len(set(deltas)) != len(deltas):
+        raise DomainError(f"deltas must be distinct, got {tuple(deltas)}")
 
     xy = series_XY(n_max + max(deltas), construction="both")
     alternating = {n: alternating_homology_count(n) for n in range(1, n_max + 1)}

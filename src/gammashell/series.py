@@ -4,7 +4,7 @@ Coefficients are Python ints, so all ring operations are exact.  Truncation
 is per variable (a box, not a total-degree simplex) because diagonal
 coefficient extraction needs every monomial with all exponents <= T.
 
-Multiplication and inversion work on packed exponents: the tuple
+Multiplication and exact division by a unit use packed exponents: the tuple
 (e_1, ..., e_v) becomes one int with a field of k = T.bit_length() + 1 bits
 per variable, e_1 in the most significant field.  An in-box exponent fills
 at most k - 1 bits, so the top bit of each field is a guard bit that stays
@@ -13,12 +13,15 @@ field.  Adding the bias, 2^(k-1) - 1 - T in every field, sets a field's
 guard bit exactly when that field of the sum exceeds T, so a product term
 leaves the box iff (packed + bias) & guard is nonzero.  Dually, d <= e in
 every field iff subtracting d from e with all guard bits set clears none of
-them.  The public coeffs dict stays keyed by exponent tuples; each result
-is unpacked once.
+them.  Division is one triangular solve over the box that uses this test
+to visit only the divisor terms below each exponent, so x / y never builds
+the inverse of y nor any product outside the box; invert_unit is 1 / y.
+The public coeffs dict stays keyed by exponent tuples.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .errors import DomainError
@@ -27,12 +30,17 @@ Exponent = tuple[int, ...]
 
 
 def _check_exponent(e: Exponent, num_vars: int, truncation: int) -> None:
+    if len(e) == num_vars and all(
+        isinstance(x, int) and 0 <= x <= truncation for x in e
+    ):
+        return
     if len(e) != num_vars:
         raise DomainError(f"exponent {e} has arity {len(e)}, expected {num_vars}")
+    if not all(isinstance(x, int) for x in e):
+        raise DomainError(f"exponent {e} has a non-int entry")
     if any(x < 0 for x in e):
         raise DomainError(f"negative exponent in {e}")
-    if any(x > truncation for x in e):
-        raise DomainError(f"exponent {e} exceeds truncation {truncation}")
+    raise DomainError(f"exponent {e} exceeds truncation {truncation}")
 
 
 def _packing(num_vars: int, truncation: int):
@@ -81,6 +89,8 @@ class MSeries:
         for e, c in self.coeffs.items():
             e = tuple(e)
             _check_exponent(e, self.num_vars, self.truncation)
+            if not isinstance(c, int):
+                raise DomainError(f"coefficient {c!r} at {e} is not an int")
             if c:
                 cleaned[e] = c
         object.__setattr__(self, "coeffs", cleaned)
@@ -176,37 +186,59 @@ class MSeries:
             out[tuple(new_e)] = c
         return MSeries(self.num_vars, self.truncation, out)
 
-    def invert_unit(self) -> "MSeries":
-        """Multiplicative inverse, valid when the constant term is +-1.
+    def __truediv__(self, other: "MSeries") -> "MSeries":
+        """Exact quotient by a series whose constant term c0 is +-1.
 
-        Solves (self * h)[e] = [e == 0] over the box in increasing packed
-        order, where every e - d precedes e:
-        h[e] = -c0 * sum of self[d] * h[e - d] over nonconstant terms d <= e.
+        Solves (other * h)[e] = self[e] over the box in lexicographic order,
+        where every e - d precedes e:
+        h[e] = c0 * (self[e] - sum of other[d] * h[e - d] over nonconstant
+        terms d <= e).  h is a list indexed by box position, in which e - d
+        sits at position(e) - position(d) whenever d <= e.  Each row of the
+        box (every field but the last fixed) first keeps the terms whose
+        other fields fit under it, tested on packed exponents, so only terms
+        d <= e are visited and no product outside the box is formed.
         """
+        self._require_compatible(other)
         v, t = self.num_vars, self.truncation
-        c0 = self.coeffs.get((0,) * v, 0)
+        c0 = other.coeffs.get((0,) * v, 0)
         if c0 not in (1, -1):
             raise DomainError(f"constant term {c0} is not a unit")
-        width, guard, _, pack, unpack = _packing(v, t)
-        tail = sorted((pack(d), c) for d, c in self.coeffs.items() if any(d))
-        box = [0]
-        for _ in range(v):
-            box = [q << width | x for q in box for x in range(t + 1)]
-        inv: dict[int, int] = {0: c0}
-        for e in box[1:]:
-            s = 0
-            eg = e | guard
-            for d, c in tail:
-                if d > e:
+        _, guard, _, pack, _ = _packing(v, t)
+
+        def position(e: Exponent) -> int:
+            i = 0
+            for x in e:
+                i = i * (t + 1) + x
+            return i
+
+        # nonconstant terms, ordered by their last field
+        tail = sorted(
+            (d[-1], pack(d), position(d), c) for d, c in other.coeffs.items() if any(d)
+        )
+        box = list(itertools.product(range(t + 1), repeat=v))
+        h = [0] * len(box)
+        for e, c in self.coeffs.items():
+            h[position(e)] = c
+        for i, e in enumerate(box):
+            last = e[-1]
+            if not last:
+                # d fits under every e of this row iff no field of
+                # (row maximum - d) borrows its guard bit
+                row_top = (pack(e) + t) | guard
+                row = [
+                    (dl, di, c) for dl, d, di, c in tail if (row_top - d) & guard == guard
+                ]
+            s = h[i]
+            for dl, di, c in row:
+                if dl > last:
                     break
-                # d <= e in every field iff no field borrows its guard bit
-                if (eg - d) & guard == guard:
-                    prev = inv.get(e - d)
-                    if prev:
-                        s += c * prev
-            if s:
-                inv[e] = -c0 * s
-        return MSeries(v, t, {unpack(q): c for q, c in inv.items()})
+                s -= c * h[i - di]
+            h[i] = c0 * s
+        return MSeries(v, t, {e: c for e, c in zip(box, h) if c})
+
+    def invert_unit(self) -> "MSeries":
+        """Multiplicative inverse, valid when the constant term is +-1."""
+        return MSeries.const(self.num_vars, self.truncation, 1) / self
 
     def truncate(self, truncation: int) -> "MSeries":
         """Restrict to a smaller box; enlarging would fabricate coefficients."""

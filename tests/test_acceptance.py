@@ -13,6 +13,7 @@ import time
 from gammashell import (
     aigner_rhs,
     alignment_check,
+    alternating_homology_count,
     betti_from_shelling,
     betti_numbers,
     det_I_minus_X,
@@ -191,7 +192,7 @@ def test_acceptance_09_master_theorem():
 
 def test_acceptance_10_diagonal_alignment():
     with _Timed(10, "diagonal offset is pinned at one and the identity chain closes", 600):
-        report = alignment_check(n_max=8)
+        report = alignment_check(n_max=12)
         assert report.pinned_delta == 1
         assert [d for d, hit in report.matches.items() if hit] == [1]
         assert report.end_to_end_ok
@@ -234,7 +235,8 @@ def test_acceptance_13_four_coordinate_report():
     with _Timed(
         13,
         "four-coordinate canonical order shells the complex, n <= 5; the signed "
-        "criterion count is the power sum for p=2 n <= 8, p=4 n <= 6, p=5 n <= 5",
+        "criterion count is the power sum for p=2 n <= 8, p=4 n <= 6, p=5 n <= 5 "
+        "listed and p=4 n <= 8, p=5 n <= 6 counted",
         600,
     ):
         counts = {}
@@ -256,5 +258,13 @@ def test_acceptance_13_four_coordinate_report():
                 )
                 assert signed == power_sum_lhs(n, p), (p, n)
                 assert signed == -reduced_euler_characteristic(
+                    f_vector_formula(params)
+                ), (p, n)
+        for p, n_max in ((4, 8), (5, 6)):
+            for n in range(1, n_max + 1):
+                params = make_complex(p, n)
+                counted = alternating_homology_count(n, p)
+                assert counted == power_sum_lhs(n, p), (p, n)
+                assert counted == -reduced_euler_characteristic(
                     f_vector_formula(params)
                 ), (p, n)

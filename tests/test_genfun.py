@@ -254,3 +254,5 @@ def test_alignment_check_rejects_bad_input():
         alignment_check(n_max=4, deltas=())
     with pytest.raises(DomainError):
         alignment_check(n_max=4, deltas=(0, -1))
+    with pytest.raises(DomainError, match="distinct"):
+        alignment_check(n_max=4, deltas=(1, 1))

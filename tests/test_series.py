@@ -178,8 +178,8 @@ def test_parse_tolerates_comments_and_rejects_garbage():
 # -- frozen oracle for the packed-exponent kernels ----------------------------
 #
 # The seed's tuple-keyed multiplication and inversion, kept verbatim as an
-# oracle for the packed kernels in MSeries.__mul__ and invert_unit; they
-# must not be changed with them.
+# oracle for the packed kernels in MSeries.__mul__ and __truediv__ (which
+# invert_unit calls); they must not be changed with them.
 
 
 def _reference_mul(self, other):
@@ -226,7 +226,7 @@ def _reference_invert_unit(self):
 ORACLE_TRUNCATIONS = [0, 1, 2, 3, 4, 7, 8, 15, 16]
 
 
-def edge_series(num_vars, truncation):
+def edge_series(num_vars, truncation, max_coeff=9):
     """Sparse series whose exponents favour 0, T, and the two halves of T.
 
     Two halves of T sum to T, on the box edge, or for odd T to T + 1, one
@@ -236,7 +236,8 @@ def edge_series(num_vars, truncation):
     edges = st.sampled_from(sorted({0, t // 2, (t + 1) // 2, t}))
     component = st.one_of(st.integers(0, t), edges)
     exponents = st.tuples(*[component] * num_vars)
-    return st.dictionaries(exponents, st.integers(-9, 9), max_size=8).map(
+    coeffs = st.integers(-max_coeff, max_coeff)
+    return st.dictionaries(exponents, coeffs, max_size=8).map(
         lambda d: MSeries(num_vars, t, d)
     )
 
@@ -257,10 +258,10 @@ def operand_pairs(draw, truncation):
 
 
 @st.composite
-def edge_units(draw, truncation):
+def edge_units(draw, truncation, max_coeff=9):
     """Units with constant term +-1; the box stays at most 17**3 terms."""
     v = draw(st.integers(1, 4 if truncation <= 7 else 3))
-    coeffs = dict(draw(edge_series(v, truncation)).coeffs)
+    coeffs = dict(draw(edge_series(v, truncation, max_coeff)).coeffs)
     coeffs[(0,) * v] = draw(st.sampled_from([1, -1]))
     return MSeries(v, truncation, coeffs)
 
@@ -281,3 +282,38 @@ def test_packed_mul_matches_the_tuple_reference(t, data):
 def test_packed_inverse_matches_the_tuple_reference(t, data):
     s = data.draw(edge_units(t))
     assert s.invert_unit() == _reference_invert_unit(s)
+
+
+BIG = 2**100
+
+
+@pytest.mark.parametrize("t", ORACLE_TRUNCATIONS)
+@given(data=st.data())
+def test_packed_division_matches_the_tuple_reference(t, data):
+    b = data.draw(edge_units(t, BIG))
+    a = data.draw(edge_series(b.num_vars, t, BIG))
+    assert a / b == _reference_mul(a, _reference_invert_unit(b))
+    assert b / b == MSeries.const(b.num_vars, t, 1)
+
+
+@given(small_series(), st.integers(-3, 3).filter(lambda c: c not in (1, -1)))
+def test_division_rejects_nonunits_and_other_boxes(a, c0):
+    v, t = a.num_vars, a.truncation
+    x = MSeries.monomial(v, t, (1,) * v)
+    with pytest.raises(DomainError, match="not a unit"):
+        a / (MSeries.const(v, t, c0) + x)
+    with pytest.raises(DomainError, match="arity"):
+        a / MSeries.const(v + 1, t, 1)
+    with pytest.raises(DomainError, match="truncation"):
+        a / MSeries.const(v, t + 1, 1)
+
+
+def test_non_int_data_is_rejected():
+    with pytest.raises(DomainError, match="not an int"):
+        MSeries(1, 3, {(0,): 1.0, (1,): 0.5})
+    with pytest.raises(DomainError, match="not an int"):
+        MSeries(1, 3, {(0,): 1, (1,): 0.5})
+    with pytest.raises(DomainError, match="non-int"):
+        MSeries(1, 3, {(0.5,): 1})
+    with pytest.raises(DomainError, match="non-int"):
+        MSeries.const(2, 3, 1).coefficient((0, 1.0))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from gammashell import (
     DomainError,
     PreconditionError,
+    alternating_homology_count,
     betti_from_shelling,
     block_partition,
     dixon_lhs,
@@ -212,6 +213,20 @@ def test_criterion_scan_matches_the_frozen_filter_scan(p, n):
     assert homology_facets_by_criterion(params) == (
         _reference_homology_facets_by_criterion(params)
     )
+
+
+def _signed(facets):
+    return sum(-1 if len(f) % 2 else 1 for f in facets)
+
+
+@pytest.mark.parametrize(
+    "p,n", [(p, n) for p in range(2, 6) for n in range(1, 6)] + [(3, 6), (3, 7)]
+)
+def test_signed_chain_count_matches_the_listed_facets(p, n):
+    params = make_complex(p, n)
+    count = alternating_homology_count(n, p)
+    assert count == _signed(homology_facets_by_criterion(params))
+    assert count == _signed(_reference_homology_facets_by_criterion(params))
 
 
 def test_criterion_scan_rejects_non_facets():
