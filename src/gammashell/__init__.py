@@ -5,165 +5,49 @@ three-condition characterization, the dimension-then-lex order is a shelling,
 and counting the facets that attach along their whole boundary reproduces the
 alternating sums of powers of binomial coefficients through an explicit
 generating-function bridge.
-"""
 
-from .complexes import (
-    ComplexParams,
-    DEFAULT_FACE_BUDGET,
-    canonical_face,
-    check_vertex,
-    enumerate_faces,
-    f_vector_enumerated,
-    f_vector_formula,
-    is_face,
-    make_complex,
-    order_key,
-    reduced_euler_characteristic,
-    sigma_word,
-)
-from .errors import BudgetError, DomainError, PreconditionError, VerificationError
-from .facets import (
-    DOWN,
-    UP,
-    FacetCertificate,
-    TwistSets,
-    apply_twist,
-    enumerate_facets,
-    facet_certificate,
-    facet_from_shift_vectors,
-    format_facets,
-    is_safe_twist,
-    parse_facets,
-    shift_vectors,
-    twist_sets,
-)
-from .genfun import (
-    AlignmentReport,
-    alignment_check,
-    alternating_homology_count,
-    det_I_minus_X,
-    dixon_product_coefficient,
-    master_theorem_check,
-    master_theorem_inverse_coefficient,
-    master_theorem_product_coefficient,
-    matrix_A,
-    matrix_B,
-    series_P,
-    series_XY,
-    series_g_r,
-)
-from .homology import (
-    DEFAULT_CELL_BUDGET,
-    SparseBoundaryMatrix,
-    betti_numbers,
-    boundary_matrix,
-    is_torsion_free,
-    matrix_rank,
-    matrix_to_triplets,
-    shuffled_rank,
-    sparse_rank,
-    verify_euler_poincare,
-)
-from .identities import (
-    aigner_rhs,
-    dixon_lhs,
-    dixon_rhs,
-    power_sum_lhs,
-    threeF2_lhs,
-    threeF2_rhs,
-)
-from .series import MSeries, dump_series, parse_series
-from .shelling import (
-    BlockPartition,
-    ShellingReport,
-    betti_from_shelling,
-    block_partition,
-    homology_facet_by_criterion,
-    homology_facets_by_criterion,
-    homology_facets_direct,
-    order_O_compare,
-    shelling_witness,
-    sort_facets,
-    verify_shelling,
-    x_family,
-    y_family,
-)
+Importing the package loads none of its modules.  Each module lists its
+public names in its own __all__; the package exports their union, resolved
+on first access (PEP 562), so a command loads only the modules it uses.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlignmentReport",
-    "BlockPartition",
-    "BudgetError",
-    "ComplexParams",
-    "DEFAULT_CELL_BUDGET",
-    "DEFAULT_FACE_BUDGET",
-    "DOWN",
-    "DomainError",
-    "FacetCertificate",
-    "MSeries",
-    "PreconditionError",
-    "ShellingReport",
-    "SparseBoundaryMatrix",
-    "TwistSets",
-    "UP",
-    "VerificationError",
-    "aigner_rhs",
-    "alignment_check",
-    "alternating_homology_count",
-    "apply_twist",
-    "betti_from_shelling",
-    "betti_numbers",
-    "block_partition",
-    "boundary_matrix",
-    "canonical_face",
-    "check_vertex",
-    "det_I_minus_X",
-    "dixon_lhs",
-    "dixon_product_coefficient",
-    "dixon_rhs",
-    "dump_series",
-    "enumerate_faces",
-    "enumerate_facets",
-    "f_vector_enumerated",
-    "f_vector_formula",
-    "facet_certificate",
-    "facet_from_shift_vectors",
-    "format_facets",
-    "homology_facet_by_criterion",
-    "homology_facets_by_criterion",
-    "homology_facets_direct",
-    "is_face",
-    "is_safe_twist",
-    "is_torsion_free",
-    "make_complex",
-    "master_theorem_check",
-    "master_theorem_inverse_coefficient",
-    "master_theorem_product_coefficient",
-    "matrix_A",
-    "matrix_B",
-    "matrix_rank",
-    "matrix_to_triplets",
-    "order_O_compare",
-    "order_key",
-    "parse_facets",
-    "parse_series",
-    "power_sum_lhs",
-    "reduced_euler_characteristic",
-    "series_P",
-    "series_XY",
-    "series_g_r",
-    "shelling_witness",
-    "shift_vectors",
-    "shuffled_rank",
-    "sigma_word",
-    "sort_facets",
-    "sparse_rank",
-    "threeF2_lhs",
-    "threeF2_rhs",
-    "twist_sets",
-    "verify_euler_poincare",
-    "verify_shelling",
-    "x_family",
-    "y_family",
-]
+_exports: dict[str, str] = {}  # public name -> defining module, filled once
+
+
+def _scan() -> dict[str, str]:
+    """Import every module once and map each name in its __all__ to it."""
+    if not _exports:
+        import importlib
+        import pkgutil
+
+        found = {}
+        for info in pkgutil.iter_modules(__path__):
+            module = importlib.import_module(f"{__name__}.{info.name}")
+            found.update(dict.fromkeys(module.__all__, info.name))
+        _exports.update(found)
+    return _exports
+
+
+def __getattr__(name: str):
+    import importlib
+
+    if name == "__all__":
+        return sorted(_scan())
+    if name.startswith("_"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _exports:
+        # a submodule (cli, shelling, ...) is imported on its own, with no scan
+        try:
+            return importlib.import_module(f"{__name__}.{name}")
+        except ModuleNotFoundError as exc:
+            if exc.name != f"{__name__}.{name}":
+                raise
+        if name not in _scan():
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_exports[name]}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_scan()))

@@ -8,38 +8,13 @@ plain text with --format text, CSV for the tabular commands.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 
-from .complexes import (
-    DEFAULT_FACE_BUDGET,
-    f_vector_enumerated,
-    f_vector_formula,
-    make_complex,
-    reduced_euler_characteristic,
-)
+from .complexes import DEFAULT_CELL_BUDGET, DEFAULT_FACE_BUDGET
 from .errors import BudgetError, DomainError, PreconditionError, VerificationError
-from .facets import enumerate_facets, format_facets
-from .genfun import alignment_check, series_g_r, series_P, series_XY
-from .homology import (
-    DEFAULT_CELL_BUDGET,
-    betti_from_ranks,
-    boundary_matrix,
-    matrix_rank,
-    matrix_to_triplets,
-    shuffled_rank,
-)
-from .identities import (
-    aigner_rhs,
-    dixon_lhs,
-    dixon_rhs,
-    power_sum_lhs,
-    threeF2_lhs,
-    threeF2_rhs,
-)
-from .series import dump_series
-from .shelling import _verify_order, betti_from_shelling
+
+__all__ = ["build_parser", "main"]
 
 _PASS, _FAIL, _USAGE, _BUDGET, _IO = 0, 1, 2, 3, 4
 
@@ -62,10 +37,18 @@ def _report(command: str, params: dict, constants: dict, results: dict, ok: bool
 # each takes the parsed arguments and returns (report dict, extra) where extra
 # may carry a raw text payload ("payload") or tabular rows ("rows") for the
 # CSV renderer; report["pass"] decides the exit code.  Handlers touch no file:
-# main renders and writes, so a command that fails writes nothing
+# main renders and writes, so a command that fails writes nothing.  Each one
+# imports what it runs, so a command loads only the modules it uses
 
 
 def cmd_fvector(args: argparse.Namespace):
+    from .complexes import (
+        f_vector_enumerated,
+        f_vector_formula,
+        make_complex,
+        reduced_euler_characteristic,
+    )
+
     params = make_complex(args.p, args.n)
     f = f_vector_formula(params)
     results = {
@@ -90,6 +73,10 @@ def cmd_fvector(args: argparse.Namespace):
 
 
 def cmd_shelling(args: argparse.Namespace):
+    from .complexes import make_complex
+    from .facets import enumerate_facets
+    from .shelling import _verify_order
+
     params = make_complex(args.p, args.n)
     facets = enumerate_facets(params, args.face_budget)
     if args.order == "reversed":
@@ -127,6 +114,10 @@ def cmd_shelling(args: argparse.Namespace):
 
 
 def cmd_betti(args: argparse.Namespace):
+    from .complexes import f_vector_formula, make_complex, reduced_euler_characteristic
+    from .homology import betti_from_ranks, boundary_matrix, matrix_rank, shuffled_rank
+    from .shelling import betti_from_shelling
+
     if args.shuffle_check and args.method == "shelling":
         raise DomainError("--shuffle-check needs the matrix route (--method matrix or both)")
     params = make_complex(args.p, args.n)
@@ -171,6 +162,17 @@ def cmd_betti(args: argparse.Namespace):
 
 
 def cmd_identity(args: argparse.Namespace):
+    import itertools
+
+    from .identities import (
+        aigner_rhs,
+        dixon_lhs,
+        dixon_rhs,
+        power_sum_lhs,
+        threeF2_lhs,
+        threeF2_rhs,
+    )
+
     rows = []
     if args.kind == "3f2":
         params = {"max": args.max_value}
@@ -206,6 +208,9 @@ def cmd_identity(args: argparse.Namespace):
 
 
 def cmd_genfun(args: argparse.Namespace):
+    from .genfun import alignment_check, series_g_r, series_P, series_XY
+    from .series import dump_series
+
     if args.check_alignment:
         if args.series is not None:
             raise DomainError("--check-alignment does not take a series name")
@@ -255,14 +260,20 @@ def cmd_genfun(args: argparse.Namespace):
 
 
 def cmd_export(args: argparse.Namespace):
+    from .complexes import make_complex
+
     params = make_complex(args.p, args.n)
     if args.what == "facets":
+        from .facets import enumerate_facets, format_facets
+
         facets = enumerate_facets(params, args.face_budget)
         payload = format_facets(params, facets)
         results: dict = {"what": "facets", "count": len(facets)}
     else:
         if args.k is None:
             raise DomainError("export matrix requires --k")
+        from .homology import boundary_matrix, matrix_to_triplets
+
         m = boundary_matrix(params, args.k, args.cell_budget)
         payload = matrix_to_triplets(m)
         results = {

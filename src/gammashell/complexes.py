@@ -10,29 +10,43 @@ enumeration is requested.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from math import comb
-from typing import Iterable, Iterator, Sequence
 
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, DomainError, Record
+
+__all__ = [
+    "DEFAULT_CELL_BUDGET",
+    "DEFAULT_FACE_BUDGET",
+    "ComplexParams",
+    "canonical_face",
+    "check_vertex",
+    "enumerate_faces",
+    "f_vector_enumerated",
+    "f_vector_formula",
+    "is_face",
+    "make_complex",
+    "order_key",
+    "reduced_euler_characteristic",
+    "sigma_word",
+]
 
 Vertex = tuple[int, ...]
 Face = tuple[Vertex, ...]
 
 # Sum_s C(n,s)^p explodes near n = 12 for p = 3; enumeration stops here.
 DEFAULT_FACE_BUDGET = 10**8
+# f_{k-1} * f_k boundary matrix cells; C(12,6)^3 squared is already out of reach
+DEFAULT_CELL_BUDGET = 10**8
 
 
-@dataclass(frozen=True)
-class ComplexParams:
+class ComplexParams(Record):
     """Parameters (p, n) identifying the complex Gamma_p(n)."""
 
-    p: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.p < 1 or self.n < 1:
-            raise DomainError(f"need p >= 1 and n >= 1, got p={self.p}, n={self.n}")
+    def __init__(self, p: int, n: int) -> None:
+        if p < 1 or n < 1:
+            raise DomainError(f"need p >= 1 and n >= 1, got p={p}, n={n}")
+        vars(self).update(p=p, n=n)
 
 
 def make_complex(p: int, n: int) -> ComplexParams:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types and the value-record base shared across the package."""
+
+__all__ = ["BudgetError", "DomainError", "PreconditionError", "VerificationError"]
 
 
 class DomainError(ValueError):
@@ -15,3 +17,33 @@ class BudgetError(RuntimeError):
 
 class VerificationError(RuntimeError):
     """Two routes that must agree on a mathematical claim disagree."""
+
+
+class Record:
+    """Base of the value records: equality, hashing and repr over the fields.
+
+    A subclass's __init__ sets its fields once, in order, with
+    vars(self).update(...); they are the instance's only attributes.  Two
+    records are equal when they are of the same class with equal fields, and
+    the hash is that of the field tuple.  Records are read-only; a subclass
+    that must stay mutable restores object.__setattr__ and sets __hash__ to
+    None.
+    """
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a read-only record")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a read-only record")

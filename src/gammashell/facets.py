@@ -16,9 +16,8 @@ distance from n + 1), one per coordinate position.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from operator import eq
-from typing import Iterable, Sequence
 
 from .complexes import (
     ComplexParams,
@@ -26,28 +25,40 @@ from .complexes import (
     Vertex,
     canonical_face,
 )
-from .errors import BudgetError, DomainError, PreconditionError
+from .errors import BudgetError, DomainError, PreconditionError, Record
+
+__all__ = [
+    "DOWN",
+    "UP",
+    "FacetCertificate",
+    "TwistSets",
+    "apply_twist",
+    "enumerate_facets",
+    "facet_certificate",
+    "facet_from_shift_vectors",
+    "format_facets",
+    "is_safe_twist",
+    "parse_facets",
+    "shift_vectors",
+    "twist_sets",
+]
 
 UP = "up"
 DOWN = "down"
 
 
-@dataclass(frozen=True)
-class FacetCertificate:
+class FacetCertificate(Record):
     """Outcome of the three facet conditions for one face."""
 
-    face: Face
-    p1: bool
-    p2: bool
-    p3: bool
+    def __init__(self, face: Face, p1: bool, p2: bool, p3: bool) -> None:
+        vars(self).update(face=face, p1=p1, p2=p2, p3=p3)
 
     @property
     def is_facet(self) -> bool:
         return self.p1 and self.p2 and self.p3
 
 
-@dataclass(frozen=True)
-class TwistSets:
+class TwistSets(Record):
     """Per-vertex twistable coordinate positions (0-based).
 
     a_sets[l] holds positions where vertex l can move up: the difference to
@@ -56,8 +67,10 @@ class TwistSets:
     to the previous vertex exceeds 1, or the value is above 1 at the first.
     """
 
-    a_sets: tuple[tuple[int, ...], ...]
-    b_sets: tuple[tuple[int, ...], ...]
+    def __init__(
+        self, a_sets: tuple[tuple[int, ...], ...], b_sets: tuple[tuple[int, ...], ...]
+    ) -> None:
+        vars(self).update(a_sets=a_sets, b_sets=b_sets)
 
 
 def facet_certificate(params: ComplexParams, face: Iterable[Sequence[int]]) -> FacetCertificate:

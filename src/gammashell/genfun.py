@@ -10,17 +10,31 @@ than assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .complexes import (
     f_vector_formula,
     make_complex,
     reduced_euler_characteristic,
 )
-from .errors import DomainError, VerificationError
+from .errors import DomainError, Record, VerificationError
 from .facets import _signed_chain_count
 from .identities import dixon_lhs, dixon_rhs
 from .series import MSeries
+
+__all__ = [
+    "AlignmentReport",
+    "alignment_check",
+    "alternating_homology_count",
+    "det_I_minus_X",
+    "dixon_product_coefficient",
+    "master_theorem_check",
+    "master_theorem_inverse_coefficient",
+    "master_theorem_product_coefficient",
+    "matrix_A",
+    "matrix_B",
+    "series_P",
+    "series_XY",
+    "series_g_r",
+]
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -251,8 +265,7 @@ def alternating_homology_count(n: int, p: int = 3) -> int:
     return _signed_chain_count(make_complex(p, n))
 
 
-@dataclass(frozen=True)
-class AlignmentReport:
+class AlignmentReport(Record):
     """Outcome of the diagonal-offset scan and the end-to-end identity chain.
 
     diagonal_by_delta[d][n] is the series_XY coefficient at (n+d, n+d, n+d);
@@ -262,14 +275,27 @@ class AlignmentReport:
     at the pinned offset, and end_to_end_ok is their conjunction.
     """
 
-    n_max: int
-    deltas: tuple[int, ...]
-    alternating_counts: dict[int, int]
-    diagonal_by_delta: dict[int, dict[int, int]]
-    matches: dict[int, bool]
-    pinned_delta: int | None
-    end_to_end: dict[int, dict[str, int]]
-    end_to_end_ok: bool
+    def __init__(
+        self,
+        n_max: int,
+        deltas: tuple[int, ...],
+        alternating_counts: dict[int, int],
+        diagonal_by_delta: dict[int, dict[int, int]],
+        matches: dict[int, bool],
+        pinned_delta: int | None,
+        end_to_end: dict[int, dict[str, int]],
+        end_to_end_ok: bool,
+    ) -> None:
+        vars(self).update(
+            n_max=n_max,
+            deltas=deltas,
+            alternating_counts=alternating_counts,
+            diagonal_by_delta=diagonal_by_delta,
+            matches=matches,
+            pinned_delta=pinned_delta,
+            end_to_end=end_to_end,
+            end_to_end_ok=end_to_end_ok,
+        )
 
 
 def alignment_check(

@@ -14,24 +14,33 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from math import gcd
-from typing import Iterator, Sequence
 
 from .complexes import (
+    DEFAULT_CELL_BUDGET,
     ComplexParams,
     enumerate_faces,
     f_vector_formula,
     reduced_euler_characteristic,
 )
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, DomainError, Record
 
-# f_{k-1} * f_k cells; C(12,6)^3 squared is already out of reach
-DEFAULT_CELL_BUDGET = 10**8
+__all__ = [
+    "SparseBoundaryMatrix",
+    "betti_from_ranks",
+    "betti_numbers",
+    "boundary_matrix",
+    "is_torsion_free",
+    "matrix_rank",
+    "matrix_to_triplets",
+    "shuffled_rank",
+    "sparse_rank",
+    "verify_euler_poincare",
+]
 
 
-@dataclass(frozen=True)
-class SparseBoundaryMatrix:
+class SparseBoundaryMatrix(Record):
     """Signed incidence matrix of dimension-k faces over dimension-(k-1) faces.
 
     entries maps (row, col) to +-1; row faces are obtained from the column
@@ -39,10 +48,10 @@ class SparseBoundaryMatrix:
     (1-based).  k = 0 maps vertices to the single empty-face row.
     """
 
-    k: int
-    rows: int
-    cols: int
-    entries: dict[tuple[int, int], int]
+    def __init__(
+        self, k: int, rows: int, cols: int, entries: dict[tuple[int, int], int]
+    ) -> None:
+        vars(self).update(k=k, rows=rows, cols=cols, entries=entries)
 
 
 def boundary_matrix(

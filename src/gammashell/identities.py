@@ -10,6 +10,15 @@ from math import comb, factorial
 
 from .errors import DomainError
 
+__all__ = [
+    "aigner_rhs",
+    "dixon_lhs",
+    "dixon_rhs",
+    "power_sum_lhs",
+    "threeF2_lhs",
+    "threeF2_rhs",
+]
+
 
 def _check_positive(n: int) -> None:
     if n < 1:

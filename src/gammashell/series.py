@@ -22,9 +22,10 @@ The public coeffs dict stays keyed by exponent tuples.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
-from .errors import DomainError
+from .errors import DomainError, Record
+
+__all__ = ["MSeries", "dump_series", "parse_series"]
 
 Exponent = tuple[int, ...]
 
@@ -67,8 +68,7 @@ def _packing(num_vars: int, truncation: int):
     return width, guard, bias, pack, unpack
 
 
-@dataclass(frozen=True)
-class MSeries:
+class MSeries(Record):
     """A truncated power series in num_vars variables with integer coefficients.
 
     coeffs maps exponent tuples to nonzero integers; absent means zero.
@@ -76,24 +76,25 @@ class MSeries:
     inside the box).
     """
 
-    num_vars: int
-    truncation: int
-    coeffs: dict[Exponent, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.num_vars < 1:
+    def __init__(
+        self, num_vars: int, truncation: int, coeffs: dict[Exponent, int] | None = None
+    ) -> None:
+        if num_vars < 1:
             raise DomainError("num_vars must be positive")
-        if self.truncation < 0:
+        if truncation < 0:
             raise DomainError("truncation must be nonnegative")
         cleaned = {}
-        for e, c in self.coeffs.items():
-            e = tuple(e)
-            _check_exponent(e, self.num_vars, self.truncation)
+        for e, c in (coeffs or {}).items():
+            try:
+                e = tuple(e)
+            except TypeError:
+                raise DomainError(f"exponent {e!r} is not a tuple") from None
+            _check_exponent(e, num_vars, truncation)
             if not isinstance(c, int):
                 raise DomainError(f"coefficient {c!r} at {e} is not an int")
             if c:
                 cleaned[e] = c
-        object.__setattr__(self, "coeffs", cleaned)
+        vars(self).update(num_vars=num_vars, truncation=truncation, coeffs=cleaned)
 
     # -- constructors ------------------------------------------------------
 
@@ -114,6 +115,8 @@ class MSeries:
     # -- ring operations ---------------------------------------------------
 
     def _require_compatible(self, other: "MSeries") -> None:
+        if not isinstance(other, MSeries):
+            raise DomainError(f"operand of type {type(other).__name__} is not a series")
         if self.num_vars != other.num_vars:
             raise DomainError("operand arity mismatch")
         if self.truncation != other.truncation:
@@ -132,6 +135,7 @@ class MSeries:
         )
 
     def __sub__(self, other: "MSeries") -> "MSeries":
+        self._require_compatible(other)
         return self + (-other)
 
     def __mul__(self, other: "MSeries") -> "MSeries":

@@ -16,47 +16,28 @@ entire boundary, each of which contributes one sphere of its dimension.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from operator import sub
 
-from .complexes import ComplexParams, Face, Vertex, order_key
-from .errors import DomainError, PreconditionError, VerificationError
+from .complexes import ComplexParams, Face, Vertex
+from .errors import DomainError, PreconditionError, Record, VerificationError
 from .facets import _chain_search, enumerate_facets, facet_certificate
 
 __all__ = [
-    "order_O_compare",
-    "sort_facets",
     "BlockPartition",
-    "block_partition",
     "ShellingReport",
-    "verify_shelling",
-    "shelling_witness",
+    "betti_from_shelling",
+    "block_partition",
     "homology_facet_by_criterion",
     "homology_facets_by_criterion",
     "homology_facets_direct",
-    "betti_from_shelling",
+    "shelling_witness",
+    "verify_shelling",
     "x_family",
     "y_family",
 ]
 
 
-def order_O_compare(f1: Face, f2: Face) -> int:
-    """-1, 0, or 1 as f1 comes before, equals, or follows f2 in the order.
-
-    Higher dimension sorts first; ties break lexicographically on the sigma
-    word, which is injective on facets of equal dimension.
-    """
-    k1, k2 = order_key(f1), order_key(f2)
-    return -1 if k1 < k2 else (0 if k1 == k2 else 1)
-
-
-def sort_facets(facets) -> list[Face]:
-    """Sort facets into the canonical shelling order."""
-    return sorted(facets, key=order_key)
-
-
-@dataclass(frozen=True)
-class BlockPartition:
+class BlockPartition(Record):
     """Shared and private vertices of a facet pair, grouped into runs.
 
     Each block is a maximal run of vertices consecutive within its facet:
@@ -65,9 +46,13 @@ class BlockPartition:
     same number of blocks.
     """
 
-    c_blocks: tuple[tuple[Vertex, ...], ...]
-    i_blocks: tuple[tuple[Vertex, ...], ...]
-    k_blocks: tuple[tuple[Vertex, ...], ...]
+    def __init__(
+        self,
+        c_blocks: tuple[tuple[Vertex, ...], ...],
+        i_blocks: tuple[tuple[Vertex, ...], ...],
+        k_blocks: tuple[tuple[Vertex, ...], ...],
+    ) -> None:
+        vars(self).update(c_blocks=c_blocks, i_blocks=i_blocks, k_blocks=k_blocks)
 
 
 def _membership_runs(seq: Face, keep) -> tuple[tuple[Vertex, ...], ...]:
@@ -239,28 +224,48 @@ class _Twists:
         return None
 
 
-@dataclass
-class ShellingReport:
+class ShellingReport(Record):
     """Outcome of the pairwise check over one ordered facet list.
 
     witnesses holds the first witness_limit pairs in scan order (k ascending,
     then i); violations and fallbacks are complete.  fallbacks lists pairs
     where the constructive route failed and search found a witness anyway;
     disagreements lists pairs where the two routes differed in existence
-    (only populated in mode "both", expected empty).
+    (only populated in mode "both", expected empty).  Unlike the other
+    records it stays mutable, and so unhashable.
     """
 
-    p: int
-    n: int
-    mode: str
-    facet_count: int
-    total_pairs: int
-    constructed: int
-    witnesses: dict[tuple[int, int], tuple[int, Vertex]]
-    witness_limit: int
-    violations: list[tuple[int, int]]
-    fallbacks: list[tuple[int, int]]
-    disagreements: list[tuple[int, int]] = field(default_factory=list)
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        p: int,
+        n: int,
+        mode: str,
+        facet_count: int,
+        total_pairs: int,
+        constructed: int,
+        witnesses: dict[tuple[int, int], tuple[int, Vertex]],
+        witness_limit: int,
+        violations: list[tuple[int, int]],
+        fallbacks: list[tuple[int, int]],
+        disagreements: list[tuple[int, int]],
+    ) -> None:
+        vars(self).update(
+            p=p,
+            n=n,
+            mode=mode,
+            facet_count=facet_count,
+            total_pairs=total_pairs,
+            constructed=constructed,
+            witnesses=witnesses,
+            witness_limit=witness_limit,
+            violations=violations,
+            fallbacks=fallbacks,
+            disagreements=disagreements,
+        )
 
     @property
     def is_shelling(self) -> bool:

@@ -1,6 +1,9 @@
 """End-to-end command line behavior: exit codes, formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -12,6 +15,7 @@ from gammashell import (
     cli,
     dump_series,
     enumerate_facets,
+    facets,
     format_facets,
     genfun,
     homology,
@@ -177,7 +181,7 @@ def test_shelling_enumerates_the_facets_once(capsys, monkeypatch, order, exit_co
         calls.append(args)
         return enumerate_facets(*args, **kwargs)
 
-    for module in (cli, shelling):
+    for module in (facets, shelling):
         monkeypatch.setattr(module, "enumerate_facets", counted)
     code, out, err = run(capsys, "shelling", "--n", "3", "--order", order)
     assert code == exit_code, err
@@ -236,9 +240,7 @@ def test_betti_shuffle_check_builds_and_ranks_each_matrix_once(capsys, monkeypat
         return counted
 
     for name in calls:
-        wrapped = counting(name, getattr(homology, name))
-        for module in (cli, homology):
-            monkeypatch.setattr(module, name, wrapped)
+        monkeypatch.setattr(homology, name, counting(name, getattr(homology, name)))
     report = run_json(capsys, "betti", "--n", "3", "--shuffle-check")
     assert report["results"]["shuffle_check"] is True
     assert calls == {"boundary_matrix": 3, "matrix_rank": 3}
@@ -452,3 +454,60 @@ def test_reports_carry_the_schema_envelope(capsys, argv):
     assert sorted(report) == sorted(SCHEMA["required"])
     assert report["command"] in SCHEMA["properties"]["command"]["enum"]
     assert isinstance(report["pass"], bool)
+
+
+# -- cold start ---------------------------------------------------------------
+
+# prints, as its last line, the modules the case imported beyond start-up
+_PROBE = """
+import sys
+before = set(sys.modules)
+{case}
+print()
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def _new_modules(case: str) -> set[str]:
+    """Modules a fresh interpreter (no site hooks) imports to run case."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _PROBE.format(case=case)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def _ours(modules: set[str]) -> set[str]:
+    return {m for m in modules if m.split(".")[0] == "gammashell"}
+
+
+def test_building_the_parser_loads_only_the_budget_constants():
+    new = _new_modules("from gammashell.cli import build_parser; build_parser()")
+    assert not new & {"dataclasses", "typing"}
+    assert _ours(new) == {
+        "gammashell", "gammashell.cli", "gammashell.errors", "gammashell.complexes",
+    }
+
+
+UNUSED = {
+    "shelling": (["shelling", "--n", "2"], {
+        "gammashell.series", "gammashell.genfun", "gammashell.homology",
+        "gammashell.identities",
+    }),
+    "alignment": (["genfun", "--check-alignment", "--n-max", "2"], {
+        "gammashell.homology", "gammashell.shelling",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNUSED))
+def test_a_command_loads_no_module_it_does_not_use(name):
+    argv, unused = UNUSED[name]
+    new = _new_modules(f"from gammashell.cli import main; main({argv!r})")
+    assert not new & {"dataclasses", "typing"}
+    assert _ours(new)
+    assert not _ours(new) & unused

@@ -317,3 +317,18 @@ def test_non_int_data_is_rejected():
         MSeries(1, 3, {(0.5,): 1})
     with pytest.raises(DomainError, match="non-int"):
         MSeries.const(2, 3, 1).coefficient((0, 1.0))
+
+
+MALFORMED = {
+    "divide by an int": lambda: MSeries.const(1, 3, 1) / 2,
+    "multiply by an int": lambda: MSeries.const(1, 3, 1) * 2,
+    "add an int": lambda: MSeries.const(1, 3, 1) + 2,
+    "subtract a string": lambda: MSeries.const(1, 3, 1) - "x",
+    "int exponent key": lambda: MSeries(1, 3, {5: 1}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_operands_and_keys_raise_domain_error(case):
+    with pytest.raises(DomainError):
+        MALFORMED[case]()
