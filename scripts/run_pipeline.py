@@ -49,7 +49,7 @@ def main() -> None:
         print(
             f"{n:>2} {report.facet_count:>7} {report.total_pairs:>10} "
             f"{'ok' if report.is_shelling else 'FAIL':>8} "
-            f"{len(report.fallbacks):>9} {betti_str:>24} {match:>5} "
+            f"{report.fallback_count:>9} {betti_str:>24} {match:>5} "
             f"{chi:>8} {elapsed:>6.2f}s"
         )
         if args.p == 3 and chi != -dixon_lhs(n):

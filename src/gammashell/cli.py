@@ -83,24 +83,23 @@ def cmd_shelling(args: argparse.Namespace):
         facets = list(reversed(facets))
     # a budgeted enumeration, reversed or not, lists every facet once
     rep = _verify_order(params, facets, args.witness_mode, args.witness_limit)
-    ok = rep.is_shelling and not rep.disagreements
-    limit = rep.witness_limit
+    ok = rep.is_shelling and not rep.disagreement_count
     results = {
         "order": args.order,
         "mode": rep.mode,
         "facet_count": rep.facet_count,
         "total_pairs": rep.total_pairs,
         "constructed": rep.constructed,
-        "fallback_count": len(rep.fallbacks),
-        "fallbacks": [list(x) for x in rep.fallbacks[:limit]],
-        "violation_count": len(rep.violations),
-        "violations": [list(x) for x in rep.violations[:limit]],
-        "disagreement_count": len(rep.disagreements),
-        "disagreements": [list(x) for x in rep.disagreements[:limit]],
+        "fallback_count": rep.fallback_count,
+        "fallbacks": [list(x) for x in rep.fallbacks],
+        "violation_count": rep.violation_count,
+        "violations": [list(x) for x in rep.violations],
+        "disagreement_count": rep.disagreement_count,
+        "disagreements": [list(x) for x in rep.disagreements],
         "witnesses": {
             f"{i},{k}": [j, list(v)] for (i, k), (j, v) in rep.witnesses.items()
         },
-        "witness_limit": limit,
+        "witness_limit": rep.witness_limit,
         "is_shelling": rep.is_shelling,
     }
     report = _report(

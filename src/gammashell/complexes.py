@@ -44,6 +44,8 @@ class ComplexParams(Record):
     """Parameters (p, n) identifying the complex Gamma_p(n)."""
 
     def __init__(self, p: int, n: int) -> None:
+        if any(isinstance(x, bool) or not isinstance(x, int) for x in (p, n)):
+            raise DomainError(f"p and n must be integers, got p={p!r}, n={n!r}")
         if p < 1 or n < 1:
             raise DomainError(f"need p >= 1 and n >= 1, got p={p}, n={n}")
         vars(self).update(p=p, n=n)

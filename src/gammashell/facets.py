@@ -93,8 +93,9 @@ def facet_certificate(params: ComplexParams, face: Iterable[Sequence[int]]) -> F
 
 
 def _chain_dag(params: ComplexParams, twistable: bool):
-    """Start vertices and successor edges of the facet chain DAG.
+    """Start vertices and successor edges of the facet chain DAG, for listing.
 
+    Only _chain_search walks it; _signed_chain_count counts on the slack cube.
     A facet is a path that starts at a vertex satisfying P2, follows edges at
     minimum difference 1 (P3) and ends at the first vertex with a coordinate
     equal to n (P1), which no edge leaves.  Starts and edges come as
@@ -166,27 +167,37 @@ def _chain_search(
 
 
 def _signed_chain_count(params: ComplexParams) -> int:
-    """Sum of (-1)^len over the criterion-pruned chains, without listing them.
+    """Sum of (-1)^len over the criterion-pruned chains, in one pass over slack.
 
-    g(v), the signed count of the chain tails after v, is the sum over edges
-    v -> w of -(1 if w is terminal else g(w)), memoised per vertex; the count
-    is the same sum over the start vertices.  A dead end has g = 0.
+    A vertex v has slack s = n - v in [0, n]^p and is terminal (P1) iff
+    min(s) = 0.  Its criterion edges go to every t with 0 <= t <= s - 1,
+    some t_i = s_i - 1 (P3) and t != s - 1.  With h(s) = 1 at a terminal s,
+    g(s) elsewhere, and Q(a) the sum of h over 0 <= t <= a (0 if a has a
+    negative coordinate), the signed count of the chain tails after s is
+    g(s) = -(Q(s - 1) - Q(s - 2) - h(s - 1)).  The starts are the edges out
+    of the virtual vertex 0, so the count is h at slack (n, ..., n).  h and
+    the prefix sums along each axis (over every axis, Q) are flat lists in
+    itertools.product order; no chain or edge list is built.
     """
-    starts, edges = _chain_dag(params, twistable=True)
-    g: dict[Vertex, int] = {}
-
-    def signed(out_edges) -> int:
-        total = 0
-        for w, terminal in out_edges:
-            if terminal:
-                total -= 1
-            else:
-                if w not in g:
-                    g[w] = signed(edges(w))
-                total -= g[w]
-        return total
-
-    return signed(starts)
+    p, side = params.p, params.n + 1
+    strides = [side ** (p - 1 - i) for i in range(p)]
+    diag = sum(strides)
+    h = [0] * side**p
+    sums = [[0] * side**p for _ in range(p)]  # sums[i]: prefix over axes i..p-1
+    q = sums[0]
+    axes = list(zip(range(p), strides, sums))[::-1]
+    for idx, s in enumerate(itertools.product(range(side), repeat=p)):
+        low, below = min(s), idx - diag
+        if low == 0:
+            val = 1
+        else:
+            val = h[below] - q[below] + (q[below - diag] if low > 1 else 0)
+        h[idx] = val
+        for i, stride, acc in axes:
+            if s[i]:
+                val += acc[idx - stride]
+            acc[idx] = val
+    return h[-1]
 
 
 def enumerate_facets(

@@ -259,8 +259,9 @@ def alternating_homology_count(n: int, p: int = 3) -> int:
 
     A facet with r vertices spans r + 1 shift-vector columns and enters
     with sign (-1)^{(r+1)-1} = (-1)^r, matching the column-indexed
-    alternating series sum over g_r.  The facets are counted on the
-    criterion-pruned chain DAG, not listed.
+    alternating series sum over g_r.  The facets are counted by one
+    prefix-sum pass over the vertex slacks, not listed (see
+    facets._signed_chain_count).
     """
     return _signed_chain_count(make_complex(p, n))
 

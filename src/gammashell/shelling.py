@@ -15,7 +15,6 @@ entire boundary, each of which contributes one sphere of its dimension.
 
 from __future__ import annotations
 
-import itertools
 from operator import sub
 
 from .complexes import ComplexParams, Face, Vertex
@@ -30,7 +29,6 @@ __all__ = [
     "homology_facet_by_criterion",
     "homology_facets_by_criterion",
     "homology_facets_direct",
-    "shelling_witness",
     "verify_shelling",
     "x_family",
     "y_family",
@@ -227,12 +225,13 @@ class _Twists:
 class ShellingReport(Record):
     """Outcome of the pairwise check over one ordered facet list.
 
-    witnesses holds the first witness_limit pairs in scan order (k ascending,
-    then i); violations and fallbacks are complete.  fallbacks lists pairs
-    where the constructive route failed and search found a witness anyway;
-    disagreements lists pairs where the two routes differed in existence
-    (only populated in mode "both", expected empty).  Unlike the other
-    records it stays mutable, and so unhashable.
+    Pairs come in scan order (k ascending, then i); witnesses, violations,
+    fallbacks and disagreements each keep the first witness_limit of theirs,
+    and the *_count fields count them all.  fallbacks are pairs where the
+    constructive route failed and search found a witness anyway;
+    disagreements are pairs where the two routes differed in existence
+    (only found in mode "both", expected none).  Unlike the other records
+    it stays mutable, and so unhashable.
     """
 
     __setattr__ = object.__setattr__
@@ -250,8 +249,11 @@ class ShellingReport(Record):
         witnesses: dict[tuple[int, int], tuple[int, Vertex]],
         witness_limit: int,
         violations: list[tuple[int, int]],
+        violation_count: int,
         fallbacks: list[tuple[int, int]],
+        fallback_count: int,
         disagreements: list[tuple[int, int]],
+        disagreement_count: int,
     ) -> None:
         vars(self).update(
             p=p,
@@ -263,13 +265,16 @@ class ShellingReport(Record):
             witnesses=witnesses,
             witness_limit=witness_limit,
             violations=violations,
+            violation_count=violation_count,
             fallbacks=fallbacks,
+            fallback_count=fallback_count,
             disagreements=disagreements,
+            disagreement_count=disagreement_count,
         )
 
     @property
     def is_shelling(self) -> bool:
-        return not self.violations
+        return not self.violation_count
 
 
 _MODES = ("constructive", "exhaustive", "both")
@@ -304,13 +309,22 @@ def verify_shelling(
 
     witness_mode selects the constructive route (with search fallback), the
     search alone, or both with an existence cross-check.  Witnesses are
-    worked out pair by pair for the first witness_limit pairs only.
+    worked out pair by pair for the first witness_limit pairs only, and the
+    violation, fallback and disagreement lists keep as many pairs each.
     """
     if order is None:
         facets = enumerate_facets(params)
     else:
         facets = _normalize_order(params, order)
     return _verify_order(params, facets, witness_mode, witness_limit)
+
+
+def _tally(pairs: list[tuple[int, int]], mask: int, k: int, limit: int) -> int:
+    """Keep pairs (i, k), i in mask, up to limit in all; count every one."""
+    room = limit - len(pairs)
+    if room > 0 and mask:
+        pairs += [(i, k) for i in _bits(mask)[:room]]
+    return mask.bit_count()
 
 
 def _verify_order(
@@ -322,7 +336,7 @@ def _verify_order(
     if witness_limit < 0:
         raise DomainError(f"witness_limit must be nonnegative, got {witness_limit}")
     twists = _Twists(params, facets)
-    constructed = 0
+    constructed = violation_count = fallback_count = disagreement_count = 0
     witnesses: dict[tuple[int, int], tuple[int, Vertex]] = {}
     violations: list[tuple[int, int]] = []
     fallbacks: list[tuple[int, int]] = []
@@ -345,11 +359,13 @@ def _verify_order(
                         built |= group
             search |= rest
             constructed += built.bit_count()
-            fallbacks += [(i, k) for i in _bits(search & ~bad)]
+            fallback_count += _tally(fallbacks, search & ~bad, k, witness_limit)
             if witness_mode == "both":
-                disagreements += [(i, k) for i in _bits(built & bad)]
+                disagreement_count += _tally(
+                    disagreements, built & bad, k, witness_limit
+                )
         violating = search & bad
-        violations += [(i, k) for i in _bits(violating)]
+        violation_count += _tally(violations, violating, k, witness_limit)
         room = witness_limit - len(witnesses)
         if room > 0:
             for i in _bits(earlier & ~violating)[:room]:
@@ -365,38 +381,12 @@ def _verify_order(
         witnesses=witnesses,
         witness_limit=witness_limit,
         violations=violations,
+        violation_count=violation_count,
         fallbacks=fallbacks,
+        fallback_count=fallback_count,
         disagreements=disagreements,
+        disagreement_count=disagreement_count,
     )
-
-
-def shelling_witness(face_i, face_k, facets_in_order) -> tuple[int, Vertex] | None:
-    """Witness (j, v) for an ordered facet pair, or None if none exists.
-
-    The complex parameters are inferred from the facet list: p is the vertex
-    arity and n the largest coordinate present (every facet touches n).
-    """
-    facets = [tuple(tuple(v) for v in f) for f in facets_in_order]
-    if not facets:
-        raise DomainError("facet list is empty")
-    p = len(facets[0][0])
-    n = max(c for f in facets for v in f for c in v)
-    params = ComplexParams(p, n)
-    fi = tuple(tuple(v) for v in face_i)
-    fk = tuple(tuple(v) for v in face_k)
-    try:
-        i = facets.index(fi)
-        k = facets.index(fk)
-    except ValueError as exc:
-        raise DomainError("both faces must appear in the facet list") from exc
-    if i == k:
-        raise PreconditionError("the pair must consist of two distinct facets")
-    if i > k:
-        raise PreconditionError("the first facet must precede the second")
-    twists = _Twists(params, facets)
-    cands = {l: twists.construct(k, l, a) for l, a in twists.twistable(k)}
-    _, _, _, peels, _ = next(itertools.islice(_sweep(facets), k, None))
-    return twists.witness(i, k, peels, cands)
 
 
 def _down_twistable(params: ComplexParams, face: Face) -> bool:

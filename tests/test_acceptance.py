@@ -109,13 +109,17 @@ def test_acceptance_05_shelling():
             report = verify_shelling(make_complex(3, n), witness_mode="both")
             assert report.is_shelling
             assert report.disagreements == []
+            assert report.disagreement_count == 0
             assert report.fallbacks == []
+            assert report.fallback_count == 0
         mid = verify_shelling(make_complex(3, 5))
         assert mid.is_shelling
         assert mid.fallbacks == []
+        assert mid.fallback_count == 0
         big = verify_shelling(make_complex(3, 6))
         assert big.is_shelling
         assert big.fallbacks == []
+        assert big.fallback_count == 0
         assert big.total_pairs == 8377 * 8376 // 2
         assert big.constructed == big.total_pairs
         huge = verify_shelling(make_complex(3, 7))
@@ -123,6 +127,7 @@ def test_acceptance_05_shelling():
         assert huge.total_pairs == 54133 * 54132 // 2
         assert huge.constructed == huge.total_pairs
         assert huge.fallbacks == []
+        assert huge.fallback_count == 0
         assert huge.is_shelling
 
 
@@ -236,7 +241,7 @@ def test_acceptance_13_four_coordinate_report():
         13,
         "four-coordinate canonical order shells the complex, n <= 5; the signed "
         "criterion count is the power sum for p=2 n <= 8, p=4 n <= 6, p=5 n <= 5 "
-        "listed and p=4 n <= 8, p=5 n <= 6 counted",
+        "listed and p=4 n <= 12, p=5 n <= 8 counted",
         600,
     ):
         counts = {}
@@ -246,6 +251,7 @@ def test_acceptance_13_four_coordinate_report():
             counts[n] = report.facet_count
             assert report.is_shelling, n
             assert report.fallbacks == [], n
+            assert report.fallback_count == 0, n
             assert report.constructed == report.total_pairs, n
         assert counts == {1: 1, 2: 15, 3: 129, 4: 1419, 5: 16151}
         print(f"    four-coordinate survey: facets {counts}, all shellable")
@@ -260,7 +266,7 @@ def test_acceptance_13_four_coordinate_report():
                 assert signed == -reduced_euler_characteristic(
                     f_vector_formula(params)
                 ), (p, n)
-        for p, n_max in ((4, 8), (5, 6)):
+        for p, n_max in ((4, 12), (5, 8)):
             for n in range(1, n_max + 1):
                 params = make_complex(p, n)
                 counted = alternating_homology_count(n, p)

@@ -31,6 +31,14 @@ def test_make_complex_rejects_bad_parameters(p, n):
         make_complex(p, n)
 
 
+@pytest.mark.parametrize(
+    "p,n", [(3, "3"), ("3", 3), (3, 2.0), (2.0, 3), (True, 3), (3, False), (None, 2)]
+)
+def test_make_complex_rejects_non_integer_parameters(p, n):
+    with pytest.raises(DomainError):
+        make_complex(p, n)
+
+
 def test_check_vertex_rejects_bad_coordinates():
     params = make_complex(3, 4)
     assert check_vertex(params, [1, 2, 4]) == (1, 2, 4)

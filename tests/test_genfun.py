@@ -15,6 +15,7 @@ from gammashell import (
     dixon_product_coefficient,
     dixon_rhs,
     dump_series,
+    f_vector_formula,
     make_complex,
     master_theorem_check,
     master_theorem_inverse_coefficient,
@@ -22,6 +23,7 @@ from gammashell import (
     matrix_A,
     matrix_B,
     power_sum_lhs,
+    reduced_euler_characteristic,
     series_P,
     series_XY,
     series_g_r,
@@ -236,6 +238,17 @@ def test_alternating_homology_count_examples():
     assert alternating_homology_count(2) == -6
     assert alternating_homology_count(3) == 0
     assert alternating_homology_count(4) == 90
+
+
+@pytest.mark.parametrize(
+    "p,n_max", [(1, 12), (2, 30), (3, 16), (4, 9), (6, 5)]
+)
+def test_signed_count_is_the_power_sum_and_minus_euler(p, n_max):
+    for n in range(1, n_max + 1):
+        params = make_complex(p, n)
+        count = alternating_homology_count(n, p)
+        assert count == power_sum_lhs(n, p), n
+        assert count == -reduced_euler_characteristic(f_vector_formula(params)), n
 
 
 def test_alignment_pins_the_unit_offset():

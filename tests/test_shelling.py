@@ -20,7 +20,6 @@ from gammashell import (
     order_key,
     power_sum_lhs,
     reduced_euler_characteristic,
-    shelling_witness,
     verify_shelling,
     x_family,
     y_family,
@@ -104,6 +103,7 @@ def test_canonical_order_is_a_shelling(p, n):
     report = verify_shelling(make_complex(p, n))
     assert report.is_shelling
     assert report.violations == []
+    assert report.violation_count == 0
     t = report.facet_count
     assert report.total_pairs == t * (t - 1) // 2
 
@@ -115,6 +115,21 @@ def test_reversed_order_is_not_a_shelling(n):
     report = verify_shelling(params, reversed_order, witness_mode="exhaustive")
     assert not report.is_shelling
     assert len(report.violations) >= 1
+    assert report.violation_count >= len(report.violations)
+
+
+def test_pair_lists_are_capped_at_the_witness_limit():
+    params = make_complex(3, 3)
+    order = list(cached_facets(3, 3))[::-1]
+    full = verify_shelling(params, order, witness_mode="both", witness_limit=10**6)
+    capped = verify_shelling(params, order, witness_mode="both", witness_limit=7)
+    assert capped.violation_count > 7
+    assert not capped.is_shelling
+    for name in ("violation", "fallback", "disagreement"):
+        pairs = getattr(full, name + "s")
+        assert getattr(full, name + "_count") == len(pairs)
+        assert getattr(capped, name + "_count") == len(pairs)
+        assert getattr(capped, name + "s") == pairs[:7]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -122,8 +137,10 @@ def test_witness_routes_agree(n):
     report = verify_shelling(make_complex(3, n), witness_mode="both")
     assert report.is_shelling
     assert report.disagreements == []
+    assert report.disagreement_count == 0
     # the constructive route never needed the search fallback
     assert report.fallbacks == []
+    assert report.fallback_count == 0
     assert report.constructed == report.total_pairs
 
 
@@ -145,37 +162,32 @@ def test_verify_shelling_rejects_bad_input():
         verify_shelling(params, list(cached_facets(3, 3)))
 
 
-@given(facet_pairs())
-def test_shelling_witness_satisfies_the_condition(args):
+@given(facet_pairs(), st.sampled_from(["constructive", "exhaustive", "both"]))
+def test_stored_witnesses_satisfy_the_condition(args, mode):
     params, pool, i, k = args
-    result = shelling_witness(pool[i], pool[k], pool)
-    assert result is not None
-    j, v = result
-    assert j < k
-    f_i, f_j, f_k = set(pool[i]), set(pool[j]), set(pool[k])
-    assert v in f_k
-    assert f_j & f_k == f_k - {v}
-    assert f_i & f_k <= f_j & f_k
+    # pairs are stored in scan order (k, then i): this limit ends at (i, k)
+    limit = k * (k - 1) // 2 + i + 1
+    report = verify_shelling(params, witness_mode=mode, witness_limit=limit)
+    assert len(report.witnesses) == limit
+    assert list(report.witnesses)[-1] == (i, k)
+    sets = [set(f) for f in pool]
+    for (a, b), (j, v) in report.witnesses.items():
+        assert j < b
+        assert v in sets[b]
+        shared = sets[j] & sets[b]
+        assert shared == sets[b] - {v}
+        assert sets[a] & sets[b] <= shared
 
 
-def test_shelling_witness_preconditions():
-    pool = list(cached_facets(3, 2))
-    with pytest.raises(PreconditionError):
-        shelling_witness(pool[0], pool[0], pool)
-    with pytest.raises(PreconditionError):
-        shelling_witness(pool[3], pool[1], pool)
-    with pytest.raises(DomainError):
-        shelling_witness(((9, 9, 9),), pool[1], pool)
-    with pytest.raises(DomainError):
-        shelling_witness(pool[0], pool[1], [])
-
-
-def test_shelling_witness_none_when_no_witness_exists():
+def test_pair_without_a_witness_is_a_violation():
     # reversed order: the big facet comes last, all singletons before it
     pool = list(cached_facets(3, 2))[::-1]
     edge = ((1, 1, 1), (2, 2, 2))
     singleton = ((1, 1, 2),)
-    assert shelling_witness(singleton, edge, pool) is None
+    pair = (pool.index(singleton), pool.index(edge))
+    report = verify_shelling(make_complex(3, 2), pool, witness_limit=10**6)
+    assert pair in report.violations
+    assert pair not in report.witnesses
 
 
 def test_homology_criterion_examples():
@@ -462,8 +474,11 @@ def _reference_shelling(params, facets, witness_mode, witness_limit):
         witnesses=wits,
         witness_limit=witness_limit,
         violations=bad,
+        violation_count=len(bad),
         fallbacks=fell,
+        fallback_count=len(fell),
         disagreements=dis,
+        disagreement_count=len(dis),
     )
 
 
@@ -490,9 +505,12 @@ def test_sweep_matches_the_per_pair_reference(case, mode, limit):
     want = _reference_shelling(params, list(order), mode, limit)
     for name in (
         "p", "n", "mode", "facet_count", "total_pairs", "constructed", "witnesses",
-        "witness_limit", "violations", "fallbacks", "disagreements",
+        "witness_limit", "violation_count", "fallback_count", "disagreement_count",
     ):
         assert getattr(got, name) == getattr(want, name), name
+    # the pair lists keep the reference's first witness_limit pairs
+    for name in ("violations", "fallbacks", "disagreements"):
+        assert getattr(got, name) == getattr(want, name)[:limit], name
     assert list(got.witnesses) == list(want.witnesses)
 
 
