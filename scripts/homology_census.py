@@ -11,11 +11,10 @@ import argparse
 from gammashell import (
     enumerate_facets,
     f_vector_formula,
+    homology_families,
     make_complex,
     reduced_euler_characteristic,
     series_XY,
-    x_family,
-    y_family,
 )
 
 
@@ -27,7 +26,7 @@ def main() -> None:
     xy = series_XY(args.n_max + 1)
     for n in range(1, args.n_max + 1):
         params = make_complex(3, n)
-        xs, ys = x_family(params), y_family(params)
+        xs, ys = homology_families(params)
         census: dict[int, list[int]] = {}
         for fam_idx, fam in enumerate((xs, ys)):
             for f in fam:

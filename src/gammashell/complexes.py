@@ -13,7 +13,7 @@ import itertools
 from collections.abc import Iterable, Iterator, Sequence
 from math import comb
 
-from .errors import BudgetError, DomainError, Record
+from .errors import BudgetError, DomainError, Record, _require_ints
 
 __all__ = [
     "DEFAULT_CELL_BUDGET",
@@ -44,8 +44,7 @@ class ComplexParams(Record):
     """Parameters (p, n) identifying the complex Gamma_p(n)."""
 
     def __init__(self, p: int, n: int) -> None:
-        if any(isinstance(x, bool) or not isinstance(x, int) for x in (p, n)):
-            raise DomainError(f"p and n must be integers, got p={p!r}, n={n!r}")
+        _require_ints(p=p, n=n)
         if p < 1 or n < 1:
             raise DomainError(f"need p >= 1 and n >= 1, got p={p}, n={n}")
         vars(self).update(p=p, n=n)
@@ -141,26 +140,28 @@ def f_vector_enumerated(
     """Reduced f-vector obtained by depth-first chain extension.
 
     Independent of the closed-form count: every face is visited exactly once
-    by growing its vertex chain through each strictly larger successor.
+    by growing its vertex chain through each strictly larger successor.  The
+    stack holds one lazy successor iterator per chain level, so the budget
+    is checked after each face and no vertex is listed before its turn.
     """
     p, n = params.p, params.n
     counts = [0] * (n + 1)
     counts[0] = 1
     seen = 1
-    stack = [
-        (v, 1)
-        for v in sorted(itertools.product(range(1, n + 1), repeat=p), reverse=True)
-    ]
+    stack = [itertools.product(range(1, n + 1), repeat=p)]
     while stack:
-        v, size = stack.pop()
+        v = next(stack[-1], None)
+        if v is None:
+            stack.pop()
+            continue
+        size = len(stack)
         counts[size] += 1
         seen += 1
         if budget is not None and seen > budget:
             raise BudgetError(
                 f"face enumeration passed {budget} at dimension {size - 1}"
             )
-        for w in itertools.product(*(range(c + 1, n + 1) for c in v)):
-            stack.append((w, size + 1))
+        stack.append(itertools.product(*(range(c + 1, n + 1) for c in v)))
     return tuple(counts)
 
 

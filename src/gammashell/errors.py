@@ -19,6 +19,13 @@ class VerificationError(RuntimeError):
     """Two routes that must agree on a mathematical claim disagree."""
 
 
+def _require_ints(**values) -> None:
+    """Raise DomainError unless every named value is an int (bool excluded)."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 class Record:
     """Base of the value records: equality, hashing and repr over the fields.
 

@@ -92,25 +92,27 @@ def facet_certificate(params: ComplexParams, face: Iterable[Sequence[int]]) -> F
     return FacetCertificate(f, p1, p2, p3)
 
 
-def _chain_dag(params: ComplexParams, twistable: bool):
-    """Start vertices and successor edges of the facet chain DAG, for listing.
+def _chain_search(
+    params: ComplexParams, budget: int | None = None, twistable: bool = False
+) -> list[Face]:
+    """Facet chains by depth-first search of the chain DAG, in order_key order.
 
-    Only _chain_search walks it; _signed_chain_count counts on the slack cube.
     A facet is a path that starts at a vertex satisfying P2, follows edges at
     minimum difference 1 (P3) and ends at the first vertex with a coordinate
-    equal to n (P1), which no edge leaves.  Starts and edges come as
-    (vertex, is_terminal) pairs.  edges(v) scans v's coordinate box in
-    itertools.product order the first time and yields each edge as it is
-    found; the list is memoised only when that scan completes.  Every edge
+    equal to n (P1), which no edge leaves; the search emits a chain at each
+    such terminal vertex.  The first visit to v scans its coordinate box in
+    itertools.product order and yields each edge as it is found; the edge
+    list is memoised only when that scan completes.  Every edge
     raises every coordinate, so no vertex is entered again while its first
-    scan runs, and a caller that stops early scans no further box.
+    scan runs, and a budget stops the search, scanning no further box, as
+    soon as more than budget chains are found.
 
     With twistable set, the DAG keeps only the paths selected by the
     down-twist criterion: it starts only at vertices that are not all ones
     and keeps only edges whose maximum difference exceeds 1.  A path that
     reaches a non-terminal vertex with no such edge is a dead end.  Each
     predicate is tested once per vertex or edge, not once per facet through
-    it.
+    it.  _signed_chain_count counts the same chains on the slack cube.
     """
     n = params.n
     memo: dict[Vertex, list[tuple[Vertex, bool]]] = {}
@@ -127,28 +129,12 @@ def _chain_dag(params: ComplexParams, twistable: bool):
                 yield edge
         memo[v] = found
 
-    def edges(v: Vertex):
-        return memo[v] if v in memo else scan(v)
-
     starts = (
         (v, max(v) == n)
         for v in itertools.product(range(1, n + 1), repeat=params.p)
         if min(v) == 1 and (not twistable or max(v) > 1)
     )
-    return starts, edges
-
-
-def _chain_search(
-    params: ComplexParams, budget: int | None = None, twistable: bool = False
-) -> list[Face]:
-    """Facet chains by depth-first search of the chain DAG, in order_key order.
-
-    Emits a chain at each terminal vertex; a budget stops the search as soon
-    as more than budget chains are found.  twistable prunes the DAG to the
-    down-twist criterion (see _chain_dag).
-    """
     out: list[Face] = []
-    starts, edges = _chain_dag(params, twistable)
 
     def follow(chain: Face, out_edges) -> None:
         for w, terminal in out_edges:
@@ -157,7 +143,7 @@ def _chain_search(
                 if budget is not None and len(out) > budget:
                     raise BudgetError(f"facet count exceeds the budget of {budget}")
             else:
-                follow(chain + (w,), edges(w))
+                follow(chain + (w,), memo[w] if w in memo else scan(w))
 
     follow((), starts)
     # the search emits chains in sigma-word order, so a stable sort by

@@ -2,10 +2,11 @@
 
 The key objects are the series P (one column of a shift-vector collection),
 its powers g_r, and the rational series xyz / ((1-x)(1-y)(1-z) + xyz) whose
-diagonal reproduces the alternating sum of cubes of binomials.  Every series
-with two natural constructions is built both ways and compared; the diagonal
-alignment offset is determined empirically against facet enumeration rather
-than assumed.
+diagonal reproduces the alternating sum of cubes of binomials.  series_P and
+series_XY always build their two natural constructions and compare them
+before returning; series_g_r and the alternating build of XY use the closed
+form of P alone.  The diagonal alignment offset is determined empirically
+against facet enumeration rather than assumed.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from .complexes import (
     make_complex,
     reduced_euler_characteristic,
 )
-from .errors import DomainError, Record, VerificationError
+from .errors import DomainError, Record, VerificationError, _require_ints
 from .facets import _signed_chain_count
 from .identities import dixon_lhs, dixon_rhs
 from .series import MSeries
@@ -66,28 +67,23 @@ def _require_dual_equal(name: str, first: MSeries, second: MSeries) -> None:
         )
 
 
-def series_P(T: int, construction: str = "both") -> MSeries:
+def _closed_P(T: int) -> MSeries:
+    """P by its closed form alone, for the builds that consume it."""
+    one = MSeries.const(3, T, 1)
+    xyz = MSeries.monomial(3, T, (1, 1, 1))
+    return xyz * ((one - xyz) / _geometric_denominator(T) - one)
+
+
+def series_P(T: int) -> MSeries:
     """The column series P = xyz((1-xyz)/((1-x)(1-y)(1-z)) - 1).
 
     Also the sum of the six permuted corner series
-    f = x y^2 z^2 / ((1-y)(1-z)) and h = x y z^2 / (1-z); with
-    construction="both" (the default) both builds are compared coefficient
-    by coefficient before returning.
+    f = x y^2 z^2 / ((1-y)(1-z)) and h = x y z^2 / (1-z); both builds are
+    compared coefficient by coefficient before returning.
     """
     if T < 2:
         raise DomainError(f"series_P needs truncation >= 2, got {T}")
-    if construction not in ("both", "closed", "permuted"):
-        raise DomainError(f"unknown construction {construction!r}")
-
-    closed = None
-    if construction in ("both", "closed"):
-        one = MSeries.const(3, T, 1)
-        xyz = MSeries.monomial(3, T, (1, 1, 1))
-        inner = (one - xyz) / _geometric_denominator(T) - one
-        closed = xyz * inner
-        if construction == "closed":
-            return closed
-
+    closed = _closed_P(T)
     f = MSeries.monomial(3, T, (1, 2, 2)) / (
         _one_minus(1, 3, T) * _one_minus(2, 3, T)
     )
@@ -100,48 +96,36 @@ def series_P(T: int, construction: str = "both") -> MSeries:
         + h.permute_vars((0, 2, 1))
         + h.permute_vars((2, 1, 0))
     )
-    if construction == "permuted":
-        return permuted
     _require_dual_equal("series_P", closed, permuted)
     return closed
 
 
 def series_g_r(r: int, T: int) -> MSeries:
     """P^r; its coefficients count r-column shift-vector collections."""
+    _require_ints(r=r)
     if r < 1:
         raise DomainError(f"r must be positive, got {r}")
     if T < 2 * r:
         raise DomainError(f"series_g_r needs truncation >= {2 * r}, got {T}")
-    return series_P(T, construction="closed") ** r
+    return _closed_P(T) ** r
 
 
-def series_XY(T: int, construction: str = "both") -> MSeries:
+def series_XY(T: int) -> MSeries:
     """xyz / ((1-x)(1-y)(1-z) + xyz).
 
     The alternating-sum build (P + xyz) * (1 + P)^{-1} realizes
-    sum over r >= 1 of (-1)^{r-1} (P^r + xyz P^{r-1}); with
-    construction="both" it is compared against the closed rational form.
+    sum over r >= 1 of (-1)^{r-1} (P^r + xyz P^{r-1}); it is compared
+    coefficient by coefficient against the closed rational form before
+    returning.
     """
     if T < 1:
         raise DomainError(f"series_XY needs truncation >= 1, got {T}")
-    if construction not in ("both", "closed", "alternating"):
-        raise DomainError(f"unknown construction {construction!r}")
-
-    closed = None
-    if construction in ("both", "closed"):
-        xyz = MSeries.monomial(3, T, (1, 1, 1))
-        denom = _geometric_denominator(T) + xyz
-        closed = xyz / denom
-        if construction == "closed":
-            return closed
-
-    # below T = 2 the box truncates P to zero
-    p = series_P(T, construction="closed") if T >= 2 else MSeries.zero(3, T)
     one = MSeries.const(3, T, 1)
     xyz = MSeries.monomial(3, T, (1, 1, 1))
+    closed = xyz / (_geometric_denominator(T) + xyz)
+    # below T = 2 the box truncates P to zero
+    p = _closed_P(T) if T >= 2 else MSeries.zero(3, T)
     alternating = (p + xyz) / (one + p)
-    if construction == "alternating":
-        return alternating
     _require_dual_equal("series_XY", closed, alternating)
     return closed
 
@@ -317,7 +301,7 @@ def alignment_check(
     if len(set(deltas)) != len(deltas):
         raise DomainError(f"deltas must be distinct, got {tuple(deltas)}")
 
-    xy = series_XY(n_max + max(deltas), construction="both")
+    xy = series_XY(n_max + max(deltas))
     alternating = {n: alternating_homology_count(n) for n in range(1, n_max + 1)}
 
     diagonal_by_delta: dict[int, dict[int, int]] = {}

@@ -24,7 +24,7 @@ from .complexes import (
     f_vector_formula,
     reduced_euler_characteristic,
 )
-from .errors import BudgetError, DomainError, Record
+from .errors import BudgetError, DomainError, Record, _require_ints
 
 __all__ = [
     "SparseBoundaryMatrix",
@@ -215,6 +215,9 @@ def betti_from_ranks(params: ComplexParams, ranks: Sequence[int]) -> tuple[int, 
     beta_k = f_k - rank d_k - rank d_{k+1}, with rank d_-1 = rank d_n = 0;
     the empty-face row makes beta_-1 vanish for every nonempty complex.
     """
+    if len(ranks) != params.n:
+        raise DomainError(f"need {params.n} ranks, got {len(ranks)}")
+    _require_ints(**{f"rank d_{k}": r for k, r in enumerate(ranks)})
     f = f_vector_formula(params)
     r = [0, *ranks, 0]
     return tuple(f[i] - r[i] - r[i + 1] for i in range(params.n + 1))

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from math import comb, factorial
 
-from .errors import DomainError
+from .errors import DomainError, _require_ints
 
 __all__ = [
     "aigner_rhs",
@@ -21,6 +21,7 @@ __all__ = [
 
 
 def _check_positive(n: int) -> None:
+    _require_ints(n=n)
     if n < 1:
         raise DomainError(f"n must be positive, got {n}")
 
@@ -28,6 +29,7 @@ def _check_positive(n: int) -> None:
 def power_sum_lhs(n: int, p: int) -> int:
     """Alternating sum of p-th powers of binomials: sum (-1)^s C(n,s)^p."""
     _check_positive(n)
+    _require_ints(p=p)
     if p < 1:
         raise DomainError(f"p must be positive, got {p}")
     return sum((-1) ** s * comb(n, s) ** p for s in range(n + 1))
@@ -64,6 +66,7 @@ def threeF2_lhs(n1: int, n2: int, n3: int) -> int:
     sum over s of (-1)^s C(n3,s) C(n2,n1-s) C(n1,n2-n3+s), with s running
     from max(0, n1-n2, n3-n2) to min(n1, n3, n1+n3-n2); empty windows give 0.
     """
+    _require_ints(n1=n1, n2=n2, n3=n3)
     for v in (n1, n2, n3):
         if v < 0:
             raise DomainError(f"arguments must be nonnegative, got {v}")
@@ -82,6 +85,7 @@ def threeF2_rhs(n1: int, n2: int, n3: int) -> int:
     (-1)^{N/2 - n2} (N/2)! / ((N/2-n1)! (N/2-n2)! (N/2-n3)!) with N the
     argument sum; 0 whenever a factorial argument would be negative.
     """
+    _require_ints(n1=n1, n2=n2, n3=n3)
     for v in (n1, n2, n3):
         if v < 0:
             raise DomainError(f"arguments must be nonnegative, got {v}")

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import DomainError, Record
+from .errors import DomainError, Record, _require_ints
 
 __all__ = ["MSeries", "dump_series", "parse_series"]
 
@@ -79,6 +79,7 @@ class MSeries(Record):
     def __init__(
         self, num_vars: int, truncation: int, coeffs: dict[Exponent, int] | None = None
     ) -> None:
+        _require_ints(num_vars=num_vars, truncation=truncation)
         if num_vars < 1:
             raise DomainError("num_vars must be positive")
         if truncation < 0:

@@ -19,6 +19,7 @@ from operator import sub
 
 from .complexes import ComplexParams, Face, Vertex
 from .errors import DomainError, PreconditionError, Record, VerificationError
+from .errors import _require_ints
 from .facets import _chain_search, enumerate_facets, facet_certificate
 
 __all__ = [
@@ -29,9 +30,8 @@ __all__ = [
     "homology_facet_by_criterion",
     "homology_facets_by_criterion",
     "homology_facets_direct",
+    "homology_families",
     "verify_shelling",
-    "x_family",
-    "y_family",
 ]
 
 
@@ -80,11 +80,8 @@ def block_partition(params: ComplexParams, face_i: Face, face_k: Face) -> BlockP
     c_blocks = _membership_runs(fi, lambda v: v in shared)
     i_blocks = _membership_runs(fi, lambda v: v not in shared)
     k_blocks = _membership_runs(fk, lambda v: v not in shared)
-    both_facets = (
-        facet_certificate(params, fi).is_facet
-        and facet_certificate(params, fk).is_facet
-    )
-    if both_facets and len(i_blocks) != len(k_blocks):
+    certs = [facet_certificate(params, f) for f in (fi, fk)]
+    if all(c.is_facet for c in certs) and len(i_blocks) != len(k_blocks):
         raise VerificationError(
             f"private block counts differ for facets {fi} and {fk}: "
             f"{len(i_blocks)} vs {len(k_blocks)}"
@@ -280,14 +277,6 @@ class ShellingReport(Record):
 _MODES = ("constructive", "exhaustive", "both")
 
 
-def _normalize_order(params: ComplexParams, order) -> list[Face]:
-    facets = [tuple(tuple(v) for v in f) for f in order]
-    canonical = enumerate_facets(params)
-    if len(facets) != len(canonical) or set(facets) != set(canonical):
-        raise DomainError("order must list every facet exactly once")
-    return facets
-
-
 def verify_shelling(
     params: ComplexParams,
     order=None,
@@ -312,10 +301,12 @@ def verify_shelling(
     worked out pair by pair for the first witness_limit pairs only, and the
     violation, fallback and disagreement lists keep as many pairs each.
     """
-    if order is None:
-        facets = enumerate_facets(params)
-    else:
-        facets = _normalize_order(params, order)
+    facets = enumerate_facets(params)
+    if order is not None:
+        ordered = [tuple(tuple(v) for v in f) for f in order]
+        if len(ordered) != len(facets) or set(ordered) != set(facets):
+            raise DomainError("order must list every facet exactly once")
+        facets = ordered
     return _verify_order(params, facets, witness_mode, witness_limit)
 
 
@@ -333,6 +324,7 @@ def _verify_order(
     """The body of verify_shelling for a list known to order every facet once."""
     if witness_mode not in _MODES:
         raise DomainError(f"witness_mode must be one of {_MODES}")
+    _require_ints(witness_limit=witness_limit)
     if witness_limit < 0:
         raise DomainError(f"witness_limit must be nonnegative, got {witness_limit}")
     twists = _Twists(params, facets)
@@ -389,30 +381,6 @@ def _verify_order(
     )
 
 
-def _down_twistable(params: ComplexParams, face: Face) -> bool:
-    """Check that a canonical face is a facet, then apply the criterion.
-
-    One pass over the junctions: every vertex must have p coordinates, the
-    coordinate differences at each junction must have minimum 1 (P3, which
-    with P1 and P2 also keeps every coordinate increasing within 1..n), and
-    the criterion asks for a maximum above 1 at every junction and for the
-    first vertex to exceed 1 somewhere.  Raises PreconditionError if the
-    face is not a facet.
-    """
-    p = params.p
-    first = face[0]
-    if len(first) != p or min(first) != 1 or max(face[-1]) != params.n:
-        raise PreconditionError(f"{face} is not a facet")
-    twistable = max(first) > 1
-    for prev, cur in zip(face, face[1:]):
-        diffs = list(map(sub, cur, prev))
-        if len(cur) != p or min(diffs) != 1:
-            raise PreconditionError(f"{face} is not a facet")
-        if max(diffs) == 1:
-            twistable = False
-    return twistable
-
-
 def homology_facet_by_criterion(params: ComplexParams, facet) -> bool:
     """True iff every vertex of the facet has a nonempty down-twist set.
 
@@ -423,7 +391,10 @@ def homology_facet_by_criterion(params: ComplexParams, facet) -> bool:
     cert = facet_certificate(params, facet)
     if not cert.is_facet:
         raise PreconditionError(f"{cert.face} is not a facet")
-    return _down_twistable(params, cert.face)
+    f = cert.face
+    return max(f[0]) > 1 and all(
+        max(map(sub, cur, prev)) > 1 for prev, cur in zip(f, f[1:])
+    )
 
 
 def homology_facets_by_criterion(params: ComplexParams) -> list[Face]:
@@ -438,27 +409,15 @@ def homology_facets_by_criterion(params: ComplexParams) -> list[Face]:
     return _chain_search(params, twistable=True)
 
 
-def homology_facets_direct(params: ComplexParams, order=None) -> list[Face]:
+def homology_facets_direct(params: ComplexParams) -> list[Face]:
     """Facets attaching along their entire boundary, by direct containment.
 
-    F_k qualifies iff every face F_k - {v} lies in some earlier facet; for a
-    single vertex the boundary is the empty face, so any earlier facet
-    suffices.  An explicit order must also be a shelling, which the same
-    sweep checks; the default canonical order is used as given.
+    F_k qualifies iff every face F_k - {v} lies in some earlier facet of the
+    canonical order; for a single vertex the boundary is the empty face, so
+    any earlier facet suffices.
     """
-    if order is None:
-        facets = enumerate_facets(params)
-    else:
-        facets = _normalize_order(params, order)
-    out = []
-    violating = 0
-    for k, _, _, peels, bad in _sweep(facets):
-        if all(peels):
-            out.append(facets[k])
-        violating += bad.bit_count()
-    if order is not None and violating:
-        raise PreconditionError(f"order is not a shelling ({violating} violating pairs)")
-    return out
+    facets = enumerate_facets(params)
+    return [facets[k] for k, _, _, peels, _ in _sweep(facets) if all(peels)]
 
 
 def betti_from_shelling(params: ComplexParams) -> tuple[int, ...]:
@@ -473,21 +432,14 @@ def betti_from_shelling(params: ComplexParams) -> tuple[int, ...]:
     return tuple(betti)
 
 
-def x_family(params: ComplexParams) -> list[Face]:
-    """Homology facets whose last vertex is not (n, ..., n).
+def homology_families(params: ComplexParams) -> tuple[list[Face], list[Face]]:
+    """The homology facets split by their last vertex: (x-family, y-family).
 
-    Uses the down-twist criterion, which the suite checks against the direct
-    attachment computation.
+    The x-family ends below (n, ..., n), the y-family at it; the y-family is
+    the x-family of the next smaller complex with the all-n vertex appended.
+    Both come from one criterion search, which the suite checks against the
+    direct attachment computation.
     """
     top = (params.n,) * params.p
-    return [f for f in homology_facets_by_criterion(params) if f[-1] != top]
-
-
-def y_family(params: ComplexParams) -> list[Face]:
-    """Homology facets whose last vertex is (n, ..., n).
-
-    These are exactly the x-family members of the next smaller complex with
-    the all-n vertex appended.
-    """
-    top = (params.n,) * params.p
-    return [f for f in homology_facets_by_criterion(params) if f[-1] == top]
+    found = homology_facets_by_criterion(params)
+    return [f for f in found if f[-1] != top], [f for f in found if f[-1] == top]

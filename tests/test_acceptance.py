@@ -26,6 +26,7 @@ from gammashell import (
     facet_certificate,
     homology_facets_by_criterion,
     homology_facets_direct,
+    homology_families,
     make_complex,
     master_theorem_check,
     matrix_A,
@@ -39,7 +40,6 @@ from gammashell import (
     threeF2_rhs,
     verify_euler_poincare,
     verify_shelling,
-    x_family,
 )
 from gammashell.cli import main
 from gammashell.series import MSeries
@@ -167,15 +167,15 @@ def test_acceptance_07_betti_numbers():
 
 def test_acceptance_08_series_constructions():
     with _Timed(8, "dual series constructions agree; g_r diagonals count facets", 120):
-        series_P(12, construction="both")
-        series_XY(10, construction="both")
-        series_XY(14, construction="both")
+        series_P(12)
+        series_XY(10)
+        series_XY(14)
         for r in (1, 2, 3):
             g = series_g_r(r, 7)
             for m in range(2, 8):
                 expected = sum(
                     1
-                    for f in x_family(make_complex(3, m - 1))
+                    for f in homology_families(make_complex(3, m - 1))[0]
                     if len(f) == r - 1
                 )
                 assert g.coefficient((m, m, m)) == expected

@@ -152,12 +152,26 @@ def test_small_facet_budget_stops_a_huge_search_at_once(capsys):
     assert "budget" in err
 
 
-def test_disagreeing_series_constructions_exit_1(capsys, monkeypatch):
-    # only the alternating build of series_XY uses series_P
-    def shifted_P(T, construction="both"):
-        return series_P(T, construction) + MSeries.monomial(3, T, (2, 2, 2))
+def test_small_face_budget_stops_a_huge_enumeration_at_once(capsys):
+    # the face count must refuse at the budget without listing all 10^8
+    # vertices of Gamma_8(10) first
+    start = time.perf_counter()
+    code, out, err = run(capsys, "fvector", "--p", "8", "--n", "10", "--enumerate",
+                         "--face-budget", "10")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert not out
+    assert "budget" in err
 
-    monkeypatch.setattr(genfun, "series_P", shifted_P)
+
+def test_disagreeing_series_constructions_exit_1(capsys, monkeypatch):
+    # of the two builds of series_XY, only the alternating one uses P
+    closed_P = genfun._closed_P
+
+    def shifted_P(T):
+        return closed_P(T) + MSeries.monomial(3, T, (2, 2, 2))
+
+    monkeypatch.setattr(genfun, "_closed_P", shifted_P)
     code, out, err = run(capsys, "genfun", "--check-alignment", "--n-max", "2")
     assert code == 1
     assert not out

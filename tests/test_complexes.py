@@ -9,17 +9,28 @@ from hypothesis import given
 from gammashell import (
     BudgetError,
     DomainError,
+    MSeries,
+    aigner_rhs,
+    alignment_check,
+    betti_from_ranks,
     canonical_face,
     check_vertex,
     dixon_lhs,
+    dixon_rhs,
     enumerate_faces,
     f_vector_enumerated,
     f_vector_formula,
     is_face,
     make_complex,
     order_key,
+    power_sum_lhs,
     reduced_euler_characteristic,
+    series_P,
+    series_g_r,
     sigma_word,
+    threeF2_lhs,
+    threeF2_rhs,
+    verify_shelling,
 )
 
 from .conftest import all_faces_bruteforce, faces
@@ -37,6 +48,33 @@ def test_make_complex_rejects_bad_parameters(p, n):
 def test_make_complex_rejects_non_integer_parameters(p, n):
     with pytest.raises(DomainError):
         make_complex(p, n)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: MSeries(2.5, 3),
+        lambda: MSeries(3, 2.5),
+        lambda: MSeries(True, 3),
+        lambda: MSeries(3, False),
+        lambda: series_P(2.5),
+        lambda: series_g_r(2.5, 6),
+        lambda: alignment_check(2.5),
+        lambda: power_sum_lhs(3, 2.0),
+        lambda: power_sum_lhs(2.0, 3),
+        lambda: dixon_rhs(2.0),
+        lambda: aigner_rhs(True),
+        lambda: threeF2_lhs(1.5, 1, 1),
+        lambda: threeF2_rhs(1, 1, "1"),
+        lambda: verify_shelling(make_complex(3, 2), witness_limit=2.5),
+        lambda: verify_shelling(make_complex(3, 2), witness_limit=True),
+        lambda: betti_from_ranks(make_complex(3, 3), [1]),
+        lambda: betti_from_ranks(make_complex(3, 1), [1.0]),
+    ],
+)
+def test_integer_inputs_reject_other_types(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_check_vertex_rejects_bad_coordinates():
@@ -127,6 +165,12 @@ def test_f_vector_formula_examples():
 @pytest.mark.parametrize("p", [1, 2, 3])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_f_vector_enumerated_equals_formula(p, n):
+    params = make_complex(p, n)
+    assert f_vector_enumerated(params) == f_vector_formula(params)
+
+
+@pytest.mark.parametrize("p,n", [(2, 9), (4, 5)])
+def test_f_vector_enumerated_equals_formula_at_larger_sizes(p, n):
     params = make_complex(p, n)
     assert f_vector_enumerated(params) == f_vector_formula(params)
 

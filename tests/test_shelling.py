@@ -1,5 +1,7 @@
 """The canonical facet order, its shelling property, and homology facets."""
 
+from functools import lru_cache
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,15 +18,14 @@ from gammashell import (
     homology_facet_by_criterion,
     homology_facets_by_criterion,
     homology_facets_direct,
+    homology_families,
     make_complex,
     order_key,
     power_sum_lhs,
     reduced_euler_characteristic,
     verify_shelling,
-    x_family,
-    y_family,
 )
-from gammashell.shelling import ShellingReport, _down_twistable
+from gammashell.shelling import ShellingReport
 
 from .conftest import (
     REFERENCE_SHAPES,
@@ -74,6 +75,15 @@ def test_block_partition_structure():
     assert part.c_blocks == (((3, 3, 3),),)
     assert part.i_blocks == (((1, 1, 1), (2, 2, 2)),)
     assert part.k_blocks == (((1, 1, 2),),)
+
+
+def test_block_partition_validates_both_faces():
+    # the first face is not a facet, which must not skip the second
+    params = make_complex(3, 3)
+    with pytest.raises(DomainError):
+        block_partition(params, [(1, 1, 1)], [(9, 9, 9)])
+    with pytest.raises(DomainError):
+        block_partition(params, [(9, 9, 9)], [(1, 1, 1)])
 
 
 @given(facet_pairs())
@@ -216,10 +226,15 @@ def test_criterion_scan_matches_the_per_facet_criterion(p, n):
     ]
 
 
+@lru_cache(maxsize=None)
 def _reference_homology_facets_by_criterion(params):
-    """Frozen copy of the scan that enumerated every facet and then filtered
-    it junction by junction."""
-    return [f for f in reference_enumerate_facets(params) if _down_twistable(params, f)]
+    """The scan that enumerated every facet and then filtered it with the
+    per-facet criterion; cached, as two tests run it on the same shapes."""
+    return [
+        f
+        for f in reference_enumerate_facets(params)
+        if homology_facet_by_criterion(params, f)
+    ]
 
 
 @pytest.mark.parametrize("p,n", REFERENCE_SHAPES)
@@ -244,20 +259,20 @@ def test_signed_chain_count_matches_the_listed_facets(p, n):
     assert count == _signed(_reference_homology_facets_by_criterion(params))
 
 
-def test_criterion_scan_rejects_non_facets():
+def test_per_facet_criterion_rejects_non_facets():
     params = make_complex(3, 3)
-    assert _down_twistable(params, ((1, 1, 2), (2, 3, 3)))
-    for face in (
-        ((1, 1), (2, 2, 2), (3, 3, 3)),  # arity of the first vertex
-        ((1, 3),),  # arity of a single vertex
-        ((1, 1, 1), (2, 2), (3, 3, 3)),  # arity of a later vertex
-        ((2, 2, 2), (3, 3, 3)),  # P2
-        ((1, 1, 1), (2, 2, 2)),  # P1
-        ((1, 1, 1), (3, 3, 3)),  # P3: no difference equal to 1
-        ((1, 1, 1), (2, 2, 1), (3, 3, 3)),  # not increasing
+    assert homology_facet_by_criterion(params, ((1, 1, 2), (2, 3, 3)))
+    for face, error in (
+        (((1, 1), (2, 2, 2), (3, 3, 3)), DomainError),  # arity of the first vertex
+        (((1, 3),), DomainError),  # arity of a single vertex
+        (((1, 1, 1), (2, 2), (3, 3, 3)), DomainError),  # arity of a later vertex
+        (((2, 2, 2), (3, 3, 3)), PreconditionError),  # P2
+        (((1, 1, 1), (2, 2, 2)), PreconditionError),  # P1
+        (((1, 1, 1), (3, 3, 3)), PreconditionError),  # P3: no difference equal to 1
+        (((1, 1, 1), (2, 2, 1), (3, 3, 3)), DomainError),  # not increasing
     ):
-        with pytest.raises(PreconditionError):
-            _down_twistable(params, face)
+        with pytest.raises(error):
+            homology_facet_by_criterion(params, face)
 
 
 @pytest.mark.slow
@@ -283,14 +298,6 @@ def test_homology_census():
         assert census == expected
 
 
-def test_direct_attachment_verifies_explicit_orders():
-    params = make_complex(3, 2)
-    good = list(cached_facets(3, 2))
-    assert homology_facets_direct(params, good) == homology_facets_direct(params)
-    with pytest.raises(PreconditionError):
-        homology_facets_direct(params, good[::-1])
-
-
 def test_betti_from_shelling_examples():
     assert betti_from_shelling(make_complex(3, 1)) == (0, 0)
     assert betti_from_shelling(make_complex(3, 2)) == (0, 6, 0)
@@ -314,7 +321,7 @@ def test_betti_alternating_sum_is_the_euler_characteristic():
 def test_family_split_partitions_homology_facets():
     for n in range(2, 6):
         params = make_complex(3, n)
-        xs, ys = x_family(params), y_family(params)
+        xs, ys = homology_families(params)
         assert sorted(xs + ys) == sorted(homology_facets_by_criterion(params))
         assert not (set(xs) & set(ys))
         top = (n, n, n)
@@ -324,8 +331,8 @@ def test_family_split_partitions_homology_facets():
 
 def test_y_family_appends_the_top_vertex_to_the_smaller_x_family():
     for n in range(2, 6):
-        ys = y_family(make_complex(3, n))
-        xs_below = x_family(make_complex(3, n - 1))
+        ys = homology_families(make_complex(3, n))[1]
+        xs_below = homology_families(make_complex(3, n - 1))[0]
         lifted = sorted(g + ((n, n, n),) for g in xs_below)
         assert sorted(ys) == lifted
 
