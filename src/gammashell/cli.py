@@ -114,7 +114,7 @@ def cmd_shelling(args: argparse.Namespace):
 
 def cmd_betti(args: argparse.Namespace):
     from .complexes import f_vector_formula, make_complex, reduced_euler_characteristic
-    from .homology import betti_from_ranks, boundary_matrix, matrix_rank, shuffled_rank
+    from .homology import betti_from_ranks, boundary_matrix, chain_ranks
     from .shelling import betti_from_shelling
 
     if args.shuffle_check and args.method == "shelling":
@@ -128,21 +128,17 @@ def cmd_betti(args: argparse.Namespace):
         from_shelling = betti_from_shelling(params)
         results["betti_from_shelling"] = list(from_shelling)
     if args.method in ("both", "matrix"):
-        # each boundary matrix is built and ranked once; the shuffled rank is
-        # its own elimination of the permuted matrix, compared to that rank
-        ranks, stable = [], True
-        for k in range(params.n):
-            m = boundary_matrix(params, k, args.cell_budget)
-            ranks.append(matrix_rank(m))
-            if args.shuffle_check:
-                stable = stable and shuffled_rank(m, args.seed) == ranks[-1]
-            del m  # one matrix alive at a time
+        # each boundary matrix is built once; the shuffled chain is its own
+        # elimination of the permuted matrices, compared to the ranks
+        ranks, shuffled = chain_ranks(
+            (boundary_matrix(params, k, args.cell_budget) for k in range(params.n)),
+            args.seed if args.shuffle_check else None,
+        )
         from_matrix = betti_from_ranks(params, ranks)
         results["betti_from_matrix"] = list(from_matrix)
         if args.shuffle_check:
-            results["shuffle_check"] = stable
+            results["shuffle_check"] = ok = shuffled == ranks
             results["seed"] = args.seed
-            ok = stable
     if args.method == "both":
         results["match"] = from_shelling == from_matrix
         ok = ok and results["match"]

@@ -8,13 +8,20 @@ story.  The same elimination certifies that: when every pivot is +-1 and no
 row is divided by a gcd > 1, every row operation is unimodular and every
 nonzero elementary divisor is 1 (Dumas, Heckenbach, Saunders and Welker,
 2003).
+
+The Betti numbers rank the chain d_0, d_1, ... bottom-up with clearing
+(Chen and Kerber, 2011; Bauer, "Ripser", 2021): since d_k d_{k+1} = 0,
+the rows of d_{k+1} named by the pivot columns of d_k's elimination are
+rational combinations of the other rows and are dropped before d_{k+1} is
+eliminated.  That holds over Q only, so the torsion certificate runs its
+eliminations on the full matrices.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from collections.abc import Iterator, Sequence
+from collections.abc import Container, Iterable, Iterator, Sequence
 from math import gcd
 
 from .complexes import (
@@ -31,6 +38,7 @@ __all__ = [
     "betti_from_ranks",
     "betti_numbers",
     "boundary_matrix",
+    "chain_ranks",
     "is_torsion_free",
     "matrix_rank",
     "matrix_to_triplets",
@@ -91,11 +99,7 @@ def _normalize_row(row: dict[int, int]) -> bool:
 
 
 def _pivots(rows: list[dict[int, int]]) -> Iterator[tuple[int, bool]]:
-    """Yield (pivot column, unimodular) after each elimination step of sparse_rank.
-
-    A step is unimodular when its pivot is +-1 and none of its row updates
-    divided a row by a gcd > 1; then it changes no elementary divisor.
-    """
+    """sparse_rank's elimination of a checked copy of rows (see _eliminate)."""
     active: dict[int, dict[int, int]] = {}
     for i, r in enumerate(rows):
         row = {}
@@ -106,6 +110,17 @@ def _pivots(rows: list[dict[int, int]]) -> Iterator[tuple[int, bool]]:
                 row[c] = v
         if row:
             active[i] = row
+    return _eliminate(active)
+
+
+def _eliminate(active: dict[int, dict[int, int]]) -> Iterator[tuple[int, bool]]:
+    """Yield (pivot column, unimodular) after each elimination step of sparse_rank.
+
+    active maps row ids to nonempty rows of nonzero ints; the rows are
+    updated in place.  A step is unimodular when its pivot is +-1 and none
+    of its row updates divided a row by a gcd > 1; then it changes no
+    elementary divisor.
+    """
     col_rows: dict[int, set[int]] = {}
     for i, row in active.items():
         for c in row:
@@ -117,38 +132,46 @@ def _pivots(rows: list[dict[int, int]]) -> Iterator[tuple[int, bool]]:
         candidates = col_rows.get(pivot_col)
         if candidates is None or len(candidates) != count:
             continue
-        pivot_row_id = min(
-            candidates,
-            key=lambda i: (abs(active[i][pivot_col]) != 1, len(active[i]), i),
-        )
+        # the step clears the pivot column from every row that holds it
+        del col_rows[pivot_col]
+        if count == 1:
+            (pivot_row_id,) = candidates
+        else:
+            pivot_row_id = min(
+                candidates,
+                key=lambda i: (abs(active[i][pivot_col]) != 1, len(active[i]), i),
+            )
         pivot_row = active.pop(pivot_row_id)
-        pivot_val = pivot_row[pivot_col]
-        unimodular = pivot_val in (1, -1)
-        for i in list(candidates):
+        pivot_val = pivot_row.pop(pivot_col)
+        unit = unimodular = pivot_val in (1, -1)
+        for i in candidates:
             if i == pivot_row_id:
                 continue
             row = active[i]
-            factor = row[pivot_col]
-            new_row = row
-            if pivot_val != 1:
-                new_row = {c: pivot_val * v for c, v in row.items()}
+            factor = row.pop(pivot_col)
+            if unit:
+                # row - factor*pivot_val*pivot_row is pivot_val times the
+                # update pivot_val*row - factor*pivot_row: same support and gcd
+                factor *= pivot_val
+            else:
+                for c in row:
+                    row[c] *= pivot_val
             # only columns of the pivot row can enter or leave this row
             for c, v in pivot_row.items():
-                if c in new_row:
-                    val = new_row[c] - factor * v
-                    if val:
-                        new_row[c] = val
-                    else:
-                        del new_row[c]
-                        col_rows[c].discard(i)
-                else:
-                    new_row[c] = -factor * v
+                val = row.get(c)
+                if val is None:
+                    row[c] = -factor * v
                     col_rows[c].add(i)
-            if _normalize_row(new_row):
+                else:
+                    val -= factor * v
+                    if val:
+                        row[c] = val
+                    else:
+                        del row[c]
+                        col_rows[c].discard(i)
+            if _normalize_row(row):
                 unimodular = False
-            if new_row:
-                active[i] = new_row
-            else:
+            if not row:
                 del active[i]
         # every row count that changed in this step belongs to a pivot-row column
         for c in pivot_row:
@@ -181,13 +204,30 @@ def sparse_rank(rows: list[dict[int, int]]) -> int:
 
 
 def _rows(
-    matrix: SparseBoundaryMatrix, row_perm: Sequence[int], col_perm: Sequence[int]
+    matrix: SparseBoundaryMatrix,
+    row_perm: Sequence[int],
+    col_perm: Sequence[int],
+    cleared: Container[int] = (),
 ) -> list[dict[int, int]]:
-    """One dict per row, entry (r, c) placed at (row_perm[r], col_perm[c])."""
+    """One dict per row, entry (r, c) placed at (row_perm[r], col_perm[c]).
+
+    The rows r in cleared are left empty.
+    """
     rows: list[dict[int, int]] = [dict() for _ in range(matrix.rows)]
     for (r, c), v in matrix.entries.items():
-        rows[row_perm[r]][col_perm[c]] = v
+        if r not in cleared:
+            rows[row_perm[r]][col_perm[c]] = v
     return rows
+
+
+def _shuffle(matrix: SparseBoundaryMatrix, seed: int) -> tuple[list[int], list[int]]:
+    """Seeded row and column permutations of matrix."""
+    rng = random.Random(seed)
+    row_perm = list(range(matrix.rows))
+    col_perm = list(range(matrix.cols))
+    rng.shuffle(row_perm)
+    rng.shuffle(col_perm)
+    return row_perm, col_perm
 
 
 def matrix_rank(matrix: SparseBoundaryMatrix) -> int:
@@ -201,12 +241,69 @@ def shuffled_rank(matrix: SparseBoundaryMatrix, seed: int) -> int:
     The value must equal matrix_rank for every seed; used to spot-check
     that the elimination does not depend on the face enumeration order.
     """
-    rng = random.Random(seed)
-    row_perm = list(range(matrix.rows))
-    col_perm = list(range(matrix.cols))
-    rng.shuffle(row_perm)
-    rng.shuffle(col_perm)
-    return sparse_rank(_rows(matrix, row_perm, col_perm))
+    return sparse_rank(_rows(matrix, *_shuffle(matrix, seed)))
+
+
+def _pivot_faces(
+    matrix: SparseBoundaryMatrix, seed: int | None, cleared: set[int]
+) -> set[int]:
+    """The columns matrix's elimination pivots on, as unpermuted face indices.
+
+    The rows in cleared are dropped first.  With a seed the elimination runs
+    under shuffled_rank's permutation, else in face order.
+    """
+    if seed is None:
+        row_perm, col_perm = range(matrix.rows), range(matrix.cols)
+        face = col_perm
+    else:
+        row_perm, col_perm = _shuffle(matrix, seed)
+        face = [0] * matrix.cols
+        for c, pc in enumerate(col_perm):
+            face[pc] = c
+    rows = _rows(matrix, row_perm, col_perm, cleared)
+    # the rows come from a boundary matrix: nonzero ints, nothing to check
+    return {face[c] for c, _ in _eliminate({i: r for i, r in enumerate(rows) if r})}
+
+
+def chain_ranks(
+    matrices: Iterable[SparseBoundaryMatrix], seed: int | None = None
+) -> tuple[list[int], list[int] | None]:
+    """Ranks of d_0, d_1, ... by eliminations that clear rows bottom-up.
+
+    The matrices must be consecutive boundaries, d_k followed by d_{k+1},
+    else DomainError is raised.  Each is eliminated once, without the rows
+    of d_{k+1} named by the pivot columns Q of d_k's elimination, which
+    leaves the rank over Q unchanged: every row y of d_k has
+    y . d_{k+1} = 0, and the columns Q are independent with
+    |Q| = rank d_k, so for each q in Q the row space of d_k holds a y with
+    y restricted to Q equal to e_q.  Row q of d_{k+1} is then a rational
+    combination of the rows outside Q.  Over Z it need not be, so the
+    clearing says nothing about elementary divisors.
+
+    With a seed, a second chain eliminates every matrix under shuffled_rank's
+    seeded permutation and clears from its own pivots, mapped back to the
+    unpermuted faces; its ranks come second, else None.  The matrices are
+    consumed one at a time.
+    """
+    ranks: list[int] = []
+    shuffled: list[int] | None = None if seed is None else []
+    cleared: set[int] = set()
+    shuffled_cleared: set[int] = set()
+    follows = None  # (k, rows) of the matrix that may come next
+    for matrix in matrices:
+        if follows is not None and (matrix.k, matrix.rows) != follows:
+            raise DomainError(
+                f"d_{matrix.k} with {matrix.rows} rows does not follow "
+                f"d_{follows[0] - 1} with {follows[1]} columns"
+            )
+        follows = (matrix.k + 1, matrix.cols)
+        cleared = _pivot_faces(matrix, None, cleared)
+        ranks.append(len(cleared))
+        if shuffled is not None:
+            shuffled_cleared = _pivot_faces(matrix, seed, shuffled_cleared)
+            shuffled.append(len(shuffled_cleared))
+        del matrix  # one matrix alive at a time
+    return ranks, shuffled
 
 
 def betti_from_ranks(params: ComplexParams, ranks: Sequence[int]) -> tuple[int, ...]:
@@ -227,7 +324,7 @@ def betti_numbers(
     params: ComplexParams, budget: int | None = DEFAULT_CELL_BUDGET
 ) -> tuple[int, ...]:
     """Reduced Betti numbers (beta_-1, ..., beta_{n-1}) from matrix ranks."""
-    ranks = [matrix_rank(boundary_matrix(params, k, budget)) for k in range(params.n)]
+    ranks, _ = chain_ranks(boundary_matrix(params, k, budget) for k in range(params.n))
     return betti_from_ranks(params, ranks)
 
 
@@ -257,10 +354,12 @@ def matrix_to_triplets(matrix: SparseBoundaryMatrix) -> str:
 def is_torsion_free(params: ComplexParams) -> bool | None:
     """True when the exact elimination certifies free integral homology, else None.
 
-    Each boundary matrix is built once and run through sparse_rank's
-    elimination.  When every step is unimodular, every nonzero elementary
-    divisor is 1.  Otherwise the answer is None (undecided): nothing here
-    can prove torsion, so this never returns False.
+    Each boundary matrix is built once and run whole, with no row cleared,
+    through sparse_rank's elimination: a cleared row is a combination of
+    the others over Q but not always over Z, so clearing would hide the
+    elementary divisors.  When every step is unimodular, every nonzero
+    elementary divisor is 1.  Otherwise the answer is None (undecided):
+    nothing here can prove torsion, so this never returns False.
     """
     for k in range(params.n):
         m = boundary_matrix(params, k)

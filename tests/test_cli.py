@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -140,28 +139,55 @@ def test_budget_overruns_exit_3(capsys):
         assert "budget" in err
 
 
-def test_small_facet_budget_stops_a_huge_search_at_once(capsys):
+# runs main(argv) under a 1 GB address-space limit and prints, as JSON, its
+# exit code, what it wrote, and how long the main call took
+_BOUNDED_MAIN = """
+import contextlib, io, json, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+from gammashell.cli import main
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    start = time.perf_counter()
+    code = main(sys.argv[1:])
+    seconds = time.perf_counter() - start
+print(json.dumps({"code": code, "out": out.getvalue(), "err": err.getvalue(),
+                  "seconds": seconds}))
+"""
+
+
+def run_bounded(*argv):
+    """main(argv) in a child process, so a runaway fails fast and alone."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _BOUNDED_MAIN, *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_small_facet_budget_stops_a_huge_search_at_once():
     # Gamma_8(10) has 10^8 vertices: the facet search must stop at the
     # budget without tabulating them or scanning further coordinate boxes
-    start = time.perf_counter()
-    code, out, err = run(capsys, "export", "facets", "--p", "8", "--n", "10",
-                         "--face-budget", "10")
-    assert time.perf_counter() - start < 1.0
-    assert code == 3
-    assert not out
-    assert "budget" in err
+    child = run_bounded("export", "facets", "--p", "8", "--n", "10",
+                        "--face-budget", "10")
+    assert child["seconds"] < 1.0
+    assert child["code"] == 3
+    assert not child["out"]
+    assert "budget" in child["err"]
 
 
-def test_small_face_budget_stops_a_huge_enumeration_at_once(capsys):
+def test_small_face_budget_stops_a_huge_enumeration_at_once():
     # the face count must refuse at the budget without listing all 10^8
     # vertices of Gamma_8(10) first
-    start = time.perf_counter()
-    code, out, err = run(capsys, "fvector", "--p", "8", "--n", "10", "--enumerate",
-                         "--face-budget", "10")
-    assert time.perf_counter() - start < 1.0
-    assert code == 3
-    assert not out
-    assert "budget" in err
+    child = run_bounded("fvector", "--p", "8", "--n", "10", "--enumerate",
+                        "--face-budget", "10")
+    assert child["seconds"] < 1.0
+    assert child["code"] == 3
+    assert not child["out"]
+    assert "budget" in child["err"]
 
 
 def test_disagreeing_series_constructions_exit_1(capsys, monkeypatch):
@@ -244,7 +270,8 @@ def test_betti_report_carries_both_routes(capsys):
 
 
 def test_betti_shuffle_check_builds_and_ranks_each_matrix_once(capsys, monkeypatch):
-    calls = {"boundary_matrix": 0, "matrix_rank": 0}
+    # one elimination per matrix in canonical order, one in shuffled order
+    calls = {"boundary_matrix": 0, "_eliminate": 0}
 
     def counting(name, fn):
         def counted(*args, **kwargs):
@@ -257,7 +284,7 @@ def test_betti_shuffle_check_builds_and_ranks_each_matrix_once(capsys, monkeypat
         monkeypatch.setattr(homology, name, counting(name, getattr(homology, name)))
     report = run_json(capsys, "betti", "--n", "3", "--shuffle-check")
     assert report["results"]["shuffle_check"] is True
-    assert calls == {"boundary_matrix": 3, "matrix_rank": 3}
+    assert calls == {"boundary_matrix": 3, "_eliminate": 6}
 
 
 def test_identity_report(capsys):

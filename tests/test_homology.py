@@ -1,5 +1,6 @@
 """Boundary matrices, exact sparse rank, and matrix-route Betti numbers."""
 
+import itertools
 import random
 from math import gcd
 
@@ -16,6 +17,7 @@ from gammashell import (
     betti_from_shelling,
     betti_numbers,
     boundary_matrix,
+    chain_ranks,
     is_torsion_free,
     make_complex,
     matrix_rank,
@@ -265,6 +267,77 @@ def test_shuffled_rank_is_permutation_invariant():
         assert shuffled_rank(m, seed) == base
 
 
+# -- cleared rank chain ----------------------------------------------------------
+
+
+@st.composite
+def simplicial_complexes(draw):
+    """Faces by dimension, -1 first, of a random complex on up to 7 vertices.
+
+    A few random top faces are drawn and closed downward, so the complex is
+    generic rather than one of the Gamma_p(n).
+    """
+    n_vertices = draw(st.integers(1, 7))
+    vertex = st.integers(0, n_vertices - 1)
+    top_face = st.sets(vertex, min_size=1, max_size=5)
+    tops = draw(st.lists(top_face, min_size=1, max_size=6))
+    faces = {()}
+    for top in tops:
+        for size in range(1, len(top) + 1):
+            faces.update(itertools.combinations(sorted(top), size))
+    return [
+        sorted(f for f in faces if len(f) == size)
+        for size in range(1 + max(len(f) for f in faces))
+    ]
+
+
+def boundary_chain(by_dim):
+    """d_0, d_1, ... of a complex given by its faces of dimension -1, 0, ..."""
+    chain = []
+    for k in range(len(by_dim) - 1):
+        row_index = {f: i for i, f in enumerate(by_dim[k])}
+        entries = {}
+        for c, face in enumerate(by_dim[k + 1]):
+            for m in range(1, k + 2):
+                sub = face[: m - 1] + face[m:]
+                entries[(row_index[sub], c)] = -1 if m % 2 else 1
+        rows, cols = len(by_dim[k]), len(by_dim[k + 1])
+        chain.append(SparseBoundaryMatrix(k, rows, cols, entries))
+    return chain
+
+
+def assert_cleared_ranks_are_full_ranks(chain, seeds):
+    expected = [matrix_rank(m) for m in chain]
+    assert chain_ranks(iter(chain)) == (expected, None)
+    for seed in seeds:
+        assert chain_ranks(iter(chain), seed) == (expected, expected)
+
+
+@settings(max_examples=100)
+@given(simplicial_complexes(), st.integers(0, 2**32))
+def test_cleared_ranks_match_full_ranks_on_random_complexes(by_dim, seed):
+    assert_cleared_ranks_are_full_ranks(boundary_chain(by_dim), [seed])
+
+
+def test_chain_ranks_rejects_a_gap_in_the_chain():
+    params = make_complex(3, 3)
+    chain = [boundary_matrix(params, k) for k in (0, 2)]
+    with pytest.raises(DomainError, match="does not follow"):
+        chain_ranks(chain)
+
+
+GAMMA_GRID = [
+    (p, n) for p, top in ((1, 5), (2, 5), (3, 5), (4, 4)) for n in range(1, top + 1)
+]
+
+
+@pytest.mark.parametrize("p,n", GAMMA_GRID)
+def test_cleared_ranks_match_full_ranks_on_gamma(p, n):
+    params = make_complex(p, n)
+    chain = [boundary_matrix(params, k) for k in range(n)]
+    assert_cleared_ranks_are_full_ranks(chain, range(3))
+
+
 def test_betti_numbers_examples():
     assert betti_numbers(make_complex(3, 1)) == (0, 0)
     assert betti_numbers(make_complex(3, 2)) == (0, 6, 0)
@@ -346,3 +419,11 @@ def test_integral_homology_is_torsion_free(p, n):
         for k in range(n):
             dense = to_sympy(boundary_matrix(params, k))
             assert invariant_factor_set(dense) <= {0, 1}
+
+
+@pytest.mark.slow
+def test_matrix_route_at_n8():
+    # the cleared chain without a budget; the figures match the frozen
+    # homology-facet census of test_criterion_matches_direct_attachment_at_n8
+    betti = betti_numbers(make_complex(3, 8), budget=None)
+    assert betti == (0, 42, 3222, 42510, 100530, 26640, 90, 0, 0)
