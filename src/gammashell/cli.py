@@ -114,12 +114,15 @@ def cmd_shelling(args: argparse.Namespace):
 
 def cmd_betti(args: argparse.Namespace):
     from .complexes import f_vector_formula, make_complex, reduced_euler_characteristic
-    from .homology import betti_from_ranks, boundary_matrix, chain_ranks
+    from .homology import _check_cells, betti_from_ranks, boundary_matrix, chain_ranks
     from .shelling import betti_from_shelling
 
     if args.shuffle_check and args.method == "shelling":
         raise DomainError("--shuffle-check needs the matrix route (--method matrix or both)")
     params = make_complex(args.p, args.n)
+    if args.method != "shelling":
+        # refuse an over-budget matrix before either route does any work
+        _check_cells(params, args.cell_budget, range(params.n))
     chi = reduced_euler_characteristic(f_vector_formula(params))
     results: dict = {"reduced_euler": chi, "method": args.method}
     ok = True

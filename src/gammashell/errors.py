@@ -32,9 +32,8 @@ class Record:
     A subclass's __init__ sets its fields once, in order, with
     vars(self).update(...); they are the instance's only attributes.  Two
     records are equal when they are of the same class with equal fields, and
-    the hash is that of the field tuple.  Records are read-only; a subclass
-    that must stay mutable restores object.__setattr__ and sets __hash__ to
-    None.
+    the hash is that of the field tuple, so a record with a dict or list
+    field is unhashable.  Records are read-only.
     """
 
     def __eq__(self, other):

@@ -123,8 +123,7 @@ def series_XY(T: int) -> MSeries:
     one = MSeries.const(3, T, 1)
     xyz = MSeries.monomial(3, T, (1, 1, 1))
     closed = xyz / (_geometric_denominator(T) + xyz)
-    # below T = 2 the box truncates P to zero
-    p = _closed_P(T) if T >= 2 else MSeries.zero(3, T)
+    p = _closed_P(T)
     alternating = (p + xyz) / (one + p)
     _require_dual_equal("series_XY", closed, alternating)
     return closed

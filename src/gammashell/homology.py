@@ -1,11 +1,13 @@
 """Reduced simplicial homology of Gamma_p(n) over the rationals.
 
-Boundary matrices are assembled in the canonical face order and ranks are
-computed exactly by fraction-free integer elimination, so Betti numbers are
-exact integers.  The complexes here are homotopy equivalent to wedges of
-spheres, hence integral homology is free and rational ranks tell the whole
-story.  The same elimination certifies that: when every pivot is +-1 and no
-row is divided by a gcd > 1, every row operation is unimodular and every
+Boundary matrices are assembled in the canonical face order.  One adapter,
+_steps, runs a matrix through fraction-free integer elimination, in face
+order or under a seeded shuffle, without a set of cleared rows: the ranks
+count its steps, so Betti numbers are exact integers.  The complexes here
+are homotopy equivalent to wedges of spheres, hence integral homology is
+free and rational ranks tell the whole story.  The same elimination
+certifies that, and is_torsion_free reads it: when every pivot is +-1 and
+no row is divided by a gcd > 1, every row operation is unimodular and every
 nonzero elementary divisor is 1 (Dumas, Heckenbach, Saunders and Welker,
 2003).
 
@@ -14,7 +16,8 @@ The Betti numbers rank the chain d_0, d_1, ... bottom-up with clearing
 the rows of d_{k+1} named by the pivot columns of d_k's elimination are
 rational combinations of the other rows and are dropped before d_{k+1} is
 eliminated.  That holds over Q only, so the torsion certificate runs its
-eliminations on the full matrices.
+eliminations on the full matrices.  Matrix sizes come from the f-vector
+formula, so an over-budget matrix is refused before any face is listed.
 """
 
 from __future__ import annotations
@@ -62,19 +65,33 @@ class SparseBoundaryMatrix(Record):
         vars(self).update(k=k, rows=rows, cols=cols, entries=entries)
 
 
+def _check_cells(
+    params: ComplexParams, budget: int | None, dims: Iterable[int]
+) -> None:
+    """Refuse the first d_k, k in dims, whose f_{k-1} x f_k cells exceed budget.
+
+    The sizes come from f_vector_formula, so no face is listed first.
+    """
+    if budget is None:
+        return
+    f = f_vector_formula(params)
+    for k in dims:
+        if f[k] * f[k + 1] > budget:
+            raise BudgetError(
+                f"boundary matrix at dimension {k} has {f[k]}x{f[k + 1]} "
+                f"cells, over the budget of {budget}"
+            )
+
+
 def boundary_matrix(
     params: ComplexParams, k: int, budget: int | None = DEFAULT_CELL_BUDGET
 ) -> SparseBoundaryMatrix:
     """Assemble the boundary matrix taking k-faces to (k-1)-faces."""
     if k < 0 or k > params.n - 1:
         raise DomainError(f"boundary dimension {k} outside [0, {params.n - 1}]")
+    _check_cells(params, budget, (k,))
     sub_faces = list(enumerate_faces(params, k - 1))
     faces = list(enumerate_faces(params, k))
-    if budget is not None and len(sub_faces) * len(faces) > budget:
-        raise BudgetError(
-            f"boundary matrix at dimension {k} has {len(sub_faces)}x{len(faces)} "
-            f"cells, over the budget of {budget}"
-        )
     row_index = {f: i for i, f in enumerate(sub_faces)}
     entries: dict[tuple[int, int], int] = {}
     for c, face in enumerate(faces):
@@ -114,12 +131,21 @@ def _pivots(rows: list[dict[int, int]]) -> Iterator[tuple[int, bool]]:
 
 
 def _eliminate(active: dict[int, dict[int, int]]) -> Iterator[tuple[int, bool]]:
-    """Yield (pivot column, unimodular) after each elimination step of sparse_rank.
+    """Yield (pivot column, unimodular) after each fraction-free elimination step.
 
     active maps row ids to nonempty rows of nonzero ints; the rows are
-    updated in place.  A step is unimodular when its pivot is +-1 and none
-    of its row updates divided a row by a gcd > 1; then it changes no
-    elementary divisor.
+    updated in place.  The pivot column is the one meeting the fewest rows,
+    ties going to the smallest column index, and the pivot row the shortest
+    with a unit entry preferred, which keeps fill-in and coefficient growth
+    small; rows are divided by their gcd after every update.  The pivot
+    column is taken from a min-heap of (row count, column) entries with lazy
+    deletion, so no step rescans the live columns: only the pivot row's
+    columns can change their count in a step, so the step pushes a fresh
+    entry for each of them still live, and a popped entry is discarded when
+    its column is gone or its count is stale.  The pivots are those of a
+    full rescan for the (count, column) minimum.  A step is unimodular when
+    its pivot is +-1 and none of its row updates divided a row by a gcd > 1;
+    then it changes no elementary divisor.
     """
     col_rows: dict[int, set[int]] = {}
     for i, row in active.items():
@@ -188,51 +214,43 @@ def sparse_rank(rows: list[dict[int, int]]) -> int:
     """Exact rank of an integer matrix given as one dict per row.
 
     Zero entries are dropped on the way in; an entry that is not an int
-    raises DomainError.  Fraction-free elimination: the pivot column is the
-    one meeting the fewest rows, ties going to the smallest column index,
-    and the pivot row the shortest with a unit entry preferred, which keeps
-    fill-in and coefficient growth small; rows are divided by their gcd
-    after every update.  The pivot column is taken from a min-heap of
-    (row count, column) entries with lazy deletion, so no step rescans the
-    live columns: only the pivot row's columns can change their count in a
-    step, so the step pushes a fresh entry for each of them still live, and
-    a popped entry is discarded when its column is gone or its count is
-    stale.  The pivots are those of a full rescan for the (count, column)
-    minimum.
+    raises DomainError.  The rank is the number of steps of _eliminate's
+    fraction-free elimination, whose pivot choice keeps fill-in and
+    coefficient growth small.
     """
     return sum(1 for _ in _pivots(rows))
 
 
-def _rows(
-    matrix: SparseBoundaryMatrix,
-    row_perm: Sequence[int],
-    col_perm: Sequence[int],
-    cleared: Container[int] = (),
-) -> list[dict[int, int]]:
-    """One dict per row, entry (r, c) placed at (row_perm[r], col_perm[c]).
+def _steps(
+    matrix: SparseBoundaryMatrix, seed: int | None = None, cleared: Container[int] = ()
+) -> Iterator[tuple[int, bool]]:
+    """Yield (pivot face, unimodular) for each step of matrix's elimination.
 
-    The rows r in cleared are left empty.
+    The rows are built straight from matrix.entries, without the rows in
+    cleared (face indices); they are nonzero ints, so nothing is checked.
+    With a seed, rows and columns are first permuted by a seeded shuffle and
+    each pivot column is mapped back to its face index.
     """
-    rows: list[dict[int, int]] = [dict() for _ in range(matrix.rows)]
+    row_perm: Sequence[int] = range(matrix.rows)
+    col_perm: Sequence[int] = range(matrix.cols)
+    face = col_perm
+    if seed is not None:
+        rng = random.Random(seed)
+        row_perm, col_perm = list(row_perm), list(col_perm)
+        rng.shuffle(row_perm)
+        rng.shuffle(col_perm)
+        face = sorted(range(matrix.cols), key=col_perm.__getitem__)
+    active: dict[int, dict[int, int]] = {}
     for (r, c), v in matrix.entries.items():
         if r not in cleared:
-            rows[row_perm[r]][col_perm[c]] = v
-    return rows
-
-
-def _shuffle(matrix: SparseBoundaryMatrix, seed: int) -> tuple[list[int], list[int]]:
-    """Seeded row and column permutations of matrix."""
-    rng = random.Random(seed)
-    row_perm = list(range(matrix.rows))
-    col_perm = list(range(matrix.cols))
-    rng.shuffle(row_perm)
-    rng.shuffle(col_perm)
-    return row_perm, col_perm
+            active.setdefault(row_perm[r], {})[col_perm[c]] = v
+    for c, unimodular in _eliminate(active):
+        yield face[c], unimodular
 
 
 def matrix_rank(matrix: SparseBoundaryMatrix) -> int:
     """Rank of a sparse boundary matrix over the rationals."""
-    return sparse_rank(_rows(matrix, range(matrix.rows), range(matrix.cols)))
+    return sum(1 for _ in _steps(matrix))
 
 
 def shuffled_rank(matrix: SparseBoundaryMatrix, seed: int) -> int:
@@ -241,28 +259,7 @@ def shuffled_rank(matrix: SparseBoundaryMatrix, seed: int) -> int:
     The value must equal matrix_rank for every seed; used to spot-check
     that the elimination does not depend on the face enumeration order.
     """
-    return sparse_rank(_rows(matrix, *_shuffle(matrix, seed)))
-
-
-def _pivot_faces(
-    matrix: SparseBoundaryMatrix, seed: int | None, cleared: set[int]
-) -> set[int]:
-    """The columns matrix's elimination pivots on, as unpermuted face indices.
-
-    The rows in cleared are dropped first.  With a seed the elimination runs
-    under shuffled_rank's permutation, else in face order.
-    """
-    if seed is None:
-        row_perm, col_perm = range(matrix.rows), range(matrix.cols)
-        face = col_perm
-    else:
-        row_perm, col_perm = _shuffle(matrix, seed)
-        face = [0] * matrix.cols
-        for c, pc in enumerate(col_perm):
-            face[pc] = c
-    rows = _rows(matrix, row_perm, col_perm, cleared)
-    # the rows come from a boundary matrix: nonzero ints, nothing to check
-    return {face[c] for c, _ in _eliminate({i: r for i, r in enumerate(rows) if r})}
+    return sum(1 for _ in _steps(matrix, seed))
 
 
 def chain_ranks(
@@ -297,10 +294,10 @@ def chain_ranks(
                 f"d_{follows[0] - 1} with {follows[1]} columns"
             )
         follows = (matrix.k + 1, matrix.cols)
-        cleared = _pivot_faces(matrix, None, cleared)
+        cleared = {f for f, _ in _steps(matrix, None, cleared)}
         ranks.append(len(cleared))
         if shuffled is not None:
-            shuffled_cleared = _pivot_faces(matrix, seed, shuffled_cleared)
+            shuffled_cleared = {f for f, _ in _steps(matrix, seed, shuffled_cleared)}
             shuffled.append(len(shuffled_cleared))
         del matrix  # one matrix alive at a time
     return ranks, shuffled
@@ -324,6 +321,7 @@ def betti_numbers(
     params: ComplexParams, budget: int | None = DEFAULT_CELL_BUDGET
 ) -> tuple[int, ...]:
     """Reduced Betti numbers (beta_-1, ..., beta_{n-1}) from matrix ranks."""
+    _check_cells(params, budget, range(params.n))
     ranks, _ = chain_ranks(boundary_matrix(params, k, budget) for k in range(params.n))
     return betti_from_ranks(params, ranks)
 
@@ -355,15 +353,13 @@ def is_torsion_free(params: ComplexParams) -> bool | None:
     """True when the exact elimination certifies free integral homology, else None.
 
     Each boundary matrix is built once and run whole, with no row cleared,
-    through sparse_rank's elimination: a cleared row is a combination of
+    through the elimination that ranks it: a cleared row is a combination of
     the others over Q but not always over Z, so clearing would hide the
     elementary divisors.  When every step is unimodular, every nonzero
     elementary divisor is 1.  Otherwise the answer is None (undecided):
     nothing here can prove torsion, so this never returns False.
     """
     for k in range(params.n):
-        m = boundary_matrix(params, k)
-        rows = _rows(m, range(m.rows), range(m.cols))
-        if not all(unimodular for _, unimodular in _pivots(rows)):
+        if not all(unimodular for _, unimodular in _steps(boundary_matrix(params, k))):
             return None
     return True

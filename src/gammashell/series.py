@@ -45,7 +45,7 @@ def _check_exponent(e: Exponent, num_vars: int, truncation: int) -> None:
 
 
 def _packing(num_vars: int, truncation: int):
-    """Width, guard mask and bias of the packed exponent, with pack and unpack.
+    """Guard mask and bias of the packed exponent, with pack and unpack.
 
     Variable 0 takes the most significant field, so increasing packed order
     is the lexicographic order of exponent tuples.
@@ -65,7 +65,7 @@ def _packing(num_vars: int, truncation: int):
     def unpack(q: int) -> Exponent:
         return tuple(q >> s & mask for s in shifts)
 
-    return width, guard, bias, pack, unpack
+    return guard, bias, pack, unpack
 
 
 class MSeries(Record):
@@ -141,7 +141,7 @@ class MSeries(Record):
 
     def __mul__(self, other: "MSeries") -> "MSeries":
         self._require_compatible(other)
-        _, guard, bias, pack, unpack = _packing(self.num_vars, self.truncation)
+        guard, bias, pack, unpack = _packing(self.num_vars, self.truncation)
         # iterate the smaller operand outside; its side carries the bias, so
         # a sum's guard bits are set exactly when it leaves the box
         a, b = self.coeffs, other.coeffs
@@ -208,7 +208,7 @@ class MSeries(Record):
         c0 = other.coeffs.get((0,) * v, 0)
         if c0 not in (1, -1):
             raise DomainError(f"constant term {c0} is not a unit")
-        _, guard, _, pack, _ = _packing(v, t)
+        guard, _, pack, _ = _packing(v, t)
 
         def position(e: Exponent) -> int:
             i = 0

@@ -227,13 +227,9 @@ class ShellingReport(Record):
     and the *_count fields count them all.  fallbacks are pairs where the
     constructive route failed and search found a witness anyway;
     disagreements are pairs where the two routes differed in existence
-    (only found in mode "both", expected none).  Unlike the other records
-    it stays mutable, and so unhashable.
+    (only found in mode "both", expected none).  Its dict and list fields
+    make it unhashable.
     """
-
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(
         self,

@@ -113,6 +113,9 @@ def test_argparse_rejections_raise_system_exit(capsys):
     with pytest.raises(SystemExit) as info:
         main(["fvector", "--n", "3", "--enumerate", "--face-budget", "0"])
     assert info.value.code == 2
+    with pytest.raises(SystemExit) as info:
+        main(["betti", "--n", "2", "--cell-budget", "abc"])
+    assert info.value.code == 2
     capsys.readouterr()
 
 
@@ -184,6 +187,24 @@ def test_small_face_budget_stops_a_huge_enumeration_at_once():
     # vertices of Gamma_8(10) first
     child = run_bounded("fvector", "--p", "8", "--n", "10", "--enumerate",
                         "--face-budget", "10")
+    assert child["seconds"] < 1.0
+    assert child["code"] == 3
+    assert not child["out"]
+    assert "budget" in child["err"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["betti", "--p", "3", "--n", "9"],
+        ["betti", "--p", "3", "--n", "10", "--method", "matrix"],
+    ],
+    ids=["both-n9", "matrix-n10"],
+)
+def test_over_budget_matrix_route_is_refused_before_any_work(argv):
+    # the cell counts come from the f-vector formula: no route runs, no face
+    # is listed, and no smaller boundary matrix is eliminated first
+    child = run_bounded(*argv)
     assert child["seconds"] < 1.0
     assert child["code"] == 3
     assert not child["out"]

@@ -100,6 +100,16 @@ def test_boundary_matrix_budget():
     assert (m.rows, m.cols) == (27, 27)
 
 
+def test_over_budget_chain_is_refused_before_any_face_is_listed(monkeypatch):
+    def listing(*args, **kwargs):
+        raise AssertionError("a face was listed")
+
+    monkeypatch.setattr(homology, "enumerate_faces", listing)
+    # d_0 and d_1 of Gamma_3(9) fit in the budget, d_2 has 46656x592704 cells
+    with pytest.raises(BudgetError, match="dimension 2 has 46656x592704 cells"):
+        betti_numbers(make_complex(3, 9))
+
+
 def test_sparse_rank_matches_sympy_on_random_matrices():
     rng = random.Random(0)
     for _ in range(25):
@@ -236,13 +246,18 @@ def test_sparse_rank_matches_the_frozen_elimination(rows):
 @pytest.mark.parametrize("p,n", [(1, 4), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4)])
 def test_pivot_sequence_matches_the_frozen_elimination(p, n, monkeypatch):
     seen = []
-    real = homology.sparse_rank
+    real = homology._eliminate
 
-    def recording(rows):
+    def recording(active):
+        # the elimination updates its rows in place: copy them first, each
+        # at its row id, which breaks ties in the pivot row choice
+        rows = [{} for _ in range(max(active, default=-1) + 1)]
+        for i, row in active.items():
+            rows[i] = dict(row)
         seen.append(rows)
-        return real(rows)
+        return real(active)
 
-    monkeypatch.setattr(homology, "sparse_rank", recording)
+    monkeypatch.setattr(homology, "_eliminate", recording)
     params = make_complex(p, n)
     for k in range(n):
         m = boundary_matrix(params, k)
@@ -250,6 +265,7 @@ def test_pivot_sequence_matches_the_frozen_elimination(p, n, monkeypatch):
         for seed in range(3):
             shuffled_rank(m, seed)
     assert len(seen) == 4 * n
+    monkeypatch.undo()  # else the replays below would be recorded too
     for rows in seen:
         assert [c for c, _ in _pivots(rows)] == reference_pivots(rows)
 
