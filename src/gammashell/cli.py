@@ -18,9 +18,22 @@ __all__ = ["build_parser", "main"]
 
 _PASS, _FAIL, _USAGE, _BUDGET, _IO = 0, 1, 2, 3, 4
 
+# series box cells, (T+1)^3 and r times that for g_r: XY at T = 35 and g_4
+# at T = 22 fit, each in about 2-3 s
+DEFAULT_SERIES_BUDGET = 50_000
+# binomial terms summed: identity dixon and aigner fit up to n = 630, 3f2 up
+# to --max 57, each in under 3 s
+DEFAULT_TERM_BUDGET = 200_000
+
 
 def _alternating(values) -> int:
     return sum(v if i % 2 else -v for i, v in enumerate(values))
+
+
+def _check_budget(count: int, budget: int, what: str) -> None:
+    """Refuse a command whose work is known to be over budget before it starts."""
+    if count > budget:
+        raise BudgetError(f"{count} {what} exceed the budget of {budget}")
 
 
 def _report(command: str, params: dict, constants: dict, results: dict, ok: bool):
@@ -171,16 +184,23 @@ def cmd_identity(args: argparse.Namespace):
         threeF2_rhs,
     )
 
-    rows = []
+    # refuse before summing: the table sums n + 1 terms at each n, the 3f2
+    # scan counts its triples
     if args.kind == "3f2":
         params = {"max": args.max_value}
+        terms = max(args.max_value + 1, 0) ** 3
+    else:
+        params = {"n_max": args.n_max}
+        terms = max(args.n_max, 0) * (args.n_max + 3) // 2
+    _check_budget(terms, args.term_budget, "binomial terms")
+    rows = []
+    if args.kind == "3f2":
         for n1, n2, n3 in itertools.product(range(args.max_value + 1), repeat=3):
             lhs, rhs = threeF2_lhs(n1, n2, n3), threeF2_rhs(n1, n2, n3)
             rows.append(
                 {"n1": n1, "n2": n2, "n3": n3, "lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
             )
     else:
-        params = {"n_max": args.n_max}
         for n in range(1, args.n_max + 1):
             if args.kind == "dixon":
                 row = {"n": n, "lhs": dixon_lhs(n), "rhs": dixon_rhs(n)}
@@ -201,7 +221,7 @@ def cmd_identity(args: argparse.Namespace):
     if args.kind in ("dixon", "aigner"):
         results["table"] = rows
     ok = not failures
-    report = _report("identity", params, {}, results, ok)
+    report = _report("identity", params, {"term_budget": args.term_budget}, results, ok)
     return report, {"rows": rows}
 
 
@@ -235,6 +255,8 @@ def cmd_genfun(args: argparse.Namespace):
 
     if args.series is None:
         raise DomainError("choose a series (P, XY, g) or pass --check-alignment")
+    cells = max(args.truncation + 1, 0) ** 3 * (args.r if args.series == "g" else 1)
+    _check_budget(cells, args.series_budget, "series box cells")
     if args.series == "P":
         s = series_P(args.truncation)
     elif args.series == "XY":
@@ -251,9 +273,8 @@ def cmd_genfun(args: argparse.Namespace):
     }
     if args.series == "g":
         results["r"] = args.r
-    report = _report(
-        "genfun", {"series": args.series}, {"truncation": args.truncation}, results, True
-    )
+    constants = {"truncation": args.truncation, "series_budget": args.series_budget}
+    report = _report("genfun", {"series": args.series}, constants, results, True)
     return report, {"payload": dump_series(s)}
 
 
@@ -467,6 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n-max", type=int, default=40)
     s.add_argument("--max", type=int, default=8, dest="max_value",
                    help="per-argument bound for the 3f2 triple scan")
+    s.add_argument("--term-budget", type=_positive_int, default=DEFAULT_TERM_BUDGET,
+                   help="binomial terms: sum of n+1 over the table, (max+1)^3 for 3f2")
 
     s = sub.add_parser("genfun", parents=[common], help="generating series and alignment")
     s.add_argument("series", nargs="?", choices=("P", "XY", "g"))
@@ -474,6 +497,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--r", type=int, default=1)
     s.add_argument("--check-alignment", action="store_true")
     s.add_argument("--n-max", type=int, default=6)
+    s.add_argument("--series-budget", type=_positive_int, default=DEFAULT_SERIES_BUDGET,
+                   help="box cells (T+1)^3 of P and XY, r times that for g; "
+                   "--check-alignment is not budgeted")
 
     s = sub.add_parser("export", parents=on_complex, help="facet lists and boundary matrices")
     s.add_argument("what", choices=("facets", "matrix"))

@@ -13,10 +13,18 @@ field.  Adding the bias, 2^(k-1) - 1 - T in every field, sets a field's
 guard bit exactly when that field of the sum exceeds T, so a product term
 leaves the box iff (packed + bias) & guard is nonzero.  Dually, d <= e in
 every field iff subtracting d from e with all guard bits set clears none of
-them.  Division is one triangular solve over the box that uses this test
-to visit only the divisor terms below each exponent, so x / y never builds
+them.
+
+Division is a triangular solve over the rows of the box, a row fixing every
+exponent but the last.  Each row is packed into one int of T + 1 signed
+B-bit fields (Kronecker substitution), so one big-int product stands for a
+whole row of coefficient products; B doubles whenever a field could
+overflow, so the quotient stays exact (see __truediv__).  x / y never builds
 the inverse of y nor any product outside the box; invert_unit is 1 / y.
-The public coeffs dict stays keyed by exponent tuples.
+The public coeffs dict stays keyed by exponent tuples.  Ring operations
+build their results without re-checking exponents, which the kernels derive
+from in-box operands; the public constructor, parse_series and coefficient
+check every input.
 """
 
 from __future__ import annotations
@@ -97,6 +105,21 @@ class MSeries(Record):
                 cleaned[e] = c
         vars(self).update(num_vars=num_vars, truncation=truncation, coeffs=cleaned)
 
+    @classmethod
+    def _from_kernel(cls, num_vars: int, truncation: int, terms) -> "MSeries":
+        """A ring operation's result from (exponent, coefficient) pairs.
+
+        Zero coefficients are dropped, but the exponents are not checked
+        again: every kernel derives them from in-box operands.
+        """
+        series = object.__new__(cls)
+        vars(series).update(
+            num_vars=num_vars,
+            truncation=truncation,
+            coeffs={e: c for e, c in terms if c},
+        )
+        return series
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -128,11 +151,11 @@ class MSeries(Record):
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             out[e] = out.get(e, 0) + c
-        return MSeries(self.num_vars, self.truncation, out)
+        return MSeries._from_kernel(self.num_vars, self.truncation, out.items())
 
     def __neg__(self) -> "MSeries":
-        return MSeries(
-            self.num_vars, self.truncation, {e: -c for e, c in self.coeffs.items()}
+        return MSeries._from_kernel(
+            self.num_vars, self.truncation, ((e, -c) for e, c in self.coeffs.items())
         )
 
     def __sub__(self, other: "MSeries") -> "MSeries":
@@ -156,10 +179,10 @@ class MSeries(Record):
                 if q & guard:
                     continue
                 out[q] = out.get(q, 0) + ca * cb
-        return MSeries(
+        return MSeries._from_kernel(
             self.num_vars,
             self.truncation,
-            {unpack(q - bias): c for q, c in out.items()},
+            ((unpack(q - bias), c) for q, c in out.items()),
         )
 
     def __pow__(self, exponent: int) -> "MSeries":
@@ -189,57 +212,107 @@ class MSeries(Record):
             for j, x in enumerate(e):
                 new_e[sub[j]] = x
             out[tuple(new_e)] = c
-        return MSeries(self.num_vars, self.truncation, out)
+        return MSeries._from_kernel(self.num_vars, self.truncation, out.items())
 
     def __truediv__(self, other: "MSeries") -> "MSeries":
         """Exact quotient by a series whose constant term c0 is +-1.
 
         Solves (other * h)[e] = self[e] over the box in lexicographic order,
-        where every e - d precedes e:
-        h[e] = c0 * (self[e] - sum of other[d] * h[e - d] over nonconstant
-        terms d <= e).  h is a list indexed by box position, in which e - d
-        sits at position(e) - position(d) whenever d <= e.  Each row of the
-        box (every field but the last fixed) first keeps the terms whose
-        other fields fit under it, tested on packed exponents, so only terms
-        d <= e are visited and no product outside the box is formed.
+        one row at a time.  A row q fixes every field but the last, and its
+        quotient row h[q] is packed into one int H[q] = sum of h[q, k] 2^(B k)
+        for k <= T, with signed B-bit fields; so is every group of divisor
+        terms that share a nonzero prefix dp.  For each row:
+        x = packed self[q] - sum of poly_dp * H[q - dp] over the prefixes
+        dp <= q (tested on packed prefixes, so no row outside the box is
+        visited).  The low T + 1 fields of x, read as signed values with
+        their borrows, are the right-hand sides of the row; the fields above
+        T hold junk that never reaches them, since a borrow only moves
+        upward.  The row is then solved in plain ints against the divisor
+        terms of prefix 0:
+        h[q, k] = c0 * (x_k - sum over 1 <= j <= k of other[0, j] h[q, k - j]).
+        A low field of x is at most max|self| + sum|other| * max|h| in size,
+        with max|h| taken over the rows solved so far.  Before each row that
+        bound is checked against 2^(B - 1); when it fails, the solve restarts
+        with B doubled.  B starts at max(64, bits(sum|other|) +
+        bits(max|self|) + 4).
         """
         self._require_compatible(other)
         v, t = self.num_vars, self.truncation
         c0 = other.coeffs.get((0,) * v, 0)
         if c0 not in (1, -1):
             raise DomainError(f"constant term {c0} is not a unit")
-        guard, _, pack, _ = _packing(v, t)
+        guard, _, pack, _ = _packing(v - 1, t)
+        prefixes = list(itertools.product(range(t + 1), repeat=v - 1))
 
-        def position(e: Exponent) -> int:
+        def position(prefix: Exponent) -> int:
             i = 0
-            for x in e:
+            for x in prefix:
                 i = i * (t + 1) + x
             return i
 
-        # nonconstant terms, ordered by their last field
-        tail = sorted(
-            (d[-1], pack(d), position(d), c) for d, c in other.coeffs.items() if any(d)
-        )
-        box = list(itertools.product(range(t + 1), repeat=v))
-        h = [0] * len(box)
+        # terms grouped by prefix as (last field, coefficient); the divisor
+        # terms of prefix 0 other than c0 act within a row, the rest between
+        rows: dict[int, list[tuple[int, int]]] = {}
         for e, c in self.coeffs.items():
-            h[position(e)] = c
-        for i, e in enumerate(box):
-            last = e[-1]
-            if not last:
-                # d fits under every e of this row iff no field of
-                # (row maximum - d) borrows its guard bit
-                row_top = (pack(e) + t) | guard
-                row = [
-                    (dl, di, c) for dl, d, di, c in tail if (row_top - d) & guard == guard
-                ]
-            s = h[i]
-            for dl, di, c in row:
-                if dl > last:
-                    break
-                s -= c * h[i - di]
-            h[i] = c0 * s
-        return MSeries(v, t, {e: c for e, c in zip(box, h) if c})
+            rows.setdefault(position(e[:-1]), []).append((e[-1], c))
+        groups: dict[Exponent, list[tuple[int, int]]] = {}
+        for d, c in other.coeffs.items():
+            groups.setdefault(d[:-1], []).append((d[-1], c))
+        inner = sorted((k, c) for k, c in groups.pop((0,) * (v - 1)) if k)
+        outer = sorted((pack(dp), position(dp), terms) for dp, terms in groups.items())
+        max_a = max(map(abs, self.coeffs.values()), default=0)
+        sum_b = sum(map(abs, other.coeffs.values()))
+
+        def solve(width: int) -> list[list[int]] | None:
+            """The quotient rows, or None once a row could overflow a field."""
+            half = 1 << (width - 1)
+            mask = (1 << width) - 1
+            shifts = range(0, width * (t + 1), width)
+            # adding half to every low field makes each one nonnegative, so
+            # the fields read off with no borrow between them
+            offset = sum(half << at for at in shifts)
+
+            def packed(terms: list[tuple[int, int]]) -> int:
+                return sum(c << width * k for k, c in terms)
+
+            dividend = {i: packed(terms) for i, terms in rows.items()}
+            polys = [(pd, di, packed(terms)) for pd, di, terms in outer]
+            solved: list[int] = []
+            h = []
+            max_h = 0
+            for i, prefix in enumerate(prefixes):
+                if max_a + sum_b * max_h >= half:
+                    return None
+                q = pack(prefix)
+                top = q | guard
+                x = dividend.get(i, 0)
+                for pd, di, poly in polys:
+                    if pd > q:
+                        break
+                    # dp <= prefix in every field iff no guard bit borrows
+                    if (top - pd) & guard == guard:
+                        x -= poly * solved[i - di]
+                x += offset
+                row = [(x >> at & mask) - half for at in shifts]
+                for k, s in enumerate(row):
+                    for j, c in inner:
+                        if j > k:
+                            break
+                        s -= c * row[k - j]
+                    row[k] = c0 * s
+                h.append(row)
+                max_h = max(max_h, *map(abs, row))
+                y = 0
+                for c in reversed(row):
+                    y = (y << width) + c
+                solved.append(y)
+            return h
+
+        width = max(64, sum_b.bit_length() + max_a.bit_length() + 4)
+        while (h := solve(width)) is None:
+            width *= 2
+        box = itertools.product(range(t + 1), repeat=v)
+        return MSeries._from_kernel(v, t, zip(box, itertools.chain(*h)))
 
     def invert_unit(self) -> "MSeries":
         """Multiplicative inverse, valid when the constant term is +-1."""
@@ -247,16 +320,17 @@ class MSeries(Record):
 
     def truncate(self, truncation: int) -> "MSeries":
         """Restrict to a smaller box; enlarging would fabricate coefficients."""
+        _require_ints(truncation=truncation)
+        if truncation < 0:
+            raise DomainError("truncation must be nonnegative")
         if truncation > self.truncation:
             raise DomainError(
                 f"cannot raise truncation {self.truncation} to {truncation}"
             )
-        kept = {
-            e: c
-            for e, c in self.coeffs.items()
-            if all(x <= truncation for x in e)
-        }
-        return MSeries(self.num_vars, truncation, kept)
+        kept = (
+            (e, c) for e, c in self.coeffs.items() if all(x <= truncation for x in e)
+        )
+        return MSeries._from_kernel(self.num_vars, truncation, kept)
 
 
 # -- text form ---------------------------------------------------------------

@@ -170,6 +170,7 @@ def test_acceptance_08_series_constructions():
         series_P(12)
         series_XY(10)
         series_XY(14)
+        series_XY(20)
         for r in (1, 2, 3):
             g = series_g_r(r, 7)
             for m in range(2, 8):
@@ -197,10 +198,11 @@ def test_acceptance_09_master_theorem():
 
 def test_acceptance_10_diagonal_alignment():
     with _Timed(10, "diagonal offset is pinned at one and the identity chain closes", 600):
-        report = alignment_check(n_max=12)
+        report = alignment_check(n_max=17)
         assert report.pinned_delta == 1
         assert [d for d, hit in report.matches.items() if hit] == [1]
         assert report.end_to_end_ok
+        assert sorted(report.end_to_end) == list(range(1, 18))
         for values in report.end_to_end.values():
             assert len(set(values.values())) == 1
 

@@ -116,6 +116,12 @@ def test_argparse_rejections_raise_system_exit(capsys):
     with pytest.raises(SystemExit) as info:
         main(["betti", "--n", "2", "--cell-budget", "abc"])
     assert info.value.code == 2
+    with pytest.raises(SystemExit) as info:
+        main(["genfun", "XY", "--series-budget", "0"])
+    assert info.value.code == 2
+    with pytest.raises(SystemExit) as info:
+        main(["identity", "dixon", "--term-budget", "-5"])
+    assert info.value.code == 2
     capsys.readouterr()
 
 
@@ -209,6 +215,45 @@ def test_over_budget_matrix_route_is_refused_before_any_work(argv):
     assert child["code"] == 3
     assert not child["out"]
     assert "budget" in child["err"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["genfun", "XY", "--truncate", "60"],
+        ["genfun", "g", "--r", "3", "--truncate", "40"],
+        ["identity", "dixon", "--n-max", "100000"],
+        ["identity", "3f2", "--max", "150"],
+    ],
+    ids=["XY-T60", "g3-T40", "dixon-100000", "3f2-150"],
+)
+def test_over_budget_series_and_sums_are_refused_before_any_work(argv):
+    child = run_bounded(*argv)
+    assert child["seconds"] < 1.0
+    assert child["code"] == 3
+    assert not child["out"]
+    assert "budget" in child["err"]
+
+
+@pytest.mark.parametrize(
+    "argv,flag,count",
+    [
+        (["genfun", "P", "--truncate", "4"], "--series-budget", 5**3),
+        (["genfun", "g", "--r", "2", "--truncate", "4"], "--series-budget", 2 * 5**3),
+        (["identity", "dixon", "--n-max", "3"], "--term-budget", 2 + 3 + 4),
+        (["identity", "aigner", "--n-max", "4"], "--term-budget", 2 + 3 + 4 + 5),
+        (["identity", "3f2", "--max", "2"], "--term-budget", 3**3),
+    ],
+    ids=["P", "g", "dixon", "aigner", "3f2"],
+)
+def test_budgets_count_box_cells_and_binomial_terms(capsys, argv, flag, count):
+    code, out, err = run(capsys, *argv, flag, str(count))
+    assert code == 0, err
+    assert json.loads(out)["constants"][flag[2:].replace("-", "_")] == count
+    code, out, err = run(capsys, *argv, flag, str(count - 1))
+    assert code == 3
+    assert not out
+    assert f"{count} " in err and "budget" in err
 
 
 def test_disagreeing_series_constructions_exit_1(capsys, monkeypatch):

@@ -115,6 +115,10 @@ def test_truncate_shrinks_the_box():
     assert t.coeffs == {(0,): 1, (1,): 4, (2,): 6}
     with pytest.raises(DomainError):
         t.truncate(4)
+    with pytest.raises(DomainError):
+        t.truncate(-1)
+    with pytest.raises(DomainError):
+        t.truncate(1.0)
 
 
 @given(small_series(truncation=4), small_series(truncation=4))
@@ -294,6 +298,68 @@ def test_packed_division_matches_the_tuple_reference(t, data):
     a = data.draw(edge_series(b.num_vars, t, BIG))
     assert a / b == _reference_mul(a, _reference_invert_unit(b))
     assert b / b == MSeries.const(b.num_vars, t, 1)
+
+
+def test_division_restarts_with_wider_fields():
+    # the coefficients 3^(i+j) C(i+j, i) of 1 / (1 - 3x - 3y) reach 80 bits
+    # at T = 16, past the first 64-bit fields of the packed rows
+    t = 16
+    b = MSeries(2, t, {(0, 0): 1, (1, 0): -3, (0, 1): -3})
+    a = MSeries.const(2, t, 1)
+    q = a / b
+    assert q == _reference_mul(a, _reference_invert_unit(b))
+    assert max(abs(c) for c in q.coeffs.values()).bit_length() == 80
+    assert q.coefficient((16, 16)) == 3**32 * math.comb(32, 16)
+
+
+def test_univariate_division_solves_within_one_row():
+    t = 12
+    b = MSeries(1, t, {(0,): 1, (1,): -1, (2,): -1})
+    a = MSeries(1, t, {(1,): 1, (3,): 5})
+    assert a / b == _reference_mul(a, _reference_invert_unit(b))
+    fibonacci = [0, 1]
+    while len(fibonacci) <= t:
+        fibonacci.append(fibonacci[-1] + fibonacci[-2])
+    assert (MSeries.monomial(1, t, (1,)) / b).coeffs == {
+        (k,): f for k, f in enumerate(fibonacci) if f
+    }
+
+
+def test_division_by_a_negative_unit():
+    t = 5
+    b = MSeries(3, t, {(0, 0, 0): -1, (0, 0, 2): 2, (1, 0, 1): -4, (0, 1, 0): 3})
+    a = MSeries(3, t, {(0, 0, 0): 7, (2, 1, 0): -2, (0, 3, 5): 1})
+    assert a / b == _reference_mul(a, _reference_invert_unit(b))
+
+
+RING_OPERATIONS = {
+    "add": lambda a, b, u: a + b,
+    "sub": lambda a, b, u: a - b,
+    "neg": lambda a, b, u: -a,
+    "mul": lambda a, b, u: a * b,
+    "div": lambda a, b, u: a / u,
+    "invert": lambda a, b, u: u.invert_unit(),
+    "permute": lambda a, b, u: a.permute_vars((2, 0, 1)),
+    "truncate": lambda a, b, u: a.truncate(1),
+}
+
+
+@st.composite
+def ring_results(draw):
+    """The result of one ring operation on small series in one box."""
+    operation = RING_OPERATIONS[draw(st.sampled_from(sorted(RING_OPERATIONS)))]
+    a = draw(small_series(num_vars=3))
+    b = draw(small_series(num_vars=3))
+    u = draw(unit_series(num_vars=3))
+    return operation(a, b, u)
+
+
+@given(ring_results())
+def test_ring_results_are_canonical(r):
+    # the kernels build their results without re-checking exponents; the
+    # public constructor, which checks everything, must agree with them
+    assert MSeries(r.num_vars, r.truncation, r.coeffs) == r
+    assert all(r.coeffs.values())
 
 
 @given(small_series(), st.integers(-3, 3).filter(lambda c: c not in (1, -1)))
