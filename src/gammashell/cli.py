@@ -127,7 +127,7 @@ def cmd_shelling(args: argparse.Namespace):
 
 def cmd_betti(args: argparse.Namespace):
     from .complexes import f_vector_formula, make_complex, reduced_euler_characteristic
-    from .homology import _check_cells, betti_from_ranks, boundary_matrix, chain_ranks
+    from .homology import _boundary_chain, _check_cells, betti_from_ranks, chain_ranks
     from .shelling import betti_from_shelling
 
     if args.shuffle_check and args.method == "shelling":
@@ -144,11 +144,11 @@ def cmd_betti(args: argparse.Namespace):
         from_shelling = betti_from_shelling(params)
         results["betti_from_shelling"] = list(from_shelling)
     if args.method in ("both", "matrix"):
-        # each boundary matrix is built once; the shuffled chain is its own
-        # elimination of the permuted matrices, compared to the ranks
+        # each face dimension is listed and each boundary matrix built once;
+        # the shuffled chain is its own elimination of the permuted matrices,
+        # compared to the ranks
         ranks, shuffled = chain_ranks(
-            (boundary_matrix(params, k, args.cell_budget) for k in range(params.n)),
-            args.seed if args.shuffle_check else None,
+            _boundary_chain(params), args.seed if args.shuffle_check else None
         )
         from_matrix = betti_from_ranks(params, ranks)
         results["betti_from_matrix"] = list(from_matrix)
@@ -300,7 +300,7 @@ def cmd_export(args: argparse.Namespace):
             "k": args.k,
             "rows": m.rows,
             "cols": m.cols,
-            "entries": len(m.entries),
+            "entries": sum(map(len, m.by_row)),
         }
     if args.output:
         # main writes the payload; the report records where and how much

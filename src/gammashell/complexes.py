@@ -98,6 +98,14 @@ def order_key(face: Face):
     return (-len(face), sigma_word(face))
 
 
+class _Interned(dict):
+    """Each vertex mapped to the first equal tuple looked up, kept from then on."""
+
+    def __missing__(self, vertex: Vertex) -> Vertex:
+        self[vertex] = vertex
+        return vertex
+
+
 def enumerate_faces(
     params: ComplexParams, dim: int, budget: int | None = DEFAULT_FACE_BUDGET
 ) -> Iterator[Face]:
@@ -105,7 +113,8 @@ def enumerate_faces(
 
     A face of dimension d chooses d+1 values independently in each of the p
     coordinates, so the count is C(n, d+1)^p.  Dimensions outside [-1, n-1]
-    yield nothing.
+    yield nothing.  Equal vertices of different faces are one shared tuple,
+    so a list of faces costs little more than its pointers.
     """
     if dim < -1 or dim > params.n - 1:
         return
@@ -120,7 +129,8 @@ def enumerate_faces(
         )
     values = range(1, params.n + 1)
     columns = itertools.product(itertools.combinations(values, r), repeat=params.p)
-    faces = [tuple(zip(*cols)) for cols in columns]
+    vertex = _Interned().__getitem__
+    faces = [tuple(map(vertex, zip(*cols))) for cols in columns]
     # all vertices have p coordinates: tuple order is sigma-word order here
     faces.sort()
     yield from faces

@@ -1,6 +1,9 @@
 """Reduced simplicial homology of Gamma_p(n) over the rationals.
 
-Boundary matrices are assembled in the canonical face order.  One adapter,
+Boundary matrices are assembled in the canonical face order, straight into
+one {column: +-1} dict per row, the rows the elimination copies; the chain
+d_0, d_1, ... lists each face dimension once and never stores a coordinate
+dict, much as Ripser assembles each coboundary on the fly.  One adapter,
 _steps, runs a matrix through fraction-free integer elimination, in face
 order or under a seeded shuffle, without a set of cleared rows: the ranks
 count its steps, so Betti numbers are exact integers.  The complexes here
@@ -23,6 +26,7 @@ formula, so an over-budget matrix is refused before any face is listed.
 from __future__ import annotations
 
 import heapq
+import itertools
 import random
 from collections.abc import Container, Iterable, Iterator, Sequence
 from math import gcd
@@ -30,6 +34,7 @@ from math import gcd
 from .complexes import (
     DEFAULT_CELL_BUDGET,
     ComplexParams,
+    Face,
     enumerate_faces,
     f_vector_formula,
     reduced_euler_characteristic,
@@ -54,15 +59,19 @@ __all__ = [
 class SparseBoundaryMatrix(Record):
     """Signed incidence matrix of dimension-k faces over dimension-(k-1) faces.
 
-    entries maps (row, col) to +-1; row faces are obtained from the column
-    face by omitting one vertex, with sign (-1)^m for the m-th vertex
-    (1-based).  k = 0 maps vertices to the single empty-face row.
+    by_row holds one dict per row, mapping each column to its +-1 entry;
+    row faces are obtained from the column face by omitting one vertex,
+    with sign (-1)^m for the m-th vertex (1-based).  k = 0 maps vertices to
+    the single empty-face row.  rows is len(by_row).
     """
 
-    def __init__(
-        self, k: int, rows: int, cols: int, entries: dict[tuple[int, int], int]
-    ) -> None:
-        vars(self).update(k=k, rows=rows, cols=cols, entries=entries)
+    def __init__(self, k: int, cols: int, by_row: list[dict[int, int]]) -> None:
+        vars(self).update(k=k, rows=len(by_row), cols=cols, by_row=by_row)
+
+    @property
+    def entries(self) -> dict[tuple[int, int], int]:
+        """(row, col) -> +-1, a copy built from by_row in row-major order."""
+        return {(r, c): v for r, row in enumerate(self.by_row) for c, v in row.items()}
 
 
 def _check_cells(
@@ -83,6 +92,22 @@ def _check_cells(
             )
 
 
+def _assemble(k: int, sub_faces: list[Face], faces: list[Face]) -> SparseBoundaryMatrix:
+    """d_k from the (k-1)-faces (its rows) and the k-faces (its columns).
+
+    The rows fill in column order, so each dict holds its columns ascending.
+    """
+    by_row: list[dict[int, int]] = [{} for _ in sub_faces]
+    row_of = dict(zip(sub_faces, by_row))
+    # combinations(face, k) omits vertex k first, then k - 1, ..., 0
+    # (0-based); omitting vertex m carries the sign (-1)^(m + 1)
+    signs = [(-1) ** (m + 1) for m in range(k, -1, -1)]
+    for c, face in enumerate(faces):
+        for sub, sign in zip(itertools.combinations(face, k), signs):
+            row_of[sub][c] = sign
+    return SparseBoundaryMatrix(k, len(faces), by_row)
+
+
 def boundary_matrix(
     params: ComplexParams, k: int, budget: int | None = DEFAULT_CELL_BUDGET
 ) -> SparseBoundaryMatrix:
@@ -90,16 +115,24 @@ def boundary_matrix(
     if k < 0 or k > params.n - 1:
         raise DomainError(f"boundary dimension {k} outside [0, {params.n - 1}]")
     _check_cells(params, budget, (k,))
-    sub_faces = list(enumerate_faces(params, k - 1))
-    faces = list(enumerate_faces(params, k))
-    row_index = {f: i for i, f in enumerate(sub_faces)}
-    entries: dict[tuple[int, int], int] = {}
-    for c, face in enumerate(faces):
-        for m in range(1, k + 2):
-            sub = face[: m - 1] + face[m:]
-            sign = -1 if m % 2 else 1
-            entries[(row_index[sub], c)] = sign
-    return SparseBoundaryMatrix(k, len(sub_faces), len(faces), entries)
+    return _assemble(
+        k, list(enumerate_faces(params, k - 1)), list(enumerate_faces(params, k))
+    )
+
+
+def _boundary_chain(params: ComplexParams) -> Iterator[SparseBoundaryMatrix]:
+    """d_0, ..., d_{n-1}, listing the faces of each dimension once.
+
+    The caller checks the budget (see _check_cells).  While d_k is out, only
+    the k-faces are kept, as the rows of d_{k+1}.
+    """
+    faces = list(enumerate_faces(params, -1))
+    for k in range(params.n):
+        sub_faces, faces = faces, list(enumerate_faces(params, k))
+        matrix = _assemble(k, sub_faces, faces)
+        del sub_faces
+        yield matrix
+        del matrix  # d_k lives on only while the consumer holds it
 
 
 def _normalize_row(row: dict[int, int]) -> bool:
@@ -226,24 +259,30 @@ def _steps(
 ) -> Iterator[tuple[int, bool]]:
     """Yield (pivot face, unimodular) for each step of matrix's elimination.
 
-    The rows are built straight from matrix.entries, without the rows in
-    cleared (face indices); they are nonzero ints, so nothing is checked.
-    With a seed, rows and columns are first permuted by a seeded shuffle and
-    each pivot column is mapped back to its face index.
+    The rows are copied from matrix.by_row, without the empty rows and the
+    rows in cleared (face indices); they are nonzero ints, so nothing is
+    checked.  With a seed, rows and columns are first permuted by a seeded
+    shuffle and each pivot column is mapped back to its face index.
     """
-    row_perm: Sequence[int] = range(matrix.rows)
-    col_perm: Sequence[int] = range(matrix.cols)
-    face = col_perm
-    if seed is not None:
-        rng = random.Random(seed)
-        row_perm, col_perm = list(row_perm), list(col_perm)
-        rng.shuffle(row_perm)
-        rng.shuffle(col_perm)
-        face = sorted(range(matrix.cols), key=col_perm.__getitem__)
-    active: dict[int, dict[int, int]] = {}
-    for (r, c), v in matrix.entries.items():
-        if r not in cleared:
-            active.setdefault(row_perm[r], {})[col_perm[c]] = v
+    rows = matrix.by_row
+    if seed is None:
+        active = {r: row.copy() for r, row in enumerate(rows) if row and r not in cleared}
+        yield from _eliminate(active)
+        return
+    rng = random.Random(seed)
+    row_perm = list(range(matrix.rows))
+    col_perm = list(range(matrix.cols))
+    rng.shuffle(row_perm)
+    rng.shuffle(col_perm)
+    face = [0] * matrix.cols
+    for f, c in enumerate(col_perm):
+        face[c] = f
+    relabel = col_perm.__getitem__
+    active = {
+        row_perm[r]: dict(zip(map(relabel, row), row.values()))
+        for r, row in enumerate(rows)
+        if row and r not in cleared
+    }
     for c, unimodular in _eliminate(active):
         yield face[c], unimodular
 
@@ -322,7 +361,7 @@ def betti_numbers(
 ) -> tuple[int, ...]:
     """Reduced Betti numbers (beta_-1, ..., beta_{n-1}) from matrix ranks."""
     _check_cells(params, budget, range(params.n))
-    ranks, _ = chain_ranks(boundary_matrix(params, k, budget) for k in range(params.n))
+    ranks, _ = chain_ranks(_boundary_chain(params))
     return betti_from_ranks(params, ranks)
 
 
@@ -344,22 +383,26 @@ def matrix_to_triplets(matrix: SparseBoundaryMatrix) -> str:
     row-major order.
     """
     lines = [f"%% {matrix.rows} {matrix.cols}"]
-    for (r, c), v in sorted(matrix.entries.items()):
-        lines.append(f"{r} {c} {v}")
+    for r, row in enumerate(matrix.by_row):
+        for c, v in sorted(row.items()):
+            lines.append(f"{r} {c} {v}")
     return "\n".join(lines) + "\n"
 
 
 def is_torsion_free(params: ComplexParams) -> bool | None:
     """True when the exact elimination certifies free integral homology, else None.
 
-    Each boundary matrix is built once and run whole, with no row cleared,
-    through the elimination that ranks it: a cleared row is a combination of
-    the others over Q but not always over Z, so clearing would hide the
-    elementary divisors.  When every step is unimodular, every nonzero
-    elementary divisor is 1.  Otherwise the answer is None (undecided):
-    nothing here can prove torsion, so this never returns False.
+    Each boundary matrix is built once, under the default cell budget, and
+    run whole, with no row cleared, through the elimination that ranks it: a
+    cleared row is a combination of the others over Q but not always over
+    Z, so clearing would hide the elementary divisors.  When every step is
+    unimodular, every nonzero elementary divisor is 1.  Otherwise the answer
+    is None (undecided): nothing here can prove torsion, so this never
+    returns False.
     """
-    for k in range(params.n):
-        if not all(unimodular for _, unimodular in _steps(boundary_matrix(params, k))):
+    _check_cells(params, DEFAULT_CELL_BUDGET, range(params.n))
+    for matrix in _boundary_chain(params):
+        if not all(unimodular for _, unimodular in _steps(matrix)):
             return None
+        del matrix  # one matrix alive at a time
     return True

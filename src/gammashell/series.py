@@ -30,6 +30,7 @@ check every input.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 
 from .errors import DomainError, Record, _require_ints
 
@@ -232,9 +233,10 @@ class MSeries(Record):
         h[q, k] = c0 * (x_k - sum over 1 <= j <= k of other[0, j] h[q, k - j]).
         A low field of x is at most max|self| + sum|other| * max|h| in size,
         with max|h| taken over the rows solved so far.  Before each row that
-        bound is checked against 2^(B - 1); when it fails, the solve restarts
-        with B doubled.  B starts at max(64, bits(sum|other|) +
-        bits(max|self|) + 4).
+        bound is checked against 2^(B - 1); when it fails, B doubles, the
+        rows solved so far (exact ints, whatever B was) are packed again at
+        the new width and the solve resumes at the failing row.  B starts at
+        max(64, bits(sum|other|) + bits(max|self|) + 4).
         """
         self._require_compatible(other)
         v, t = self.num_vars, self.truncation
@@ -263,8 +265,10 @@ class MSeries(Record):
         max_a = max(map(abs, self.coeffs.values()), default=0)
         sum_b = sum(map(abs, other.coeffs.values()))
 
-        def solve(width: int) -> list[list[int]] | None:
-            """The quotient rows, or None once a row could overflow a field."""
+        h: list[list[int]] = []
+
+        def solve(width: int) -> bool:
+            """Extend h to every row, or return False once a row could overflow."""
             half = 1 << (width - 1)
             mask = (1 << width) - 1
             shifts = range(0, width * (t + 1), width)
@@ -272,17 +276,17 @@ class MSeries(Record):
             # the fields read off with no borrow between them
             offset = sum(half << at for at in shifts)
 
-            def packed(terms: list[tuple[int, int]]) -> int:
+            def packed(terms: Iterable[tuple[int, int]]) -> int:
                 return sum(c << width * k for k, c in terms)
 
             dividend = {i: packed(terms) for i, terms in rows.items()}
             polys = [(pd, di, packed(terms)) for pd, di, terms in outer]
-            solved: list[int] = []
-            h = []
-            max_h = 0
-            for i, prefix in enumerate(prefixes):
+            solved = [packed(enumerate(row)) for row in h]
+            max_h = max((abs(c) for row in h for c in row), default=0)
+            for i in range(len(h), len(prefixes)):
                 if max_a + sum_b * max_h >= half:
-                    return None
+                    return False
+                prefix = prefixes[i]
                 q = pack(prefix)
                 top = q | guard
                 x = dividend.get(i, 0)
@@ -302,14 +306,11 @@ class MSeries(Record):
                     row[k] = c0 * s
                 h.append(row)
                 max_h = max(max_h, *map(abs, row))
-                y = 0
-                for c in reversed(row):
-                    y = (y << width) + c
-                solved.append(y)
-            return h
+                solved.append(packed(enumerate(row)))
+            return True
 
         width = max(64, sum_b.bit_length() + max_a.bit_length() + 4)
-        while (h := solve(width)) is None:
+        while not solve(width):
             width *= 2
         box = itertools.product(range(t + 1), repeat=v)
         return MSeries._from_kernel(v, t, zip(box, itertools.chain(*h)))

@@ -1,5 +1,6 @@
 """End-to-end command line behavior: exit codes, formats, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -336,21 +337,28 @@ def test_betti_report_carries_both_routes(capsys):
 
 
 def test_betti_shuffle_check_builds_and_ranks_each_matrix_once(capsys, monkeypatch):
-    # one elimination per matrix in canonical order, one in shuffled order
-    calls = {"boundary_matrix": 0, "_eliminate": 0}
+    # each face dimension is listed once and each d_k assembled once; one
+    # elimination per matrix in canonical order, one in shuffled order
+    listed, assembled, eliminations = [], [], []
 
-    def counting(name, fn):
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+    def counting(calls, fn, key):
+        def counted(*args):
+            calls.append(key(*args))
+            return fn(*args)
 
         return counted
 
-    for name in calls:
-        monkeypatch.setattr(homology, name, counting(name, getattr(homology, name)))
+    for name, calls, key in [
+        ("enumerate_faces", listed, lambda params, dim: dim),
+        ("_assemble", assembled, lambda k, sub_faces, faces: k),
+        ("_eliminate", eliminations, lambda active: None),
+    ]:
+        monkeypatch.setattr(homology, name, counting(calls, getattr(homology, name), key))
     report = run_json(capsys, "betti", "--n", "3", "--shuffle-check")
     assert report["results"]["shuffle_check"] is True
-    assert calls == {"boundary_matrix": 3, "_eliminate": 6}
+    assert listed == [-1, 0, 1, 2]
+    assert assembled == [0, 1, 2]
+    assert len(eliminations) == 6
 
 
 def test_identity_report(capsys):
@@ -479,6 +487,27 @@ def test_export_matrix_content(capsys):
     )
     assert code == 0
     assert out == expected == "%% 8 1\n0 0 1\n7 0 -1\n"
+
+
+# SHA-256 of the export matrix payloads for p=3 n=3, frozen from the
+# assembly through a (row, col) -> +-1 dict sorted in row-major order
+MATRIX_DIGESTS = {
+    0: "75dfdd31dadb2aa55b4c73543d7cd91227acefa6f757c1d60fb42ecbb13a61ff",
+    1: "f84a32e2afd76727c99aea4a20cfcb6c563178d14d8e5a7734d5f44098e99ad8",
+    2: "bc6600bd6ba51c31c1228c8da8acc73a6fb2481df9da71ba069ccf82f736b32c",
+}
+
+
+@pytest.mark.parametrize("k", sorted(MATRIX_DIGESTS))
+def test_export_matrix_bytes_are_frozen(capsys, k):
+    code, out, _ = run(
+        capsys, "export", "matrix", "--n", "3", "--k", str(k), "--format", "text"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == MATRIX_DIGESTS[k]
+    report = run_json(capsys, "export", "matrix", "--n", "3", "--k", str(k))
+    assert report["results"]["content"] == out
+    assert report["results"]["entries"] == out.count("\n") - 1
 
 
 def test_export_writes_payload_to_file(tmp_path, capsys):

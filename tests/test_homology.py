@@ -85,6 +85,20 @@ def test_consecutive_boundaries_compose_to_zero(p, n):
         assert sparse_compose(outer, inner) == {}
 
 
+@pytest.mark.parametrize("p,n", [(p, n) for p in (1, 2, 3) for n in range(1, 5)])
+def test_chain_and_entries_view_match_the_single_matrices(p, n):
+    params = make_complex(p, n)
+    single = [boundary_matrix(params, k) for k in range(n)]
+    assert list(homology._boundary_chain(params)) == single
+    for k, m in enumerate(single):
+        entries = m.entries
+        # every k-face has k + 1 faces of dimension k - 1
+        assert len(entries) == sum(map(len, m.by_row)) == (k + 1) * m.cols
+        assert list(entries) == sorted(entries)
+        for (r, c), v in entries.items():
+            assert m.by_row[r][c] == v
+
+
 def test_boundary_matrix_rejects_bad_dimensions():
     params = make_complex(3, 2)
     with pytest.raises(DomainError):
@@ -312,13 +326,12 @@ def boundary_chain(by_dim):
     chain = []
     for k in range(len(by_dim) - 1):
         row_index = {f: i for i, f in enumerate(by_dim[k])}
-        entries = {}
+        by_row = [{} for _ in by_dim[k]]
         for c, face in enumerate(by_dim[k + 1]):
             for m in range(1, k + 2):
                 sub = face[: m - 1] + face[m:]
-                entries[(row_index[sub], c)] = -1 if m % 2 else 1
-        rows, cols = len(by_dim[k]), len(by_dim[k + 1])
-        chain.append(SparseBoundaryMatrix(k, rows, cols, entries))
+                by_row[row_index[sub]][c] = -1 if m % 2 else 1
+        chain.append(SparseBoundaryMatrix(k, len(by_dim[k + 1]), by_row))
     return chain
 
 
@@ -424,6 +437,8 @@ TORSION_FREE_CASES = (
     + [(2, n) for n in range(1, 8)]
     + [(3, n) for n in range(1, 7)]
     + [(4, n) for n in range(1, 6)]
+    # 0.3 s, kept out of Tier-1, which has no time to spare
+    + [pytest.param(2, 8, marks=pytest.mark.slow)]
 )
 
 

@@ -312,6 +312,21 @@ def test_division_restarts_with_wider_fields():
     assert q.coefficient((16, 16)) == 3**32 * math.comb(32, 16)
 
 
+def test_division_resumes_mid_box_at_each_wider_width():
+    # the coefficients of 1 / (1 - 7x - 7y - 7z) fit well inside 64-bit
+    # fields on the first row and pass 128 bits on the last, so the solve
+    # widens its fields twice after solving some rows and resumes from the
+    # rows already solved, re-packed at the new width
+    t = 12
+    b = MSeries(3, t, {(0, 0, 0): 1, (1, 0, 0): -7, (0, 1, 0): -7, (0, 0, 1): -7})
+    a = MSeries(3, t, {(0, 0, 0): 1, (0, 1, 2): -5, (3, 0, 1): 2})
+    q = a / b
+    assert q == _reference_mul(a, _reference_invert_unit(b))
+    first_row = [c for e, c in q.coeffs.items() if e[:2] == (0, 0)]
+    assert max(map(abs, first_row)).bit_length() < 48
+    assert max(map(abs, q.coeffs.values())).bit_length() > 140
+
+
 def test_univariate_division_solves_within_one_row():
     t = 12
     b = MSeries(1, t, {(0,): 1, (1,): -1, (2,): -1})
