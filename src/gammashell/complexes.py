@@ -10,7 +10,7 @@ enumeration is requested.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from math import comb
 
 from .errors import BudgetError, DomainError, Record, _require_ints
@@ -108,19 +108,18 @@ class _Interned(dict):
 
 def enumerate_faces(
     params: ComplexParams, dim: int, budget: int | None = DEFAULT_FACE_BUDGET
-) -> Iterator[Face]:
-    """Yield every face of the given dimension once, sorted by sigma word.
+) -> list[Face]:
+    """Every face of the given dimension once, sorted by sigma word.
 
     A face of dimension d chooses d+1 values independently in each of the p
     coordinates, so the count is C(n, d+1)^p.  Dimensions outside [-1, n-1]
-    yield nothing.  Equal vertices of different faces are one shared tuple,
-    so a list of faces costs little more than its pointers.
+    have no faces.  Equal vertices of different faces are one shared tuple,
+    so the list costs little more than its pointers.
     """
     if dim < -1 or dim > params.n - 1:
-        return
+        return []
     if dim == -1:
-        yield ()
-        return
+        return [()]
     r = dim + 1
     count = comb(params.n, r) ** params.p
     if budget is not None and count > budget:
@@ -133,7 +132,7 @@ def enumerate_faces(
     faces = [tuple(map(vertex, zip(*cols))) for cols in columns]
     # all vertices have p coordinates: tuple order is sigma-word order here
     faces.sort()
-    yield from faces
+    return faces
 
 
 def f_vector_formula(params: ComplexParams) -> tuple[int, ...]:

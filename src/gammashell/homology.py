@@ -115,9 +115,7 @@ def boundary_matrix(
     if k < 0 or k > params.n - 1:
         raise DomainError(f"boundary dimension {k} outside [0, {params.n - 1}]")
     _check_cells(params, budget, (k,))
-    return _assemble(
-        k, list(enumerate_faces(params, k - 1)), list(enumerate_faces(params, k))
-    )
+    return _assemble(k, enumerate_faces(params, k - 1), enumerate_faces(params, k))
 
 
 def _boundary_chain(params: ComplexParams) -> Iterator[SparseBoundaryMatrix]:
@@ -126,9 +124,9 @@ def _boundary_chain(params: ComplexParams) -> Iterator[SparseBoundaryMatrix]:
     The caller checks the budget (see _check_cells).  While d_k is out, only
     the k-faces are kept, as the rows of d_{k+1}.
     """
-    faces = list(enumerate_faces(params, -1))
+    faces = enumerate_faces(params, -1)
     for k in range(params.n):
-        sub_faces, faces = faces, list(enumerate_faces(params, k))
+        sub_faces, faces = faces, enumerate_faces(params, k)
         matrix = _assemble(k, sub_faces, faces)
         del sub_faces
         yield matrix

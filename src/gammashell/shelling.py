@@ -138,9 +138,6 @@ class _Twists:
     def __init__(self, params: ComplexParams, facets: list[Face]):
         self.p, self.n = params.p, params.n
         self.facets = facets
-        vertices = sorted({v for f in facets for v in f})
-        self.vbit = {v: 1 << i for i, v in enumerate(vertices)}
-        self.masks = [sum(self.vbit[v] for v in f) for f in facets]
         self.index = {f: i for i, f in enumerate(facets)}
 
     def twistable(self, k: int) -> list[tuple[int, int]]:
@@ -190,31 +187,31 @@ class _Twists:
         j = self.index.get(cand)
         if j is None or j >= k:
             return None
-        # verify the witness condition instead of trusting the construction
-        if self.masks[j] & self.masks[k] != self.masks[k] & ~self.vbit[v]:
+        # verify the witness condition instead of trusting the construction:
+        # F_j /\ F_k = F_k - {v} iff F_k - F_j = {v}
+        if set(f).difference(cand) != {v}:
             return None
         return (j, v)
 
     def witness(
-        self, i: int, k: int, peels: list[int], cands: dict
+        self, i: int, k: int, cols: list[int], peels: list[int], cands: dict
     ) -> tuple[int, Vertex] | None:
         """Witness for (i, k), constructive where possible, else by search.
 
-        cands maps l to construct(k, l, a) for twistable vertices v_l in
-        order.  Unless it is empty (search only), it holds the first
-        twistable vertex missing from F_i, if there is one.  The search
-        takes the first vertex of F_k missing from F_i that an earlier
-        facet peels off, with the earliest such facet.
+        cols and peels are the sweep's bitsets for F_k: F_i holds v_l iff
+        bit i of cols[l] is set.  cands maps l to construct(k, l, a) for
+        twistable vertices v_l in order.  Unless it is empty (search only),
+        it holds the first twistable vertex missing from F_i, if there is
+        one.  The search takes the first vertex of F_k missing from F_i that
+        an earlier facet peels off, with the earliest such facet.
         """
-        mi = self.masks[i]
-        f = self.facets[k]
         for l, res in cands.items():
-            if not mi & self.vbit[f[l]]:
+            if not cols[l] >> i & 1:
                 if res is not None:
                     return res
                 break
-        for v, peel in zip(f, peels):
-            if peel and not mi & self.vbit[v]:
+        for v, col, peel in zip(self.facets[k], cols, peels):
+            if peel and not col >> i & 1:
                 return ((peel & -peel).bit_length() - 1, v)
         return None
 
@@ -357,7 +354,7 @@ def _verify_order(
         room = witness_limit - len(witnesses)
         if room > 0:
             for i in _bits(earlier & ~violating)[:room]:
-                witnesses[(i, k)] = twists.witness(i, k, peels, cands)
+                witnesses[(i, k)] = twists.witness(i, k, cols, peels, cands)
     t = len(facets)
     return ShellingReport(
         p=params.p,

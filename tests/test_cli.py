@@ -165,14 +165,19 @@ print(json.dumps({"code": code, "out": out.getvalue(), "err": err.getvalue(),
 """
 
 
-def run_bounded(*argv):
-    """main(argv) in a child process, so a runaway fails fast and alone."""
+def child_env(**extra):
+    """The environment of a child interpreter importing this checkout's src."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src,
+                **extra)
+
+
+def run_bounded(*argv):
+    """main(argv) in a child process, so a runaway fails fast and alone."""
     proc = subprocess.run(
         [sys.executable, "-c", _BOUNDED_MAIN, *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=child_env(), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -579,6 +584,44 @@ def test_repeated_runs_are_byte_identical(capsys, argv):
     assert first[0] == 0
 
 
+# runs main on each argv in turn and prints its exit code and the SHA-256 of
+# what it wrote to stdout, one argv per line
+_DIGESTS = """
+import contextlib, hashlib, io, json, sys
+from gammashell.cli import main
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    print(code, hashlib.sha256(out.getvalue().encode()).hexdigest())
+"""
+
+HASH_SEEDED = [
+    ["fvector", "--n", "3", "--enumerate"],
+    ["shelling", "--n", "3", "--order", "reversed", "--format", "text"],
+    ["betti", "--n", "3", "--shuffle-check", "--seed", "5"],
+    ["genfun", "--check-alignment", "--n-max", "3"],
+    ["export", "facets", "--n", "3"],
+    ["identity", "3f2", "--format", "csv"],
+]
+
+
+def test_reports_do_not_depend_on_the_hash_seed():
+    runs = []
+    for seed in ("0", "12345"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _DIGESTS, json.dumps(HASH_SEEDED)],
+            capture_output=True, text=True, env=child_env(PYTHONHASHSEED=seed),
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs.append(proc.stdout.splitlines())
+    assert len(runs[0]) == len(HASH_SEEDED)
+    # the reversed order is not a shelling and exits 1; the rest pass
+    assert [line.split()[0] for line in runs[0]] == ["0", "1", "0", "0", "0", "0"]
+    assert runs[0] == runs[1]
+
+
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "schema" / "report.json").read_text()
 )
@@ -606,12 +649,9 @@ print(" ".join(sorted(set(sys.modules) - before)))
 
 def _new_modules(case: str) -> set[str]:
     """Modules a fresh interpreter (no site hooks) imports to run case."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
     proc = subprocess.run(
         [sys.executable, "-S", "-c", _PROBE.format(case=case)],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=child_env(), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.splitlines()[-1].split())

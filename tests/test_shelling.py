@@ -25,7 +25,7 @@ from gammashell import (
     reduced_euler_characteristic,
     verify_shelling,
 )
-from gammashell.shelling import ShellingReport
+from gammashell.shelling import ShellingReport, _Twists
 
 from .conftest import (
     REFERENCE_SHAPES,
@@ -198,6 +198,27 @@ def test_pair_without_a_witness_is_a_violation():
     report = verify_shelling(make_complex(3, 2), pool, witness_limit=10**6)
     assert pair in report.violations
     assert pair not in report.witnesses
+
+
+def test_constructed_witness_is_checked_on_the_faces():
+    # down-twisting the last vertex (3,) of ((1,), (3,)) gives (2,), and the
+    # all-n vertex appended after it is (3,) again: the candidate is the
+    # earlier facet, but it holds v, so the check must refuse it
+    twists = _Twists(make_complex(1, 3), [((1,), (2,), (3,)), ((1,), (3,))])
+    assert twists.twistable(1) == [(1, 0)]
+    assert twists.construct(1, 1, 0) is None
+    # on Gamma_2(3) both twistable vertices of ((1, 2), (3, 3)) give witnesses:
+    # the first through a replacement vertex, the last through the all-n one
+    pool = list(cached_facets(2, 3))
+    twists = _Twists(make_complex(2, 3), pool)
+    k = pool.index(((1, 2), (3, 3)))
+    got = [twists.construct(k, l, a) for l, a in twists.twistable(k)]
+    assert got == [
+        (pool.index(((1, 1), (2, 2), (3, 3))), (1, 2)),
+        (pool.index(((1, 2), (2, 3))), (3, 3)),
+    ]
+    for j, v in got:
+        assert set(pool[j]) & set(pool[k]) == set(pool[k]) - {v}
 
 
 def test_homology_criterion_examples():
