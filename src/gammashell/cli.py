@@ -12,7 +12,7 @@ import json
 import sys
 
 from .complexes import DEFAULT_CELL_BUDGET, DEFAULT_FACE_BUDGET
-from .errors import BudgetError, DomainError, PreconditionError, VerificationError
+from .errors import BudgetError, DomainError, PreconditionError, VerificationError, _check_budget
 
 __all__ = ["build_parser", "main"]
 
@@ -28,12 +28,6 @@ DEFAULT_TERM_BUDGET = 200_000
 
 def _alternating(values) -> int:
     return sum(v if i % 2 else -v for i, v in enumerate(values))
-
-
-def _check_budget(count: int, budget: int, what: str) -> None:
-    """Refuse a command whose work is known to be over budget before it starts."""
-    if count > budget:
-        raise BudgetError(f"{count} {what} exceed the budget of {budget}")
 
 
 def _report(command: str, params: dict, constants: dict, results: dict, ok: bool):
@@ -232,6 +226,8 @@ def cmd_genfun(args: argparse.Namespace):
     if args.check_alignment:
         if args.series is not None:
             raise DomainError("--check-alignment does not take a series name")
+        # the offsets 0..3 put XY's box at T = n_max + 3
+        _check_budget(max(args.n_max + 4, 0) ** 3, args.series_budget, "series box cells")
         rep = alignment_check(n_max=args.n_max)
         results = {
             "deltas": list(rep.deltas),
@@ -498,8 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--check-alignment", action="store_true")
     s.add_argument("--n-max", type=int, default=6)
     s.add_argument("--series-budget", type=_positive_int, default=DEFAULT_SERIES_BUDGET,
-                   help="box cells (T+1)^3 of P and XY, r times that for g; "
-                   "--check-alignment is not budgeted")
+                   help="box cells (T+1)^3 of P and XY, r times that for g, "
+                   "(n-max+4)^3 for --check-alignment")
 
     s = sub.add_parser("export", parents=on_complex, help="facet lists and boundary matrices")
     s.add_argument("what", choices=("facets", "matrix"))

@@ -19,6 +19,15 @@ class VerificationError(RuntimeError):
     """Two routes that must agree on a mathematical claim disagree."""
 
 
+def _check_budget(count: int, budget: int | None, what: str) -> None:
+    """Refuse work whose exact size, counted before it starts, exceeds budget.
+
+    The package's one budget check; a budget of None admits any count.
+    """
+    if budget is not None and count > budget:
+        raise BudgetError(f"{count} {what} exceed the budget of {budget}")
+
+
 def _require_ints(**values) -> None:
     """Raise DomainError unless every named value is an int (bool excluded)."""
     for name, value in values.items():

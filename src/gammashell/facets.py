@@ -17,15 +17,18 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Sequence
+from functools import cache
+from math import comb
 from operator import eq
 
 from .complexes import (
+    DEFAULT_FACE_BUDGET,
     ComplexParams,
     Face,
     Vertex,
     canonical_face,
 )
-from .errors import BudgetError, DomainError, PreconditionError, Record
+from .errors import DomainError, PreconditionError, Record, _check_budget
 
 __all__ = [
     "DOWN",
@@ -35,6 +38,7 @@ __all__ = [
     "apply_twist",
     "enumerate_facets",
     "facet_certificate",
+    "facet_counts",
     "facet_from_shift_vectors",
     "format_facets",
     "is_safe_twist",
@@ -92,20 +96,15 @@ def facet_certificate(params: ComplexParams, face: Iterable[Sequence[int]]) -> F
     return FacetCertificate(f, p1, p2, p3)
 
 
-def _chain_search(
-    params: ComplexParams, budget: int | None = None, twistable: bool = False
-) -> list[Face]:
+def _chain_search(params: ComplexParams, twistable: bool = False) -> list[Face]:
     """Facet chains by depth-first search of the chain DAG, in order_key order.
 
     A facet is a path that starts at a vertex satisfying P2, follows edges at
     minimum difference 1 (P3) and ends at the first vertex with a coordinate
     equal to n (P1), which no edge leaves; the search emits a chain at each
-    such terminal vertex.  The first visit to v scans its coordinate box in
-    itertools.product order and yields each edge as it is found; the edge
-    list is memoised only when that scan completes.  Every edge
-    raises every coordinate, so no vertex is entered again while its first
-    scan runs, and a budget stops the search, scanning no further box, as
-    soon as more than budget chains are found.
+    such terminal vertex.  The first visit to v lists its edges, scanning its
+    coordinate box in itertools.product order, and caches the list, so no
+    box is scanned twice.
 
     With twistable set, the DAG keeps only the paths selected by the
     down-twist criterion: it starts only at vertices that are not all ones
@@ -115,37 +114,28 @@ def _chain_search(
     it.  _signed_chain_count counts the same chains on the slack cube.
     """
     n = params.n
-    memo: dict[Vertex, list[tuple[Vertex, bool]]] = {}
 
-    def scan(v: Vertex):
+    @cache
+    def successors(v: Vertex) -> list[tuple[Vertex, bool]]:
         # every difference w - v is at least 1, so its minimum is 1 iff some
         # w_i = v_i + 1, and its maximum exceeds 1 iff w is not v + (1, ..., 1)
-        found = []
         step = tuple(c + 1 for c in v)
-        for w in itertools.product(*(range(c, n + 1) for c in step)):
-            if any(map(eq, w, step)) and (not twistable or w != step):
-                edge = (w, max(w) == n)
-                found.append(edge)
-                yield edge
-        memo[v] = found
-
-    starts = (
-        (v, max(v) == n)
-        for v in itertools.product(range(1, n + 1), repeat=params.p)
-        if min(v) == 1 and (not twistable or max(v) > 1)
-    )
+        return [
+            (w, max(w) == n)
+            for w in itertools.product(*(range(c, n + 1) for c in step))
+            if any(map(eq, w, step)) and (not twistable or w != step)
+        ]
     out: list[Face] = []
 
     def follow(chain: Face, out_edges) -> None:
         for w, terminal in out_edges:
             if terminal:
                 out.append(chain + (w,))
-                if budget is not None and len(out) > budget:
-                    raise BudgetError(f"facet count exceeds the budget of {budget}")
             else:
-                follow(chain + (w,), memo[w] if w in memo else scan(w))
+                follow(chain + (w,), successors(w))
 
-    follow((), starts)
+    # the starts, vertices with P2, are the successors of a virtual vertex 0
+    follow((), successors((0,) * params.p))
     # the search emits chains in sigma-word order, so a stable sort by
     # length alone gives complexes.order_key's order
     out.sort(key=len, reverse=True)
@@ -186,19 +176,18 @@ def _signed_chain_count(params: ComplexParams) -> int:
     return h[-1]
 
 
-def enumerate_facets(
-    params: ComplexParams, budget: int | None = None
-) -> list[Face]:
+def enumerate_facets(params: ComplexParams, budget: int | None = DEFAULT_FACE_BUDGET) -> list[Face]:
     """All facets of Gamma_p(n), sorted by dimension descending then sigma word.
 
     Depth-first construction: start at vertices satisfying P2, extend only by
     successors at minimum difference 1 (P3), and emit once a coordinate hits
     n (P1), after which no extension exists.  Each vertex's successors are
-    memoised once its first visit has scanned them, so no coordinate box is
-    scanned twice.  BudgetError is raised as soon as more than budget facets
-    have been found.
+    listed once, on its first visit, so no coordinate box is scanned twice.
+    BudgetError is raised before the search when facet_counts sums to more
+    than budget.
     """
-    return _chain_search(params, budget)
+    _check_budget(sum(facet_counts(params)), budget, "facets")
+    return _chain_search(params)
 
 
 def twist_sets(params: ComplexParams, face: Iterable[Sequence[int]]) -> TwistSets:
@@ -308,6 +297,24 @@ def shift_vectors(
             tuple([col[0]] + [y - x for x, y in zip(col, col[1:])] + [n + 1 - col[-1]])
         )
     return tuple(vectors)
+
+
+def facet_counts(params: ComplexParams) -> tuple[int, ...]:
+    """The number of facets with r vertices, r = 0, ..., n, in closed form.
+
+    Shift vectors biject them with the p-tuples of compositions of n + 1 into
+    r + 1 parts in which every column (the parts at one index) holds a 1:
+    P2, P3 and P1 in turn.  With j given columns free of 1s, taking 1 from each of
+    their entries leaves C(n - j, r) compositions per coordinate, so
+    inclusion-exclusion over the columns gives
+    f_r = Sum_j (-1)^j C(r + 1, j) C(n - j, r)^p; terms with n - j < r vanish.
+    """
+    n, p = params.n, params.p
+    return tuple(
+        sum((-1) ** j * comb(r + 1, j) * comb(n - j, r) ** p
+            for j in range(min(r + 1, n - r) + 1))
+        for r in range(n + 1)
+    )
 
 
 def facet_from_shift_vectors(

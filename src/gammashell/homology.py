@@ -39,7 +39,7 @@ from .complexes import (
     f_vector_formula,
     reduced_euler_characteristic,
 )
-from .errors import BudgetError, DomainError, Record, _require_ints
+from .errors import DomainError, Record, _check_budget, _require_ints
 
 __all__ = [
     "SparseBoundaryMatrix",
@@ -81,15 +81,10 @@ def _check_cells(
 
     The sizes come from f_vector_formula, so no face is listed first.
     """
-    if budget is None:
-        return
     f = f_vector_formula(params)
     for k in dims:
-        if f[k] * f[k + 1] > budget:
-            raise BudgetError(
-                f"boundary matrix at dimension {k} has {f[k]}x{f[k + 1]} "
-                f"cells, over the budget of {budget}"
-            )
+        what = f"cells (the boundary matrix at dimension {k} has {f[k]}x{f[k + 1]} cells)"
+        _check_budget(f[k] * f[k + 1], budget, what)
 
 
 def _assemble(k: int, sub_faces: list[Face], faces: list[Face]) -> SparseBoundaryMatrix:

@@ -183,11 +183,20 @@ def run_bounded(*argv):
     return json.loads(proc.stdout)
 
 
-def test_small_facet_budget_stops_a_huge_search_at_once():
-    # Gamma_8(10) has 10^8 vertices: the facet search must stop at the
-    # budget without tabulating them or scanning further coordinate boxes
-    child = run_bounded("export", "facets", "--p", "8", "--n", "10",
-                        "--face-budget", "10")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["export", "facets", "--p", "8", "--n", "10", "--face-budget", "10"],
+        ["shelling", "--n", "11"],
+        ["betti", "--p", "3", "--n", "11", "--method", "shelling"],
+    ],
+    ids=["export-p8n10", "shelling-n11", "betti-shelling-n11"],
+)
+def test_small_facet_budget_stops_a_huge_search_at_once(argv):
+    # Gamma_8(10) has 10^8 vertices and Gamma_3(11) 108849859 facets, over
+    # the default budget: the closed-form facet count must refuse before the
+    # search tabulates a vertex or lists a facet
+    child = run_bounded(*argv)
     assert child["seconds"] < 1.0
     assert child["code"] == 3
     assert not child["out"]
@@ -230,8 +239,9 @@ def test_over_budget_matrix_route_is_refused_before_any_work(argv):
         ["genfun", "g", "--r", "3", "--truncate", "40"],
         ["identity", "dixon", "--n-max", "100000"],
         ["identity", "3f2", "--max", "150"],
+        ["genfun", "--check-alignment", "--n-max", "100"],
     ],
-    ids=["XY-T60", "g3-T40", "dixon-100000", "3f2-150"],
+    ids=["XY-T60", "g3-T40", "dixon-100000", "3f2-150", "alignment-100"],
 )
 def test_over_budget_series_and_sums_are_refused_before_any_work(argv):
     child = run_bounded(*argv)
@@ -260,6 +270,22 @@ def test_budgets_count_box_cells_and_binomial_terms(capsys, argv, flag, count):
     assert code == 3
     assert not out
     assert f"{count} " in err and "budget" in err
+
+
+def test_alignment_budget_counts_the_box_of_its_largest_offset(capsys):
+    # offsets 0..3 give XY at T = n_max + 3, a box of (n_max + 4)^3 cells;
+    # the budget stays out of this report, so its reference digest holds
+    code, out, err = run(capsys, "genfun", "--check-alignment", "--n-max", "4",
+                         "--series-budget", "512")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "13a3ca659db799914058df880545bfbb07b54521c3ccabf4ec6e74cee91451f4"
+    )
+    code, out, err = run(capsys, "genfun", "--check-alignment", "--n-max", "4",
+                         "--series-budget", "511")
+    assert code == 3
+    assert not out
+    assert "512 " in err and "budget" in err
 
 
 def test_disagreeing_series_constructions_exit_1(capsys, monkeypatch):

@@ -15,7 +15,9 @@ from gammashell import (
     enumerate_faces,
     enumerate_facets,
     facet_certificate,
+    facet_counts,
     facet_from_shift_vectors,
+    facets as facets_module,
     format_facets,
     is_safe_twist,
     make_complex,
@@ -115,9 +117,21 @@ def test_enumerate_facets_equals_maximal_faces():
         assert sorted(cached_facets(p, n)) == sorted(maximal)
 
 
-def test_enumerate_facets_budget():
-    with pytest.raises(BudgetError):
+def test_enumerate_facets_budget(monkeypatch):
+    # the closed-form count refuses before the search starts
+    def no_search(*args, **kwargs):
+        raise AssertionError("the facet search started")
+
+    monkeypatch.setattr(facets_module, "_chain_search", no_search)
+    with pytest.raises(BudgetError, match="37 facets"):
         enumerate_facets(make_complex(3, 3), budget=5)
+
+
+def test_facet_counts_pinned_totals():
+    # Gamma_3(8) as the shelling sweep counts it; Gamma_3(11) is the first
+    # Delta(n) over the default face budget of 10^8
+    assert sum(facet_counts(make_complex(3, 8))) == 355993
+    assert sum(facet_counts(make_complex(3, 11))) == 108849859
 
 
 @pytest.mark.parametrize("p,n", REFERENCE_SHAPES)
@@ -125,6 +139,10 @@ def test_enumerate_facets_matches_the_frozen_search(p, n):
     params = make_complex(p, n)
     want = reference_enumerate_facets(params)
     assert enumerate_facets(params) == want
+    by_size = [0] * (n + 1)
+    for f in want:
+        by_size[len(f)] += 1
+    assert facet_counts(params) == tuple(by_size)
     count = len(want)
     for budget in (0, 5, count - 1, count):
         try:
