@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import lgamma, log
 
 from .complexes import DEFAULT_CELL_BUDGET, DEFAULT_FACE_BUDGET
 from .errors import BudgetError, DomainError, PreconditionError, VerificationError, _check_budget
@@ -28,6 +29,22 @@ DEFAULT_TERM_BUDGET = 200_000
 
 def _alternating(values) -> int:
     return sum(v if i % 2 else -v for i, v in enumerate(values))
+
+
+def _plain(value):
+    """A record field as JSON values: string keys, tuple keys joined by commas.
+
+    Keys become strings before json.dumps sorts them, so "10" sorts before
+    "2"; tuples become lists.
+    """
+    if isinstance(value, dict):
+        return {
+            ",".join(map(str, k)) if isinstance(k, tuple) else str(k): _plain(v)
+            for k, v in value.items()
+        }
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    return value
 
 
 def _report(command: str, params: dict, constants: dict, results: dict, ok: bool):
@@ -57,6 +74,16 @@ def cmd_fvector(args: argparse.Namespace):
     )
 
     params = make_complex(args.p, args.n)
+    # the largest count, C(n, n//2)^p, bounds every entry and the reduced
+    # Euler characteristic (an alternating sum of unimodal counts); refuse a
+    # report whose ints Python would not print, before computing any.  The
+    # log is rounded up by a hair: C(5, 2)^p = 10^p has p + 1 digits
+    limit = sys.get_int_max_str_digits()
+    if limit:
+        m = args.n // 2
+        log_max = args.p * (lgamma(args.n + 1) - lgamma(m + 1) - lgamma(args.n - m + 1))
+        digits = int(log_max / log(10) * (1 + 1e-12)) + 1
+        _check_budget(digits, limit, "digits in the largest face count")
     f = f_vector_formula(params)
     results = {
         "f_vector": list(f),
@@ -91,24 +118,9 @@ def cmd_shelling(args: argparse.Namespace):
     # a budgeted enumeration, reversed or not, lists every facet once
     rep = _verify_order(params, facets, args.witness_mode, args.witness_limit)
     ok = rep.is_shelling and not rep.disagreement_count
-    results = {
-        "order": args.order,
-        "mode": rep.mode,
-        "facet_count": rep.facet_count,
-        "total_pairs": rep.total_pairs,
-        "constructed": rep.constructed,
-        "fallback_count": rep.fallback_count,
-        "fallbacks": [list(x) for x in rep.fallbacks],
-        "violation_count": rep.violation_count,
-        "violations": [list(x) for x in rep.violations],
-        "disagreement_count": rep.disagreement_count,
-        "disagreements": [list(x) for x in rep.disagreements],
-        "witnesses": {
-            f"{i},{k}": [j, list(v)] for (i, k), (j, v) in rep.witnesses.items()
-        },
-        "witness_limit": rep.witness_limit,
-        "is_shelling": rep.is_shelling,
-    }
+    results = _plain(vars(rep))
+    del results["p"], results["n"]
+    results.update(order=args.order, is_shelling=rep.is_shelling)
     report = _report(
         "shelling",
         {"p": args.p, "n": args.n},
@@ -229,20 +241,8 @@ def cmd_genfun(args: argparse.Namespace):
         # the offsets 0..3 put XY's box at T = n_max + 3
         _check_budget(max(args.n_max + 4, 0) ** 3, args.series_budget, "series box cells")
         rep = alignment_check(n_max=args.n_max)
-        results = {
-            "deltas": list(rep.deltas),
-            "alternating_counts": {str(n): v for n, v in rep.alternating_counts.items()},
-            "diagonal_by_delta": {
-                str(d): {str(n): v for n, v in col.items()}
-                for d, col in rep.diagonal_by_delta.items()
-            },
-            "matches": {str(d): m for d, m in rep.matches.items()},
-            "pinned_delta": rep.pinned_delta,
-            "end_to_end": {
-                str(n): dict(vals) for n, vals in rep.end_to_end.items()
-            },
-            "end_to_end_ok": rep.end_to_end_ok,
-        }
+        results = _plain(vars(rep))
+        del results["n_max"]
         ok = rep.pinned_delta is not None and rep.end_to_end_ok
         report = _report(
             "genfun", {"n_max": args.n_max}, {"deltas": list(rep.deltas)}, results, ok

@@ -45,11 +45,13 @@ DEFAULT_CELL_BUDGET = 10**8
 class ComplexParams(Record):
     """Parameters (p, n) identifying the complex Gamma_p(n)."""
 
+    _fields = ("p", "n")
+
     def __init__(self, p: int, n: int) -> None:
         _require_ints(p=p, n=n)
         if p < 1 or n < 1:
             raise DomainError(f"need p >= 1 and n >= 1, got p={p}, n={n}")
-        vars(self).update(p=p, n=n)
+        super().__init__(p, n)
 
 
 def make_complex(p: int, n: int) -> ComplexParams:

@@ -36,14 +36,29 @@ def _require_ints(**values) -> None:
 
 
 class Record:
-    """Base of the value records: equality, hashing and repr over the fields.
+    """Base of the value records: fields, equality, hashing and repr.
 
-    A subclass's __init__ sets its fields once, in order, with
-    vars(self).update(...); they are the instance's only attributes.  Two
-    records are equal when they are of the same class with equal fields, and
-    the hash is that of the field tuple, so a record with a dict or list
-    field is unhashable.  Records are read-only.
+    A subclass declares its fields once, in order, as _fields; __init__
+    binds them by position or by name, in that order, and they are the
+    instance's only attributes.  Two records are equal when they are of the
+    same class with equal fields, and the hash is that of the field tuple,
+    so a record with a dict or list field is unhashable.  Records are
+    read-only.
     """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            values = dict(zip(fields, args))
+            if len(args) > len(fields) or values.keys() & kwargs:
+                raise TypeError(f"{type(self).__name__} got too many or repeated fields")
+            values.update(kwargs)
+            if values.keys() != set(fields):
+                raise TypeError(f"{type(self).__name__} takes {fields}, got {tuple(values)}")
+            args = [values[f] for f in fields]
+        vars(self).update(zip(fields, args))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

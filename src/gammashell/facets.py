@@ -54,8 +54,7 @@ DOWN = "down"
 class FacetCertificate(Record):
     """Outcome of the three facet conditions for one face."""
 
-    def __init__(self, face: Face, p1: bool, p2: bool, p3: bool) -> None:
-        vars(self).update(face=face, p1=p1, p2=p2, p3=p3)
+    _fields = ("face", "p1", "p2", "p3")
 
     @property
     def is_facet(self) -> bool:
@@ -71,10 +70,7 @@ class TwistSets(Record):
     to the previous vertex exceeds 1, or the value is above 1 at the first.
     """
 
-    def __init__(
-        self, a_sets: tuple[tuple[int, ...], ...], b_sets: tuple[tuple[int, ...], ...]
-    ) -> None:
-        vars(self).update(a_sets=a_sets, b_sets=b_sets)
+    _fields = ("a_sets", "b_sets")
 
 
 def facet_certificate(params: ComplexParams, face: Iterable[Sequence[int]]) -> FacetCertificate:

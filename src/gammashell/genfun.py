@@ -259,27 +259,10 @@ class AlignmentReport(Record):
     at the pinned offset, and end_to_end_ok is their conjunction.
     """
 
-    def __init__(
-        self,
-        n_max: int,
-        deltas: tuple[int, ...],
-        alternating_counts: dict[int, int],
-        diagonal_by_delta: dict[int, dict[int, int]],
-        matches: dict[int, bool],
-        pinned_delta: int | None,
-        end_to_end: dict[int, dict[str, int]],
-        end_to_end_ok: bool,
-    ) -> None:
-        vars(self).update(
-            n_max=n_max,
-            deltas=deltas,
-            alternating_counts=alternating_counts,
-            diagonal_by_delta=diagonal_by_delta,
-            matches=matches,
-            pinned_delta=pinned_delta,
-            end_to_end=end_to_end,
-            end_to_end_ok=end_to_end_ok,
-        )
+    _fields = (
+        "n_max", "deltas", "alternating_counts", "diagonal_by_delta", "matches",
+        "pinned_delta", "end_to_end", "end_to_end_ok",
+    )
 
 
 def alignment_check(

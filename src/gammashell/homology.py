@@ -5,8 +5,8 @@ one {column: +-1} dict per row, the rows the elimination copies; the chain
 d_0, d_1, ... lists each face dimension once and never stores a coordinate
 dict, much as Ripser assembles each coboundary on the fly.  One adapter,
 _steps, runs a matrix through fraction-free integer elimination, in face
-order or under a seeded shuffle, without a set of cleared rows: the ranks
-count its steps, so Betti numbers are exact integers.  The complexes here
+order or under a seeded shuffle, optionally without a set of cleared rows:
+the ranks count its steps, so Betti numbers are exact integers.  The complexes here
 are homotopy equivalent to wedges of spheres, hence integral homology is
 free and rational ranks tell the whole story.  The same elimination
 certifies that, and is_torsion_free reads it: when every pivot is +-1 and
@@ -65,8 +65,10 @@ class SparseBoundaryMatrix(Record):
     the single empty-face row.  rows is len(by_row).
     """
 
+    _fields = ("k", "rows", "cols", "by_row")
+
     def __init__(self, k: int, cols: int, by_row: list[dict[int, int]]) -> None:
-        vars(self).update(k=k, rows=len(by_row), cols=cols, by_row=by_row)
+        super().__init__(k, len(by_row), cols, by_row)
 
     @property
     def entries(self) -> dict[tuple[int, int], int]:

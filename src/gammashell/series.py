@@ -85,6 +85,8 @@ class MSeries(Record):
     inside the box).
     """
 
+    _fields = ("num_vars", "truncation", "coeffs")
+
     def __init__(
         self, num_vars: int, truncation: int, coeffs: dict[Exponent, int] | None = None
     ) -> None:
@@ -104,7 +106,7 @@ class MSeries(Record):
                 raise DomainError(f"coefficient {c!r} at {e} is not an int")
             if c:
                 cleaned[e] = c
-        vars(self).update(num_vars=num_vars, truncation=truncation, coeffs=cleaned)
+        super().__init__(num_vars, truncation, cleaned)
 
     @classmethod
     def _from_kernel(cls, num_vars: int, truncation: int, terms) -> "MSeries":

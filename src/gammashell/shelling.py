@@ -44,13 +44,7 @@ class BlockPartition(Record):
     same number of blocks.
     """
 
-    def __init__(
-        self,
-        c_blocks: tuple[tuple[Vertex, ...], ...],
-        i_blocks: tuple[tuple[Vertex, ...], ...],
-        k_blocks: tuple[tuple[Vertex, ...], ...],
-    ) -> None:
-        vars(self).update(c_blocks=c_blocks, i_blocks=i_blocks, k_blocks=k_blocks)
+    _fields = ("c_blocks", "i_blocks", "k_blocks")
 
 
 def _membership_runs(seq: Face, keep) -> tuple[tuple[Vertex, ...], ...]:
@@ -219,48 +213,21 @@ class _Twists:
 class ShellingReport(Record):
     """Outcome of the pairwise check over one ordered facet list.
 
-    Pairs come in scan order (k ascending, then i); witnesses, violations,
-    fallbacks and disagreements each keep the first witness_limit of theirs,
-    and the *_count fields count them all.  fallbacks are pairs where the
-    constructive route failed and search found a witness anyway;
-    disagreements are pairs where the two routes differed in existence
-    (only found in mode "both", expected none).  Its dict and list fields
-    make it unhashable.
+    witnesses maps a pair (i, k) to its witness (j, v); violations,
+    fallbacks and disagreements list pairs (i, k).  Pairs come in scan order
+    (k ascending, then i); each of the four keeps the first witness_limit
+    of its pairs, and the *_count fields count them all.  fallbacks are
+    pairs where the constructive route failed and search found a witness
+    anyway; disagreements are pairs where the two routes differed in
+    existence (only found in mode "both", expected none).  Its dict and
+    list fields make it unhashable.
     """
 
-    def __init__(
-        self,
-        p: int,
-        n: int,
-        mode: str,
-        facet_count: int,
-        total_pairs: int,
-        constructed: int,
-        witnesses: dict[tuple[int, int], tuple[int, Vertex]],
-        witness_limit: int,
-        violations: list[tuple[int, int]],
-        violation_count: int,
-        fallbacks: list[tuple[int, int]],
-        fallback_count: int,
-        disagreements: list[tuple[int, int]],
-        disagreement_count: int,
-    ) -> None:
-        vars(self).update(
-            p=p,
-            n=n,
-            mode=mode,
-            facet_count=facet_count,
-            total_pairs=total_pairs,
-            constructed=constructed,
-            witnesses=witnesses,
-            witness_limit=witness_limit,
-            violations=violations,
-            violation_count=violation_count,
-            fallbacks=fallbacks,
-            fallback_count=fallback_count,
-            disagreements=disagreements,
-            disagreement_count=disagreement_count,
-        )
+    _fields = (
+        "p", "n", "mode", "facet_count", "total_pairs", "constructed",
+        "witnesses", "witness_limit", "violations", "violation_count",
+        "fallbacks", "fallback_count", "disagreements", "disagreement_count",
+    )
 
     @property
     def is_shelling(self) -> bool:
@@ -407,10 +374,21 @@ def homology_facets_direct(params: ComplexParams) -> list[Face]:
 
     F_k qualifies iff every face F_k - {v} lies in some earlier facet of the
     canonical order; for a single vertex the boundary is the empty face, so
-    any earlier facet suffices.
+    any earlier facet suffices.  The spheres count the homology only if the
+    order is a shelling, so a pair (i, k) without a witness raises
+    VerificationError.
     """
     facets = enumerate_facets(params)
-    return [facets[k] for k, _, _, peels, _ in _sweep(facets) if all(peels)]
+    found = []
+    for k, _, _, peels, bad in _sweep(facets):
+        if bad:
+            i = (bad & -bad).bit_length() - 1
+            raise VerificationError(
+                f"facet order is not a shelling: pair ({i}, {k}) has no witness"
+            )
+        if all(peels):
+            found.append(facets[k])
+    return found
 
 
 def betti_from_shelling(params: ComplexParams) -> tuple[int, ...]:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -286,6 +287,54 @@ def test_alignment_budget_counts_the_box_of_its_largest_offset(capsys):
     assert code == 3
     assert not out
     assert "512 " in err and "budget" in err
+
+
+# exit code and stdout SHA-256 of the reports built from the shelling and
+# alignment records, frozen from the field-by-field copies they replaced
+RECORD_REPORTS = {
+    "shelling": (
+        ["shelling", "--p", "3", "--n", "4"], 0,
+        "025adfc0c4fd7b7e8e25c6953686e51c91bfe96227d38f54cee308fc8ea875f5",
+    ),
+    "shelling-reversed": (
+        ["shelling", "--p", "3", "--n", "4", "--order", "reversed",
+         "--witness-limit", "5"], 1,
+        "5ac1ba8725bef6f7de6680404ce137e544efb2defca84089919c08aab9279359",
+    ),
+    "alignment-n12": (
+        ["genfun", "--check-alignment", "--n-max", "12"], 0,
+        "61ec2ab21fdf289a330a7b2536c5ebfd7af82d85b74ea9e98d66e9f018c13df5",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", RECORD_REPORTS)
+def test_reports_built_from_records_are_frozen(capsys, name):
+    argv, expected_code, digest = RECORD_REPORTS[name]
+    code, out, err = run(capsys, *argv)
+    assert code == expected_code, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    res = json.loads(out)["results"]
+    if name == "shelling-reversed":
+        # every pair list, and the tuple keys of the witnesses, are filled
+        assert res["violations"] and res["fallbacks"] and res["witnesses"]
+    if name == "alignment-n12":
+        # int keys became strings before sorting: "10" sorts before "2"
+        assert list(res["alternating_counts"])[:3] == ["1", "10", "11"]
+
+
+@pytest.mark.parametrize("p,n,expected", [(14284, 2, 0), (14285, 2, 3), (10, 2000, 3)])
+def test_fvector_refuses_at_once_counts_too_long_to_print(capsys, p, n, expected):
+    # 2^14284 has 4300 digits, the most that Python prints by default
+    start = time.perf_counter()
+    code, out, err = run(capsys, "fvector", "--p", str(p), "--n", str(n))
+    assert time.perf_counter() - start < 1.0
+    assert code == expected, err
+    if expected:
+        assert not out
+        assert "digits" in err and "budget" in err
+    else:
+        assert len(str(max(json.loads(out)["results"]["f_vector"]))) == 4300
 
 
 def test_disagreeing_series_constructions_exit_1(capsys, monkeypatch):

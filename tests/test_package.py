@@ -7,7 +7,18 @@ import pkgutil
 import pytest
 
 import gammashell
-from gammashell import ComplexParams, FacetCertificate, make_complex, verify_shelling
+from gammashell import (
+    ComplexParams,
+    FacetCertificate,
+    MSeries,
+    alignment_check,
+    block_partition,
+    boundary_matrix,
+    make_complex,
+    twist_sets,
+    verify_shelling,
+)
+from gammashell.errors import Record
 
 
 def test_package_exports_the_union_of_the_module_export_lists():
@@ -41,7 +52,30 @@ RECORDS = {
         verify_shelling(make_complex(3, 1)),
         "ShellingReport(p=3, n=1, mode='constructive', facet_count=1, total_pairs=0, ",
     ),
+    "alignment": (
+        alignment_check(2),
+        "AlignmentReport(n_max=2, deltas=(0, 1, 2, 3), alternating_counts={1: 0, 2: -6}, ",
+    ),
+    "matrix": (
+        boundary_matrix(make_complex(3, 1), 0),
+        "SparseBoundaryMatrix(k=0, rows=1, cols=1, by_row=[{0: -1}])",
+    ),
+    "series": (
+        MSeries(1, 2, {(1,): 3}),
+        "MSeries(num_vars=1, truncation=2, coeffs={(1,): 3})",
+    ),
+    "twists": (
+        twist_sets(make_complex(3, 2), ((1, 1, 2),)),
+        "TwistSets(a_sets=((0, 1),), b_sets=((2,),))",
+    ),
+    "blocks": (
+        block_partition(make_complex(3, 2), ((1, 1, 2),), ((1, 1, 1), (2, 2, 2))),
+        "BlockPartition(c_blocks=(), i_blocks=(((1, 1, 2),),), "
+        "k_blocks=(((1, 1, 1), (2, 2, 2)),))",
+    ),
 }
+# the records holding a dict or a list
+UNHASHABLE = {"report", "alignment", "matrix", "series"}
 
 
 @pytest.mark.parametrize("name", RECORDS)
@@ -56,9 +90,32 @@ def test_records_are_read_only_values_of_one_class(name):
         # records of two classes never compare equal, whatever their fields
         assert (record == other) is (record is other)
     assert repr(record).startswith(shown)
-    if name == "report":
-        # the report holds dicts and lists
+    if name in UNHASHABLE:
         with pytest.raises(TypeError):
             hash(record)
     else:
         assert hash(record) == hash(tuple(vars(record).values()))
+
+
+def test_records_bind_their_declared_fields_by_position_or_by_name():
+    for info in pkgutil.iter_modules(gammashell.__path__):
+        importlib.import_module(f"gammashell.{info.name}")
+    # RECORDS holds one instance of every record class
+    assert {type(r) for r, _ in RECORDS.values()} == set(Record.__subclasses__())
+    for record, _ in RECORDS.values():
+        cls = type(record)
+        assert tuple(vars(record)) == cls._fields
+        if "__init__" not in vars(cls):
+            fields = vars(record)
+            assert cls(*fields.values()) == cls(**fields) == record
+    face = ((1, 2, 3),)
+    cert = FacetCertificate(face, True, False, True)
+    assert FacetCertificate(face, True, p3=True, p2=False) == cert
+    for args, kwargs in [
+        ((face, True, False), {}),
+        ((face, True, False, True, True), {}),
+        ((face, True, False), {"p4": True}),
+        ((face, True, False, True), {"face": face}),
+    ]:
+        with pytest.raises(TypeError):
+            FacetCertificate(*args, **kwargs)

@@ -23,8 +23,10 @@ from gammashell import (
     order_key,
     power_sum_lhs,
     reduced_euler_characteristic,
+    shelling,
     verify_shelling,
 )
+from gammashell.errors import VerificationError
 from gammashell.shelling import ShellingReport, _Twists
 
 from .conftest import (
@@ -325,6 +327,16 @@ def test_betti_from_shelling_examples():
     assert betti_from_shelling(make_complex(3, 3)) == (0, 12, 12, 0)
     assert betti_from_shelling(make_complex(3, 4)) == (0, 18, 114, 6, 0)
     assert betti_from_shelling(make_complex(3, 5)) == (0, 24, 396, 372, 0, 0)
+
+
+def test_betti_from_shelling_refuses_an_order_that_is_not_a_shelling(monkeypatch):
+    # counted along the reversed order, Gamma_3(3) would read (0, 11, 11, 0)
+    # against the true (0, 12, 12, 0)
+    params = make_complex(3, 3)
+    backwards = enumerate_facets(params)[::-1]
+    monkeypatch.setattr(shelling, "enumerate_facets", lambda params: backwards)
+    with pytest.raises(VerificationError, match="not a shelling"):
+        betti_from_shelling(params)
 
 
 def test_betti_alternating_sum_is_the_euler_characteristic():
