@@ -392,9 +392,14 @@ def _render_text(report: dict, extra: dict) -> str:
             cells = "  ".join(f"{k}={v}" for k, v in row.items() if k != "equal")
             lines.append(f"{cells}  ok={_yesno(row['equal'])}")
     elif cmd == "genfun":
+        n_max = report["params"]["n_max"]
+        counts = " ".join(str(res["alternating_counts"][str(n)]) for n in range(2, n_max + 1))
         lines.append(f"pinned offset delta: {res['pinned_delta']}")
-        for d in res["matches"]:
-            lines.append(f"delta={d}: matches={_yesno(res['matches'][d])}")
+        lines.append(f"signed counts (n=2..{n_max}): {counts}")
+        for d, column in res["diagonal_by_delta"].items():
+            # a column holds n = 2..n_max in order, like the counts line
+            diagonal = " ".join(map(str, column.values()))
+            lines.append(f"delta={d}: diagonal {diagonal}  matches={_yesno(res['matches'][d])}")
         for n in sorted(res["end_to_end"], key=int):
             vals = res["end_to_end"][n]
             shown = "  ".join(f"{k}={v}" for k, v in sorted(vals.items()))

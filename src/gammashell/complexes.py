@@ -120,6 +120,7 @@ def enumerate_faces(
     have no faces.  Equal vertices of different faces are one shared tuple,
     so the list costs little more than its pointers.
     """
+    _require_ints(dim=dim)
     if dim < -1 or dim > params.n - 1:
         return []
     if dim == -1:
@@ -138,9 +139,14 @@ def enumerate_faces(
 def f_vector_formula(params: ComplexParams) -> tuple[int, ...]:
     """Reduced f-vector (f_-1, f_0, ..., f_{n-1}) from the closed-form counts.
 
-    f_{s-1} = C(n, s)^p; the s = 0 term is the empty face.
+    f_{s-1} = C(n, s)^p; the s = 0 term is the empty face.  The binomials
+    come in one running product, C(n, s+1) = C(n, s) (n - s) / (s + 1).
     """
-    return tuple(comb(params.n, s) ** params.p for s in range(params.n + 1))
+    n = params.n
+    row = [1]
+    for s in range(n):
+        row.append(row[-1] * (n - s) // (s + 1))
+    return tuple(c**params.p for c in row)
 
 
 def f_vector_enumerated(

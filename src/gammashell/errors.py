@@ -24,7 +24,10 @@ def _check_budget(count: int, budget: int | None, what: str) -> None:
 
     The package's one budget check; a budget of None admits any count.
     """
-    if budget is not None and count > budget:
+    if budget is None:
+        return
+    _require_ints(budget=budget)
+    if count > budget:
         raise BudgetError(f"{count} {what} exceed the budget of {budget}")
 
 

@@ -28,7 +28,7 @@ from .complexes import (
     Vertex,
     canonical_face,
 )
-from .errors import DomainError, PreconditionError, Record, _check_budget
+from .errors import DomainError, PreconditionError, Record, _check_budget, _require_ints
 
 __all__ = [
     "DOWN",
@@ -222,6 +222,7 @@ def apply_twist(
     must be applicable, i.e. position must lie in A_ell (up) or B_ell (down),
     which guarantees the result is again a face.
     """
+    _require_ints(ell=ell, position=position)
     f = canonical_face(params, face)
     sets = twist_sets(params, f)
     if direction == UP:

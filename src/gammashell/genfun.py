@@ -6,7 +6,8 @@ diagonal reproduces the alternating sum of cubes of binomials.  series_P and
 series_XY always build their two natural constructions and compare them
 before returning; series_g_r and the alternating build of XY use the closed
 form of P alone.  The diagonal alignment offset is determined empirically
-against facet enumeration rather than assumed.
+against the signed facet counts over the fixed offsets DELTAS, rather
+than assumed.
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ __all__ = [
 ]
 
 IntMatrix = tuple[tuple[int, ...], ...]
+
+# the diagonal offsets that alignment_check scans; the scan pins one of them
+DELTAS = (0, 1, 2, 3)
 
 
 def _one_minus(var: int, num_vars: int, truncation: int) -> MSeries:
@@ -81,6 +85,7 @@ def series_P(T: int) -> MSeries:
     f = x y^2 z^2 / ((1-y)(1-z)) and h = x y z^2 / (1-z); both builds are
     compared coefficient by coefficient before returning.
     """
+    _require_ints(T=T)
     if T < 2:
         raise DomainError(f"series_P needs truncation >= 2, got {T}")
     closed = _closed_P(T)
@@ -102,7 +107,7 @@ def series_P(T: int) -> MSeries:
 
 def series_g_r(r: int, T: int) -> MSeries:
     """P^r; its coefficients count r-column shift-vector collections."""
-    _require_ints(r=r)
+    _require_ints(r=r, T=T)
     if r < 1:
         raise DomainError(f"r must be positive, got {r}")
     if T < 2 * r:
@@ -118,6 +123,7 @@ def series_XY(T: int) -> MSeries:
     coefficient by coefficient against the closed rational form before
     returning.
     """
+    _require_ints(T=T)
     if T < 1:
         raise DomainError(f"series_XY needs truncation >= 1, got {T}")
     one = MSeries.const(3, T, 1)
@@ -183,8 +189,10 @@ def _validate_exponents(
     m = _validate_matrix(matrix)
     if len(k) != m:
         raise DomainError("exponent vector length must match matrix side")
+    _require_ints(**{f"k[{i}]": e for i, e in enumerate(k)})
     if T is None:
         T = max(k)
+    _require_ints(T=T)
     if T < max(k):
         raise DomainError(f"truncation {T} below max exponent {max(k)}")
     return m, T
@@ -225,6 +233,7 @@ def master_theorem_check(
 
 def dixon_product_coefficient(n: int) -> int:
     """[x^n y^n z^n] of (x-y)^n (y-z)^n (x-z)^n by direct expansion."""
+    _require_ints(n=n)
     if n < 1:
         raise DomainError(f"n must be positive, got {n}")
     x = MSeries.monomial(3, n, (1, 0, 0))
@@ -265,10 +274,8 @@ class AlignmentReport(Record):
     )
 
 
-def alignment_check(
-    n_max: int = 6, deltas: tuple[int, ...] = (0, 1, 2, 3)
-) -> AlignmentReport:
-    """Scan offsets d: does XY at (n+d,..) equal the signed facet count?
+def alignment_check(n_max: int = 6) -> AlignmentReport:
+    """Scan the offsets d in DELTAS: is XY at (n+d,..) the signed facet count?
 
     The scan runs over 2 <= n <= n_max.  If exactly one offset matches, the
     full identity chain is evaluated at it for 1 <= n <= n_max:
@@ -276,26 +283,23 @@ def alignment_check(
     binomials = its closed form = minus the reduced Euler characteristic,
     plus the direct product-coefficient route.
     """
+    _require_ints(n_max=n_max)
     if n_max < 2:
         raise DomainError(f"n_max must be at least 2, got {n_max}")
-    if not deltas or any(d < 0 for d in deltas):
-        raise DomainError("deltas must be nonnegative and nonempty")
-    if len(set(deltas)) != len(deltas):
-        raise DomainError(f"deltas must be distinct, got {tuple(deltas)}")
 
-    xy = series_XY(n_max + max(deltas))
+    xy = series_XY(n_max + max(DELTAS))
     alternating = {n: alternating_homology_count(n) for n in range(1, n_max + 1)}
 
     diagonal_by_delta: dict[int, dict[int, int]] = {}
     matches: dict[int, bool] = {}
-    for d in deltas:
+    for d in DELTAS:
         column = {
             n: xy.coefficient((n + d, n + d, n + d)) for n in range(2, n_max + 1)
         }
         diagonal_by_delta[d] = column
         matches[d] = all(column[n] == alternating[n] for n in column)
 
-    matching = [d for d in deltas if matches[d]]
+    matching = [d for d in DELTAS if matches[d]]
     pinned = matching[0] if len(matching) == 1 else None
 
     end_to_end: dict[int, dict[str, int]] = {}
@@ -317,7 +321,7 @@ def alignment_check(
             ok = ok and len(set(values.values())) == 1
     return AlignmentReport(
         n_max=n_max,
-        deltas=tuple(deltas),
+        deltas=DELTAS,
         alternating_counts=alternating,
         diagonal_by_delta=diagonal_by_delta,
         matches=matches,

@@ -109,6 +109,7 @@ def boundary_matrix(
     params: ComplexParams, k: int, budget: int | None = DEFAULT_CELL_BUDGET
 ) -> SparseBoundaryMatrix:
     """Assemble the boundary matrix taking k-faces to (k-1)-faces."""
+    _require_ints(k=k)
     if k < 0 or k > params.n - 1:
         raise DomainError(f"boundary dimension {k} outside [0, {params.n - 1}]")
     _check_cells(params, budget, (k,))

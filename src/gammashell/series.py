@@ -189,6 +189,7 @@ class MSeries(Record):
         )
 
     def __pow__(self, exponent: int) -> "MSeries":
+        _require_ints(exponent=exponent)
         if exponent < 0:
             raise DomainError("negative power")
         result = MSeries.const(self.num_vars, self.truncation, 1)

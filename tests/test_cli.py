@@ -1,6 +1,8 @@
 """End-to-end command line behavior: exit codes, formats, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gammashell import (
     MSeries,
@@ -351,6 +355,20 @@ def test_disagreeing_series_constructions_exit_1(capsys, monkeypatch):
     assert "verification failure" in err and "series_XY" in err
 
 
+def test_alignment_without_a_pinned_offset_exits_1_with_its_report(capsys, monkeypatch):
+    count = genfun.alternating_homology_count
+    monkeypatch.setattr(genfun, "alternating_homology_count", lambda n: count(n) + 1)
+    code, out, err = run(capsys, "genfun", "--check-alignment", "--n-max", "3")
+    assert code == 1, err
+    report = json.loads(out)
+    res = report["results"]
+    assert res["pinned_delta"] is None
+    assert not any(res["matches"].values())
+    assert res["end_to_end"] == {}
+    assert res["end_to_end_ok"] is False
+    assert report["pass"] is False
+
+
 def test_internal_errors_are_not_verification_failures(capsys, monkeypatch):
     def recurse(args):
         raise RecursionError("maximum recursion depth exceeded")
@@ -520,10 +538,11 @@ TEXT = {
     "genfun": (
         ["genfun", "--check-alignment", "--n-max", "2"],
         "pinned offset delta: 1\n"
-        "delta=0: matches=no\n"
-        "delta=1: matches=yes\n"
-        "delta=2: matches=no\n"
-        "delta=3: matches=no\n"
+        "signed counts (n=2..2): -6\n"
+        "delta=0: diagonal 0  matches=no\n"
+        "delta=1: diagonal -6  matches=yes\n"
+        "delta=2: diagonal 0  matches=no\n"
+        "delta=3: diagonal 90  matches=no\n"
         "n=1: alternating_homology_count=0  dixon_lhs=0  dixon_rhs=0  "
         "neg_reduced_euler=0  product_coefficient=0  xy_diagonal=0  ok=yes\n"
         "n=2: alternating_homology_count=-6  dixon_lhs=-6  dixon_rhs=-6  "
@@ -708,6 +727,60 @@ def test_reports_carry_the_schema_envelope(capsys, argv):
     assert sorted(report) == sorted(SCHEMA["required"])
     assert report["command"] in SCHEMA["properties"]["command"]["enum"]
     assert isinstance(report["pass"], bool)
+
+
+@st.composite
+def argvs(draw):
+    """A small argv for any subcommand, in JSON or text; many are invalid."""
+    small = st.integers(-2, 4)
+
+    def num() -> str:
+        return str(draw(small))
+
+    def pick(*choices) -> str:
+        return draw(st.sampled_from(choices))
+
+    command = pick(*cli._COMMANDS)
+    argv = [command]
+    if command in ("fvector", "shelling", "betti", "export"):
+        argv += ["--p", num(), "--n", num()]
+    if command == "fvector":
+        argv += ["--enumerate"] if draw(st.booleans()) else []
+    elif command == "shelling":
+        argv += ["--order", pick("canonical", "reversed"),
+                 "--witness-mode", pick("constructive", "exhaustive", "both")]
+    elif command == "betti":
+        argv += ["--method", pick("both", "shelling", "matrix")]
+        if draw(st.booleans()):
+            argv += ["--shuffle-check", "--seed", num()]
+    elif command == "identity":
+        argv += [pick("dixon", "3f2", "aigner"), "--n-max", num(), "--max", num()]
+    elif command == "genfun":
+        series = pick(None, "P", "XY", "g")
+        argv += [series] if series else []
+        if draw(st.booleans()):
+            argv += ["--check-alignment", "--n-max", num()]
+        argv += ["--truncate", num(), "--r", num()]
+    elif command == "export":
+        argv += [pick("facets", "matrix")] + (["--k", num()] if draw(st.booleans()) else [])
+    return argv + ["--format", pick("json", "text")]
+
+
+@settings(max_examples=150)
+@given(argvs())
+def test_drawn_argvs_keep_the_exit_code_contract(argv):
+    # capsys is function-scoped, which hypothesis refuses under @given
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage exit
+            code = exc.code
+    assert code in range(5), (argv, err.getvalue())
+    if code in (0, 1) and argv[-1] == "json":
+        report = json.loads(out.getvalue())
+        assert sorted(report) == sorted(SCHEMA["required"])
+        assert report["pass"] == (code == 0)
 
 
 # -- cold start ---------------------------------------------------------------

@@ -165,6 +165,16 @@ def test_f_vector_formula_examples():
     )
 
 
+def test_f_vector_formula_running_product_equals_comb():
+    for p in range(1, 6):
+        for n in range(1, 61):
+            expected = tuple(comb(n, s) ** p for s in range(n + 1))
+            assert f_vector_formula(make_complex(p, n)) == expected
+    assert f_vector_formula(make_complex(1, 2000)) == tuple(
+        comb(2000, s) for s in range(2001)
+    )
+
+
 @pytest.mark.parametrize("p", [1, 2, 3])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_f_vector_enumerated_equals_formula(p, n):

@@ -277,9 +277,3 @@ def test_alignment_pins_the_unit_offset():
 def test_alignment_check_rejects_bad_input():
     with pytest.raises(DomainError):
         alignment_check(n_max=1)
-    with pytest.raises(DomainError):
-        alignment_check(n_max=4, deltas=())
-    with pytest.raises(DomainError):
-        alignment_check(n_max=4, deltas=(0, -1))
-    with pytest.raises(DomainError, match="distinct"):
-        alignment_check(n_max=4, deltas=(1, 1))

@@ -1,5 +1,6 @@
-"""The package surface: one name per module __all__, resolved lazily, and
-the read-only value records that its functions return."""
+"""The package surface: one name per module __all__, resolved lazily, the
+read-only value records that its functions return, and the DomainError its
+entry points raise on a non-int argument."""
 
 import importlib
 import pkgutil
@@ -8,13 +9,23 @@ import pytest
 
 import gammashell
 from gammashell import (
+    UP,
     ComplexParams,
+    DomainError,
     FacetCertificate,
     MSeries,
     alignment_check,
+    apply_twist,
     block_partition,
     boundary_matrix,
+    dixon_product_coefficient,
+    enumerate_faces,
     make_complex,
+    master_theorem_check,
+    matrix_A,
+    series_g_r,
+    series_P,
+    series_XY,
     twist_sets,
     verify_shelling,
 )
@@ -119,3 +130,32 @@ def test_records_bind_their_declared_fields_by_position_or_by_name():
     ]:
         with pytest.raises(TypeError):
             FacetCertificate(*args, **kwargs)
+
+
+# each entry point called with one int argument, named first, replaced by a
+# str or a float
+NON_INT_CALLS = {
+    "series_P": ("T", lambda: series_P("3")),
+    "series_XY": ("T", lambda: series_XY("3")),
+    "series_g_r": ("T", lambda: series_g_r(1, "3")),
+    "alignment_check": ("n_max", lambda: alignment_check("3")),
+    "alignment_check_float": ("n_max", lambda: alignment_check(2.5)),
+    "dixon_product_coefficient": ("n", lambda: dixon_product_coefficient("3")),
+    "enumerate_faces": ("dim", lambda: enumerate_faces(make_complex(3, 2), "1")),
+    "enumerate_faces_budget": (
+        "budget", lambda: enumerate_faces(make_complex(3, 2), 1, budget="100")
+    ),
+    "boundary_matrix": ("k", lambda: boundary_matrix(make_complex(3, 2), "1")),
+    "master_theorem_check": ("T", lambda: master_theorem_check(matrix_A(), (1, 1, 1), "3")),
+    "master_theorem_check_k": (
+        r"k\[0\]", lambda: master_theorem_check(matrix_A(), ("1", 1, 1))
+    ),
+    "MSeries.__pow__": ("exponent", lambda: MSeries.const(3, 4, 1) ** "2"),
+    "apply_twist": ("ell", lambda: apply_twist(make_complex(3, 2), ((1, 1, 2),), "0", 0, UP)),
+}
+
+
+@pytest.mark.parametrize("name,call", NON_INT_CALLS.values(), ids=list(NON_INT_CALLS))
+def test_non_int_arguments_raise_domain_error(name, call):
+    with pytest.raises(DomainError, match=f"^{name} must be an integer"):
+        call()

@@ -1,4 +1,4 @@
-"""Smoke runs of the sweep scripts: each exits 0 and reports no mismatch."""
+"""Smoke runs of the scripts: each exits 0 and reports no mismatch."""
 
 import os
 import subprocess
@@ -11,9 +11,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # the words each script prints when a cross-check disagrees
 MISMATCH_WORDS = {
-    "run_pipeline.py": ("FAIL", "NO", "!!"),
     "homology_census.py": ("MISMATCH",),
-    "series_alignment.py": ("MISMATCH", "FAILED"),
 }
 
 
