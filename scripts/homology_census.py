@@ -8,14 +8,14 @@ characteristic and the diagonal of the signed generating series.
 
 import argparse
 
-from gammashell import (
-    enumerate_facets,
+from gammashell.complexes import (
+    ComplexParams,
     f_vector_formula,
-    homology_families,
-    make_complex,
     reduced_euler_characteristic,
-    series_XY,
 )
+from gammashell.facets import enumerate_facets
+from gammashell.genfun import series_XY
+from gammashell.shelling import homology_families
 
 
 def main() -> None:
@@ -25,7 +25,7 @@ def main() -> None:
 
     xy = series_XY(args.n_max + 1)
     for n in range(1, args.n_max + 1):
-        params = make_complex(3, n)
+        params = ComplexParams(3, n)
         xs, ys = homology_families(params)
         census: dict[int, list[int]] = {}
         for fam_idx, fam in enumerate((xs, ys)):

@@ -1,0 +1,148 @@
+"""Run the mutation catalogue: each mutant must make its tests fail.
+
+    python scripts/mutants.py
+
+Each entry of CATALOGUE is (file, exact old text, new text, pytest node
+ids).  For each entry in turn, the repository is copied to a temporary
+directory, the old text, which must occur exactly once in the file, is
+replaced, and `python -m pytest -x -q <ids>` runs there in one child,
+stopped after TIMEOUT seconds.  A mutant is killed when that run fails
+(pytest exit 1, or 2 when collection breaks).  A first run on the
+unmutated copy must pass every listed test.  Prints one JSON line for that
+run and one per mutant, and exits 1 if the first run fails or any mutant
+survives, times out, has stale text or ids, or its run fails otherwise.
+"""
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT = 300  # seconds per pytest child; each entry's tests take a few seconds
+
+# name -> (file, old text, new text, node ids that must fail)
+CATALOGUE = {
+    "plain-joins-tuple-keys-with-semicolons": (
+        "src/gammashell/cli.py",
+        '",".join(map(str, k)) if isinstance(k, tuple)',
+        '";".join(map(str, k)) if isinstance(k, tuple)',
+        ["tests/test_cli.py::test_reports_built_from_records_are_frozen",
+         "tests/test_cli.py::test_shelling_report"],
+    ),
+    "homology-facets-direct-drops-the-bad-check": (
+        "src/gammashell/shelling.py",
+        "        if bad:\n            i = (bad & -bad).bit_length() - 1\n",
+        "        if False:\n            i = (bad & -bad).bit_length() - 1\n",
+        ["tests/test_shelling.py::"
+         "test_betti_from_shelling_refuses_an_order_that_is_not_a_shelling"],
+    ),
+    "enumerate-facets-drops-the-up-front-budget-check": (
+        "src/gammashell/facets.py",
+        '    _check_budget(sum(facet_counts(params)), budget, "facets")\n',
+        "",
+        ["tests/test_facets.py::test_enumerate_facets_budget"],
+    ),
+    "facet-counts-drops-the-sign": (
+        "src/gammashell/facets.py",
+        "sum((-1) ** j * comb(r + 1, j)",
+        "sum(comb(r + 1, j)",
+        ["tests/test_facets.py::test_facet_counts_pinned_totals"],
+    ),
+    "shuffled-chain-from-unpermuted-rows": (
+        "src/gammashell/homology.py",
+        "        row_perm[r]: dict(zip(map(relabel, row), row.values()))\n",
+        "        r: row.copy()\n",
+        ["tests/test_homology.py::test_cleared_ranks_match_full_ranks_on_random_complexes",
+         "tests/test_homology.py::test_cleared_ranks_match_full_ranks_on_gamma"],
+    ),
+    "constructed-witness-skips-the-face-check": (
+        "src/gammashell/shelling.py",
+        "        if set(f).difference(cand) != {v}:\n            return None\n",
+        "",
+        ["tests/test_shelling.py::test_constructed_witness_is_checked_on_the_faces"],
+    ),
+    "record-binder-swaps-two-fields-by-name": (
+        "src/gammashell/errors.py",
+        "            args = [values[f] for f in fields]\n",
+        "            args = [values[f] for f in fields[1::-1] + fields[2:]]\n",
+        ["tests/test_package.py::"
+         "test_records_bind_their_declared_fields_by_position_or_by_name"],
+    ),
+}
+
+# left out of the copy: version control, caches and benchmark output
+SKIP = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", "out")
+
+
+def problems(file: str, old: str, ids: list[str]) -> list[str]:
+    """Why an entry no longer applies to the tree at ROOT; empty if it does."""
+    found = []
+    count = (ROOT / file).read_text(encoding="utf-8").count(old)
+    if count != 1:
+        found.append(f"old text occurs {count} times in {file}")
+    for node in ids:
+        path, _, test = node.partition("::")
+        target = ROOT / path
+        name = test.split("[")[0]
+        if not target.is_file() or f"def {name}(" not in target.read_text(encoding="utf-8"):
+            found.append(f"no test {node}")
+    return found
+
+
+def pytest_exit(ids: list[str], edit: tuple[str, str, str] | None = None):
+    """Exit code of pytest on ids in a copy of the tree with edit applied, and
+    its last lines; None as the code if it ran past TIMEOUT."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        tree = Path(tmp) / "tree"
+        shutil.copytree(ROOT, tree, ignore=SKIP)
+        if edit:
+            file, old, new = edit
+            target = tree / file
+            target.write_text(target.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *ids],
+                cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT,
+            )
+        except subprocess.TimeoutExpired:
+            return None, []
+    return proc.returncode, proc.stdout.splitlines()[-3:]
+
+
+def run(name: str) -> dict:
+    file, old, new, ids = CATALOGUE[name]
+    result = {"mutant": name, "file": file}
+    stale = problems(file, old, ids)
+    if stale:
+        return dict(result, status="stale", problems=stale)
+    start = time.perf_counter()
+    code, tail = pytest_exit(ids, (file, old, new))
+    status = {None: "timeout", 0: "survived", 1: "killed", 2: "killed"}.get(code, "error")
+    result.update(status=status, pytest_exit=code, seconds=round(time.perf_counter() - start, 2))
+    if status == "error":
+        result["tail"] = tail
+    return result
+
+
+def main() -> int:
+    # the unmutated tree must pass every listed test, else a kill means nothing
+    ids = sorted({node for *_, nodes in CATALOGUE.values() for node in nodes})
+    code, tail = pytest_exit(ids)
+    print(json.dumps({"mutant": None, "status": "passed" if code == 0 else "failed",
+                      "pytest_exit": code, "tail": tail if code else []}), flush=True)
+    ok = code == 0
+    for name in CATALOGUE:
+        result = run(name)
+        ok = ok and result["status"] == "killed"
+        print(json.dumps(result), flush=True)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -67,13 +67,13 @@ def _report(command: str, params: dict, constants: dict, results: dict, ok: bool
 
 def cmd_fvector(args: argparse.Namespace):
     from .complexes import (
+        ComplexParams,
         f_vector_enumerated,
         f_vector_formula,
-        make_complex,
         reduced_euler_characteristic,
     )
 
-    params = make_complex(args.p, args.n)
+    params = ComplexParams(args.p, args.n)
     # the largest count, C(n, n//2)^p, bounds every entry and the reduced
     # Euler characteristic (an alternating sum of unimodal counts); refuse a
     # report whose ints Python would not print, before computing any.  The
@@ -107,11 +107,11 @@ def cmd_fvector(args: argparse.Namespace):
 
 
 def cmd_shelling(args: argparse.Namespace):
-    from .complexes import make_complex
+    from .complexes import ComplexParams
     from .facets import enumerate_facets
     from .shelling import _verify_order
 
-    params = make_complex(args.p, args.n)
+    params = ComplexParams(args.p, args.n)
     facets = enumerate_facets(params, args.face_budget)
     if args.order == "reversed":
         facets = list(reversed(facets))
@@ -132,13 +132,13 @@ def cmd_shelling(args: argparse.Namespace):
 
 
 def cmd_betti(args: argparse.Namespace):
-    from .complexes import f_vector_formula, make_complex, reduced_euler_characteristic
+    from .complexes import ComplexParams, f_vector_formula, reduced_euler_characteristic
     from .homology import _boundary_chain, _check_cells, betti_from_ranks, chain_ranks
     from .shelling import betti_from_shelling
 
     if args.shuffle_check and args.method == "shelling":
         raise DomainError("--shuffle-check needs the matrix route (--method matrix or both)")
-    params = make_complex(args.p, args.n)
+    params = ComplexParams(args.p, args.n)
     if args.method != "shelling":
         # refuse an over-budget matrix before either route does any work
         _check_cells(params, args.cell_budget, range(params.n))
@@ -275,9 +275,9 @@ def cmd_genfun(args: argparse.Namespace):
 
 
 def cmd_export(args: argparse.Namespace):
-    from .complexes import make_complex
+    from .complexes import ComplexParams
 
-    params = make_complex(args.p, args.n)
+    params = ComplexParams(args.p, args.n)
     if args.what == "facets":
         from .facets import enumerate_facets, format_facets
 

@@ -25,7 +25,6 @@ __all__ = [
     "f_vector_enumerated",
     "f_vector_formula",
     "is_face",
-    "make_complex",
     "order_key",
     "reduced_euler_characteristic",
     "sigma_word",
@@ -52,11 +51,6 @@ class ComplexParams(Record):
         if p < 1 or n < 1:
             raise DomainError(f"need p >= 1 and n >= 1, got p={p}, n={n}")
         super().__init__(p, n)
-
-
-def make_complex(p: int, n: int) -> ComplexParams:
-    """Validate (p, n) and return the parameters for Gamma_p(n)."""
-    return ComplexParams(p, n)
 
 
 def check_vertex(params: ComplexParams, vertex: Sequence[int]) -> Vertex:

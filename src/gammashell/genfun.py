@@ -12,11 +12,7 @@ than assumed.
 
 from __future__ import annotations
 
-from .complexes import (
-    f_vector_formula,
-    make_complex,
-    reduced_euler_characteristic,
-)
+from .complexes import ComplexParams, f_vector_formula, reduced_euler_characteristic
 from .errors import DomainError, Record, VerificationError, _require_ints
 from .facets import _signed_chain_count
 from .identities import dixon_lhs, dixon_rhs
@@ -255,7 +251,7 @@ def alternating_homology_count(n: int, p: int = 3) -> int:
     prefix-sum pass over the vertex slacks, not listed (see
     facets._signed_chain_count).
     """
-    return _signed_chain_count(make_complex(p, n))
+    return _signed_chain_count(ComplexParams(p, n))
 
 
 class AlignmentReport(Record):
@@ -306,7 +302,7 @@ def alignment_check(n_max: int = 6) -> AlignmentReport:
     ok = pinned is not None
     if pinned is not None:
         for n in range(1, n_max + 1):
-            params = make_complex(3, n)
+            params = ComplexParams(3, n)
             values = {
                 "xy_diagonal": xy.coefficient((n + pinned,) * 3),
                 "alternating_homology_count": alternating[n],

@@ -11,7 +11,9 @@ from functools import lru_cache
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from gammashell import BudgetError, enumerate_facets, is_face, make_complex
+from gammashell.complexes import ComplexParams, is_face
+from gammashell.errors import BudgetError
+from gammashell.facets import enumerate_facets
 
 settings.register_profile(
     "suite",
@@ -83,7 +85,7 @@ REFERENCE_SHAPES = [(1, 1), (1, 6), (2, 8)] + [(3, n) for n in range(1, 8)] + [
 
 @lru_cache(maxsize=None)
 def cached_facets(p, n):
-    return tuple(enumerate_facets(make_complex(p, n)))
+    return tuple(enumerate_facets(ComplexParams(p, n)))
 
 
 @st.composite
@@ -96,7 +98,7 @@ def faces(draw, max_p=3, max_n=5):
         sorted(draw(st.sets(st.integers(1, n), min_size=r, max_size=r)))
         for _ in range(p)
     ]
-    return make_complex(p, n), tuple(zip(*cols))
+    return ComplexParams(p, n), tuple(zip(*cols))
 
 
 @st.composite
@@ -106,7 +108,7 @@ def facets(draw, max_p=3, max_n=4):
     n = draw(st.integers(min_value=1, max_value=max_n))
     pool = cached_facets(p, n)
     idx = draw(st.integers(min_value=0, max_value=len(pool) - 1))
-    return make_complex(p, n), pool[idx]
+    return ComplexParams(p, n), pool[idx]
 
 
 @st.composite
@@ -116,4 +118,4 @@ def facet_pairs(draw, max_n=4):
     pool = cached_facets(3, n)
     k = draw(st.integers(min_value=1, max_value=len(pool) - 1))
     i = draw(st.integers(min_value=0, max_value=k - 1))
-    return make_complex(3, n), list(pool), i, k
+    return ComplexParams(3, n), list(pool), i, k

@@ -10,39 +10,43 @@ import itertools
 import json
 import time
 
-from gammashell import (
-    aigner_rhs,
-    alignment_check,
-    alternating_homology_count,
-    betti_from_shelling,
-    betti_numbers,
-    det_I_minus_X,
-    dixon_lhs,
-    dixon_rhs,
+from gammashell.cli import main
+from gammashell.complexes import (
+    ComplexParams,
     enumerate_faces,
-    enumerate_facets,
     f_vector_enumerated,
     f_vector_formula,
-    facet_certificate,
-    homology_facets_by_criterion,
-    homology_facets_direct,
-    homology_families,
-    make_complex,
+    reduced_euler_characteristic,
+)
+from gammashell.facets import enumerate_facets, facet_certificate
+from gammashell.genfun import (
+    alignment_check,
+    alternating_homology_count,
+    det_I_minus_X,
     master_theorem_check,
     matrix_A,
     matrix_B,
-    power_sum_lhs,
-    reduced_euler_characteristic,
+    series_g_r,
     series_P,
     series_XY,
-    series_g_r,
+)
+from gammashell.homology import betti_numbers, verify_euler_poincare
+from gammashell.identities import (
+    aigner_rhs,
+    dixon_lhs,
+    dixon_rhs,
+    power_sum_lhs,
     threeF2_lhs,
     threeF2_rhs,
-    verify_euler_poincare,
+)
+from gammashell.series import MSeries
+from gammashell.shelling import (
+    betti_from_shelling,
+    homology_facets_by_criterion,
+    homology_facets_direct,
+    homology_families,
     verify_shelling,
 )
-from gammashell.cli import main
-from gammashell.series import MSeries
 
 from .conftest import is_maximal_bruteforce
 
@@ -79,7 +83,7 @@ def test_acceptance_01_cube_sum_closed_form():
 def test_acceptance_02_euler_characteristic_bridge():
     with _Timed(2, "reduced Euler characteristic is minus the cube sum, n <= 10", 1):
         for n in range(1, 11):
-            chi = reduced_euler_characteristic(f_vector_formula(make_complex(3, n)))
+            chi = reduced_euler_characteristic(f_vector_formula(ComplexParams(3, n)))
             assert chi == -dixon_lhs(n)
 
 
@@ -87,14 +91,14 @@ def test_acceptance_03_face_counts():
     with _Timed(3, "enumerated f-vectors match the binomial formula, p <= 3, n <= 6", 30):
         for p in (1, 2, 3):
             for n in range(1, 7):
-                params = make_complex(p, n)
+                params = ComplexParams(p, n)
                 assert f_vector_enumerated(params) == f_vector_formula(params)
 
 
 def test_acceptance_04_facet_criterion():
     with _Timed(4, "facet criterion agrees with insertion maximality, p = 3, n <= 5", 60):
         for n in range(1, 6):
-            params = make_complex(3, n)
+            params = ComplexParams(3, n)
             for dim in range(n):
                 for face in enumerate_faces(params, dim):
                     assert (
@@ -106,23 +110,23 @@ def test_acceptance_04_facet_criterion():
 def test_acceptance_05_shelling():
     with _Timed(5, "canonical order shells the complex, n <= 7, both witness routes", 600):
         for n in range(1, 5):
-            report = verify_shelling(make_complex(3, n), witness_mode="both")
+            report = verify_shelling(ComplexParams(3, n), witness_mode="both")
             assert report.is_shelling
             assert report.disagreements == []
             assert report.disagreement_count == 0
             assert report.fallbacks == []
             assert report.fallback_count == 0
-        mid = verify_shelling(make_complex(3, 5))
+        mid = verify_shelling(ComplexParams(3, 5))
         assert mid.is_shelling
         assert mid.fallbacks == []
         assert mid.fallback_count == 0
-        big = verify_shelling(make_complex(3, 6))
+        big = verify_shelling(ComplexParams(3, 6))
         assert big.is_shelling
         assert big.fallbacks == []
         assert big.fallback_count == 0
         assert big.total_pairs == 8377 * 8376 // 2
         assert big.constructed == big.total_pairs
-        huge = verify_shelling(make_complex(3, 7))
+        huge = verify_shelling(ComplexParams(3, 7))
         assert huge.facet_count == 54133
         assert huge.total_pairs == 54133 * 54132 // 2
         assert huge.constructed == huge.total_pairs
@@ -134,7 +138,7 @@ def test_acceptance_05_shelling():
 def test_acceptance_06_homology_facets():
     with _Timed(6, "twist criterion equals direct attachment, n <= 6", 600):
         for n in range(1, 7):
-            params = make_complex(3, n)
+            params = ComplexParams(3, n)
             by_criterion = homology_facets_by_criterion(params)
             assert by_criterion == homology_facets_direct(params)
             if n == 6:
@@ -150,16 +154,16 @@ def test_acceptance_07_betti_numbers():
     ):
         for p, ns in ((3, range(1, 6)), (2, range(1, 7))):
             for n in ns:
-                params = make_complex(p, n)
+                params = ComplexParams(p, n)
                 assert betti_from_shelling(params) == betti_numbers(params)
                 assert verify_euler_poincare(params)
-        assert betti_numbers(make_complex(2, 6)) == (0, 2, 20, 44, 6, 0, 0)
-        assert betti_from_shelling(make_complex(3, 5)) == (0, 24, 396, 372, 0, 0)
-        six = make_complex(3, 6)
+        assert betti_numbers(ComplexParams(2, 6)) == (0, 2, 20, 44, 6, 0, 0)
+        assert betti_from_shelling(ComplexParams(3, 5)) == (0, 24, 396, 372, 0, 0)
+        six = ComplexParams(3, 6)
         assert betti_numbers(six) == betti_from_shelling(six) == (
             0, 30, 948, 3138, 540, 0, 0,
         )
-        seven = make_complex(3, 7)
+        seven = ComplexParams(3, 7)
         assert betti_numbers(seven, budget=None) == betti_from_shelling(seven) == (
             0, 36, 1860, 13704, 12240, 360, 0, 0,
         )
@@ -176,7 +180,7 @@ def test_acceptance_08_series_constructions():
             for m in range(2, 8):
                 expected = sum(
                     1
-                    for f in homology_families(make_complex(3, m - 1))[0]
+                    for f in homology_families(ComplexParams(3, m - 1))[0]
                     if len(f) == r - 1
                 )
                 assert g.coefficient((m, m, m)) == expected
@@ -248,7 +252,7 @@ def test_acceptance_13_four_coordinate_report():
     ):
         counts = {}
         for n in range(1, 6):
-            params = make_complex(4, n)
+            params = ComplexParams(4, n)
             report = verify_shelling(params)
             counts[n] = report.facet_count
             assert report.is_shelling, n
@@ -259,7 +263,7 @@ def test_acceptance_13_four_coordinate_report():
         print(f"    four-coordinate survey: facets {counts}, all shellable")
         for p, n_max in ((2, 8), (4, 6), (5, 5)):
             for n in range(1, n_max + 1):
-                params = make_complex(p, n)
+                params = ComplexParams(p, n)
                 signed = sum(
                     -1 if len(f) % 2 else 1
                     for f in homology_facets_by_criterion(params)
@@ -270,7 +274,7 @@ def test_acceptance_13_four_coordinate_report():
                 ), (p, n)
         for p, n_max in ((4, 12), (5, 8)):
             for n in range(1, n_max + 1):
-                params = make_complex(p, n)
+                params = ComplexParams(p, n)
                 counted = alternating_homology_count(n, p)
                 assert counted == power_sum_lhs(n, p), (p, n)
                 assert counted == -reduced_euler_characteristic(

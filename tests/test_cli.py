@@ -14,23 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gammashell import (
-    MSeries,
-    boundary_matrix,
-    cli,
-    dump_series,
-    enumerate_facets,
-    facets,
-    format_facets,
-    genfun,
-    homology,
-    make_complex,
-    matrix_to_triplets,
-    series_g_r,
-    series_P,
-    shelling,
-)
+from gammashell import cli, facets, genfun, homology, shelling
 from gammashell.cli import main
+from gammashell.complexes import ComplexParams
+from gammashell.facets import enumerate_facets, format_facets
+from gammashell.genfun import series_g_r, series_P
+from gammashell.homology import boundary_matrix, matrix_to_triplets
+from gammashell.series import MSeries, dump_series
 
 
 def run(capsys, *argv):
@@ -570,7 +560,7 @@ def test_genfun_text_payload_is_the_series_dump(capsys):
 
 
 def test_export_facets_content(capsys):
-    params = make_complex(3, 2)
+    params = ComplexParams(3, 2)
     expected = format_facets(params, enumerate_facets(params))
     report = run_json(capsys, "export", "facets", "--n", "2")
     assert report["results"]["content"] == expected
@@ -580,7 +570,7 @@ def test_export_facets_content(capsys):
 
 
 def test_export_matrix_content(capsys):
-    expected = matrix_to_triplets(boundary_matrix(make_complex(3, 2), 1))
+    expected = matrix_to_triplets(boundary_matrix(ComplexParams(3, 2), 1))
     code, out, _ = run(
         capsys, "export", "matrix", "--n", "2", "--k", "1", "--format", "text"
     )
@@ -614,7 +604,7 @@ def test_export_writes_payload_to_file(tmp_path, capsys):
     report = run_json(
         capsys, "export", "facets", "--n", "2", "--output", str(target)
     )
-    params = make_complex(3, 2)
+    params = ComplexParams(3, 2)
     assert target.read_text() == format_facets(params, enumerate_facets(params))
     assert report["results"]["written"] == str(target)
     assert "content" not in report["results"]
@@ -686,7 +676,10 @@ from gammashell.cli import main
 for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage exit
+            code = exc.code
     print(code, hashlib.sha256(out.getvalue().encode()).hexdigest())
 """
 
@@ -781,6 +774,29 @@ def test_drawn_argvs_keep_the_exit_code_contract(argv):
         report = json.loads(out.getvalue())
         assert sorted(report) == sorted(SCHEMA["required"])
         assert report["pass"] == (code == 0)
+
+
+# seconds each child of the hash-seed fuzz may run; the drawn argvs take ~0.1 s
+FUZZ_CAP = 30
+
+
+# one drawn example: distinct argvs, since the simplest draw repeats one argv
+@settings(max_examples=1)
+@given(st.lists(argvs(), min_size=8, max_size=8, unique_by=tuple))
+def test_drawn_argvs_end_within_the_cap_whatever_the_hash_seed(batch):
+    runs = []
+    for seed in ("0", "12345"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _DIGESTS, json.dumps(batch)],
+            capture_output=True, text=True, env=child_env(PYTHONHASHSEED=seed),
+            timeout=FUZZ_CAP,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs.append(proc.stdout.splitlines())
+    assert len(runs[0]) == len(batch)
+    for line, argv in zip(runs[0], batch):
+        assert int(line.split()[0]) in range(5), argv
+    assert runs[0] == runs[1]
 
 
 # -- cold start ---------------------------------------------------------------

@@ -7,33 +7,32 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given
 
-from gammashell import (
-    BudgetError,
-    DomainError,
-    MSeries,
-    aigner_rhs,
-    alignment_check,
-    betti_from_ranks,
+from gammashell import complexes
+from gammashell.complexes import (
+    ComplexParams,
     canonical_face,
     check_vertex,
-    complexes,
-    dixon_lhs,
-    dixon_rhs,
     enumerate_faces,
     f_vector_enumerated,
     f_vector_formula,
     is_face,
-    make_complex,
     order_key,
-    power_sum_lhs,
     reduced_euler_characteristic,
-    series_P,
-    series_g_r,
     sigma_word,
+)
+from gammashell.errors import BudgetError, DomainError
+from gammashell.genfun import alignment_check, series_g_r, series_P
+from gammashell.homology import betti_from_ranks
+from gammashell.identities import (
+    aigner_rhs,
+    dixon_lhs,
+    dixon_rhs,
+    power_sum_lhs,
     threeF2_lhs,
     threeF2_rhs,
-    verify_shelling,
 )
+from gammashell.series import MSeries
+from gammashell.shelling import verify_shelling
 
 from .conftest import all_faces_bruteforce, faces
 
@@ -41,7 +40,7 @@ from .conftest import all_faces_bruteforce, faces
 @pytest.mark.parametrize("p,n", [(0, 2), (3, 0), (-1, 4), (2, -2)])
 def test_make_complex_rejects_bad_parameters(p, n):
     with pytest.raises(DomainError):
-        make_complex(p, n)
+        ComplexParams(p, n)
 
 
 @pytest.mark.parametrize(
@@ -49,7 +48,7 @@ def test_make_complex_rejects_bad_parameters(p, n):
 )
 def test_make_complex_rejects_non_integer_parameters(p, n):
     with pytest.raises(DomainError):
-        make_complex(p, n)
+        ComplexParams(p, n)
 
 
 @pytest.mark.parametrize(
@@ -68,10 +67,10 @@ def test_make_complex_rejects_non_integer_parameters(p, n):
         lambda: aigner_rhs(True),
         lambda: threeF2_lhs(1.5, 1, 1),
         lambda: threeF2_rhs(1, 1, "1"),
-        lambda: verify_shelling(make_complex(3, 2), witness_limit=2.5),
-        lambda: verify_shelling(make_complex(3, 2), witness_limit=True),
-        lambda: betti_from_ranks(make_complex(3, 3), [1]),
-        lambda: betti_from_ranks(make_complex(3, 1), [1.0]),
+        lambda: verify_shelling(ComplexParams(3, 2), witness_limit=2.5),
+        lambda: verify_shelling(ComplexParams(3, 2), witness_limit=True),
+        lambda: betti_from_ranks(ComplexParams(3, 3), [1]),
+        lambda: betti_from_ranks(ComplexParams(3, 1), [1.0]),
     ],
 )
 def test_integer_inputs_reject_other_types(call):
@@ -80,7 +79,7 @@ def test_integer_inputs_reject_other_types(call):
 
 
 def test_check_vertex_rejects_bad_coordinates():
-    params = make_complex(3, 4)
+    params = ComplexParams(3, 4)
     assert check_vertex(params, [1, 2, 4]) == (1, 2, 4)
     with pytest.raises(DomainError):
         check_vertex(params, (1, 2))
@@ -91,13 +90,13 @@ def test_check_vertex_rejects_bad_coordinates():
 
 
 def test_canonical_face_sorts_by_first_coordinate():
-    params = make_complex(3, 4)
+    params = ComplexParams(3, 4)
     face = canonical_face(params, [(3, 3, 4), (1, 1, 2), (2, 2, 3)])
     assert face == ((1, 1, 2), (2, 2, 3), (3, 3, 4))
 
 
 def test_is_face_examples():
-    params = make_complex(2, 4)
+    params = ComplexParams(2, 4)
     assert is_face(params, [])
     assert is_face(params, [(1, 1)])
     assert is_face(params, [(1, 1), (2, 2)])
@@ -125,7 +124,7 @@ def test_flattening_a_coordinate_breaks_the_face(pair):
 
 @pytest.mark.parametrize("p,n", [(1, 3), (2, 3), (3, 3), (2, 4)])
 def test_enumerate_faces_matches_subset_filtering(p, n):
-    params = make_complex(p, n)
+    params = ComplexParams(p, n)
     for dim in range(-1, n):
         got = enumerate_faces(params, dim)
         expected = all_faces_bruteforce(params, dim)
@@ -134,7 +133,7 @@ def test_enumerate_faces_matches_subset_filtering(p, n):
 
 def test_enumerate_faces_is_sorted_and_duplicate_free():
     for p, n in ((3, 4), (2, 5), (4, 3)):
-        params = make_complex(p, n)
+        params = ComplexParams(p, n)
         for dim in range(-1, n):
             got = enumerate_faces(params, dim)
             assert len(set(got)) == len(got)
@@ -143,24 +142,24 @@ def test_enumerate_faces_is_sorted_and_duplicate_free():
 
 
 def test_enumerate_faces_degenerate_dimensions():
-    params = make_complex(3, 2)
+    params = ComplexParams(3, 2)
     assert enumerate_faces(params, -1) == [()]
     assert enumerate_faces(params, 2) == []
     assert enumerate_faces(params, -2) == []
 
 
 def test_enumerate_faces_budget():
-    params = make_complex(3, 6)
+    params = ComplexParams(3, 6)
     # the faces come back as a list, so the budget is checked at the call
     with pytest.raises(BudgetError, match="dimension 2"):
         enumerate_faces(params, 2, budget=100)
 
 
 def test_f_vector_formula_examples():
-    assert f_vector_formula(make_complex(3, 2)) == (1, 8, 1)
-    assert f_vector_formula(make_complex(3, 4)) == (1, 64, 216, 64, 1)
-    assert f_vector_formula(make_complex(2, 4)) == (1, 16, 36, 16, 1)
-    assert f_vector_formula(make_complex(1, 5)) == tuple(
+    assert f_vector_formula(ComplexParams(3, 2)) == (1, 8, 1)
+    assert f_vector_formula(ComplexParams(3, 4)) == (1, 64, 216, 64, 1)
+    assert f_vector_formula(ComplexParams(2, 4)) == (1, 16, 36, 16, 1)
+    assert f_vector_formula(ComplexParams(1, 5)) == tuple(
         comb(5, s) for s in range(6)
     )
 
@@ -169,8 +168,8 @@ def test_f_vector_formula_running_product_equals_comb():
     for p in range(1, 6):
         for n in range(1, 61):
             expected = tuple(comb(n, s) ** p for s in range(n + 1))
-            assert f_vector_formula(make_complex(p, n)) == expected
-    assert f_vector_formula(make_complex(1, 2000)) == tuple(
+            assert f_vector_formula(ComplexParams(p, n)) == expected
+    assert f_vector_formula(ComplexParams(1, 2000)) == tuple(
         comb(2000, s) for s in range(2001)
     )
 
@@ -178,13 +177,13 @@ def test_f_vector_formula_running_product_equals_comb():
 @pytest.mark.parametrize("p", [1, 2, 3])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_f_vector_enumerated_equals_formula(p, n):
-    params = make_complex(p, n)
+    params = ComplexParams(p, n)
     assert f_vector_enumerated(params) == f_vector_formula(params)
 
 
 @pytest.mark.parametrize("p,n", [(2, 9), (4, 5)])
 def test_f_vector_enumerated_equals_formula_at_larger_sizes(p, n):
-    params = make_complex(p, n)
+    params = ComplexParams(p, n)
     assert f_vector_enumerated(params) == f_vector_formula(params)
 
 
@@ -195,12 +194,12 @@ def test_f_vector_enumerated_budget(monkeypatch):
 
     monkeypatch.setattr(complexes, "itertools", SimpleNamespace(product=no_enumeration))
     with pytest.raises(BudgetError, match="346 faces"):
-        f_vector_enumerated(make_complex(3, 4), budget=10)
+        f_vector_enumerated(ComplexParams(3, 4), budget=10)
 
 
 def test_f_vector_symmetry():
     for p, n in itertools.product(range(1, 4), range(1, 7)):
-        f = f_vector_formula(make_complex(p, n))
+        f = f_vector_formula(ComplexParams(p, n))
         assert f == tuple(reversed(f))
 
 
@@ -208,7 +207,7 @@ def test_reduced_euler_examples():
     assert reduced_euler_characteristic((1, 8, 1)) == 6
     assert reduced_euler_characteristic((1, 27, 27, 1)) == 0
     for n in range(1, 7):
-        assert reduced_euler_characteristic(f_vector_formula(make_complex(1, n))) == 0
+        assert reduced_euler_characteristic(f_vector_formula(ComplexParams(1, n))) == 0
 
 
 def test_reduced_euler_requires_reduced_f_vector():
@@ -220,7 +219,7 @@ def test_reduced_euler_requires_reduced_f_vector():
 
 def test_euler_characteristic_equals_negated_cube_sum():
     for n in range(1, 11):
-        chi = reduced_euler_characteristic(f_vector_formula(make_complex(3, n)))
+        chi = reduced_euler_characteristic(f_vector_formula(ComplexParams(3, n)))
         assert chi == -dixon_lhs(n)
 
 

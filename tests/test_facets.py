@@ -5,23 +5,19 @@ import itertools
 import pytest
 from hypothesis import given
 
-from gammashell import (
+from gammashell import facets as facets_module
+from gammashell.complexes import ComplexParams, enumerate_faces, order_key
+from gammashell.errors import BudgetError, DomainError, PreconditionError
+from gammashell.facets import (
     DOWN,
     UP,
-    BudgetError,
-    DomainError,
-    PreconditionError,
     apply_twist,
-    enumerate_faces,
     enumerate_facets,
     facet_certificate,
     facet_counts,
     facet_from_shift_vectors,
-    facets as facets_module,
     format_facets,
     is_safe_twist,
-    make_complex,
-    order_key,
     parse_facets,
     shift_vectors,
     twist_sets,
@@ -42,7 +38,7 @@ DELTA_FACET_COUNTS = {1: 1, 2: 7, 3: 37, 4: 217, 5: 1327, 6: 8377}
 
 
 def test_facet_certificate_examples():
-    params = make_complex(3, 2)
+    params = ComplexParams(3, 2)
     cert = facet_certificate(params, [(1, 1, 1), (2, 2, 2)])
     assert cert.p1 and cert.p2 and cert.p3 and cert.is_facet
     cert = facet_certificate(params, [(1, 1, 1)])
@@ -52,7 +48,7 @@ def test_facet_certificate_examples():
 
 
 def test_facet_certificate_rejects_bad_input():
-    params = make_complex(3, 3)
+    params = ComplexParams(3, 3)
     with pytest.raises(DomainError):
         facet_certificate(params, [])
     with pytest.raises(DomainError):
@@ -61,7 +57,7 @@ def test_facet_certificate_rejects_bad_input():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_certificate_agrees_with_bruteforce_maximality(n):
-    params = make_complex(3, n)
+    params = ComplexParams(3, n)
     for dim in range(n):
         for face in all_faces_bruteforce(params, dim):
             assert (
@@ -74,7 +70,7 @@ def test_certificate_agrees_with_bruteforce_maximality(n):
 # faces and keep only the insertion test as the independent oracle
 @pytest.mark.parametrize("p,n", [(1, 4), (2, 4), (4, 3), (4, 4)])
 def test_certificate_generalizes_beyond_three_coordinates(p, n):
-    params = make_complex(p, n)
+    params = ComplexParams(p, n)
     for dim in range(n):
         for face in enumerate_faces(params, dim):
             assert (
@@ -93,7 +89,7 @@ def test_enumerate_facets_sorted_and_certified():
         fs = list(cached_facets(3, n))
         assert fs == sorted(fs, key=order_key)
         assert len(set(fs)) == len(fs)
-        params = make_complex(3, n)
+        params = ComplexParams(3, n)
         assert all(facet_certificate(params, f).is_facet for f in fs)
 
 
@@ -101,13 +97,13 @@ def test_enumerate_facets_sorted_and_certified():
     "p,n", [(1, 6), (2, 6), (3, 5), (3, 6), (3, 7), (4, 4), (4, 5), (5, 3)]
 )
 def test_enumerate_facets_is_in_order_key_order(p, n):
-    fs = enumerate_facets(make_complex(p, n))
+    fs = enumerate_facets(ComplexParams(p, n))
     assert fs == sorted(fs, key=order_key)
 
 
 def test_enumerate_facets_equals_maximal_faces():
     for p, n in [(2, 3), (3, 3)]:
-        params = make_complex(p, n)
+        params = ComplexParams(p, n)
         maximal = [
             face
             for dim in range(n)
@@ -124,19 +120,19 @@ def test_enumerate_facets_budget(monkeypatch):
 
     monkeypatch.setattr(facets_module, "_chain_search", no_search)
     with pytest.raises(BudgetError, match="37 facets"):
-        enumerate_facets(make_complex(3, 3), budget=5)
+        enumerate_facets(ComplexParams(3, 3), budget=5)
 
 
 def test_facet_counts_pinned_totals():
     # Gamma_3(8) as the shelling sweep counts it; Gamma_3(11) is the first
     # Delta(n) over the default face budget of 10^8
-    assert sum(facet_counts(make_complex(3, 8))) == 355993
-    assert sum(facet_counts(make_complex(3, 11))) == 108849859
+    assert sum(facet_counts(ComplexParams(3, 8))) == 355993
+    assert sum(facet_counts(ComplexParams(3, 11))) == 108849859
 
 
 @pytest.mark.parametrize("p,n", REFERENCE_SHAPES)
 def test_enumerate_facets_matches_the_frozen_search(p, n):
-    params = make_complex(p, n)
+    params = ComplexParams(p, n)
     want = reference_enumerate_facets(params)
     assert enumerate_facets(params) == want
     by_size = [0] * (n + 1)
@@ -163,7 +159,7 @@ def test_complex_is_nonpure_and_disconnected():
 
 
 def test_twist_sets_example():
-    params = make_complex(3, 5)
+    params = ComplexParams(3, 5)
     sets = twist_sets(params, [(1, 1, 2), (2, 5, 5)])
     assert sets.a_sets == ((1, 2), (0,))
     assert sets.b_sets == ((2,), (1, 2))
@@ -171,11 +167,11 @@ def test_twist_sets_example():
 
 def test_twist_sets_requires_nonempty_face():
     with pytest.raises(DomainError):
-        twist_sets(make_complex(3, 3), [])
+        twist_sets(ComplexParams(3, 3), [])
 
 
 def test_apply_twist_examples():
-    params = make_complex(3, 5)
+    params = ComplexParams(3, 5)
     face = ((1, 1, 2), (2, 5, 5))
     assert apply_twist(params, face, 1, 1, DOWN) == ((1, 1, 2), (2, 4, 5))
     assert apply_twist(params, face, 0, 2, DOWN) == ((1, 1, 1), (2, 5, 5))
@@ -183,7 +179,7 @@ def test_apply_twist_examples():
 
 
 def test_apply_twist_preconditions():
-    params = make_complex(3, 5)
+    params = ComplexParams(3, 5)
     face = ((1, 1, 2), (2, 5, 5))
     with pytest.raises(PreconditionError):
         apply_twist(params, face, 0, 0, DOWN)  # value 1 cannot move down
@@ -210,7 +206,7 @@ def test_applied_twists_stay_faces(pair):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_safe_twists_are_exactly_the_facet_preserving_ones(n):
-    params = make_complex(3, n)
+    params = ComplexParams(3, n)
     for facet in cached_facets(3, n):
         sets = twist_sets(params, facet)
         for ell in range(len(facet)):
@@ -224,20 +220,20 @@ def test_safe_twists_are_exactly_the_facet_preserving_ones(n):
 
 
 def test_is_safe_twist_requires_a_facet():
-    params = make_complex(3, 3)
+    params = ComplexParams(3, 3)
     with pytest.raises(PreconditionError):
         is_safe_twist(params, [(1, 1, 1)], 0, 0, UP)
 
 
 def test_shift_vectors_example():
-    params = make_complex(3, 4)
+    params = ComplexParams(3, 4)
     vectors = shift_vectors(params, [(1, 2, 2), (2, 4, 4)])
     assert vectors == ((1, 1, 3), (2, 2, 1), (2, 2, 1))
     assert all(sum(v) == 5 for v in vectors)
 
 
 def test_shift_vectors_requires_facet():
-    params = make_complex(3, 4)
+    params = ComplexParams(3, 4)
     with pytest.raises(PreconditionError):
         shift_vectors(params, [(2, 2, 2)])
 
@@ -246,7 +242,7 @@ def test_shift_vector_columns_encode_the_facet_conditions():
     # column l has minimum 1 over the coordinate positions: the first column
     # encodes P2, middle columns P3 at each junction, the last column P1
     for n in (2, 3, 4):
-        params = make_complex(3, n)
+        params = ComplexParams(3, n)
         for facet in cached_facets(3, n):
             vectors = shift_vectors(params, facet)
             for col in range(len(facet) + 1):
@@ -255,13 +251,13 @@ def test_shift_vector_columns_encode_the_facet_conditions():
 
 @pytest.mark.parametrize("p,n", [(2, 4), (3, 4), (4, 3)])
 def test_shift_vector_round_trip(p, n):
-    params = make_complex(p, n)
+    params = ComplexParams(p, n)
     for facet in cached_facets(p, n):
         assert facet_from_shift_vectors(params, shift_vectors(params, facet)) == facet
 
 
 def test_facet_from_shift_vectors_validation():
-    params = make_complex(3, 4)
+    params = ComplexParams(3, 4)
     with pytest.raises(DomainError):
         facet_from_shift_vectors(params, [(1, 4), (1, 4)])  # wrong count
     with pytest.raises(DomainError):
@@ -276,7 +272,7 @@ def test_facet_from_shift_vectors_validation():
 
 def test_format_and_parse_round_trip():
     for p, n in [(2, 3), (3, 3), (3, 4)]:
-        params = make_complex(p, n)
+        params = ComplexParams(p, n)
         fs = list(cached_facets(p, n))
         text = format_facets(params, fs)
         parsed_params, parsed = parse_facets(text)
@@ -285,7 +281,7 @@ def test_format_and_parse_round_trip():
 
 
 def test_format_facets_shape():
-    params = make_complex(3, 2)
+    params = ComplexParams(3, 2)
     text = format_facets(params, list(cached_facets(3, 2)))
     lines = text.splitlines()
     assert lines[0] == "# p=3 n=2"
@@ -314,6 +310,6 @@ def test_facet_golden_files(n):
     import pathlib
 
     golden = pathlib.Path(__file__).parent / "golden" / f"facets_p3_n{n}.txt"
-    params = make_complex(3, n)
+    params = ComplexParams(3, n)
     text = format_facets(params, list(cached_facets(3, n)))
     assert text == golden.read_text()

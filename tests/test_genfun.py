@@ -5,35 +5,37 @@ from pathlib import Path
 
 import pytest
 
-from gammashell import (
-    DomainError,
-    MSeries,
-    VerificationError,
-    aigner_rhs,
+from gammashell import genfun
+from gammashell.complexes import (
+    ComplexParams,
+    f_vector_formula,
+    reduced_euler_characteristic,
+)
+from gammashell.errors import DomainError, VerificationError
+from gammashell.genfun import (
     alignment_check,
     alternating_homology_count,
     det_I_minus_X,
-    dixon_lhs,
     dixon_product_coefficient,
-    dixon_rhs,
-    dump_series,
-    f_vector_formula,
-    genfun,
-    homology_families,
-    make_complex,
     master_theorem_check,
     master_theorem_inverse_coefficient,
     master_theorem_product_coefficient,
     matrix_A,
     matrix_B,
-    power_sum_lhs,
-    reduced_euler_characteristic,
+    series_g_r,
     series_P,
     series_XY,
-    series_g_r,
+)
+from gammashell.identities import (
+    aigner_rhs,
+    dixon_lhs,
+    dixon_rhs,
+    power_sum_lhs,
     threeF2_lhs,
     threeF2_rhs,
 )
+from gammashell.series import MSeries, dump_series
+from gammashell.shelling import homology_families
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -143,7 +145,7 @@ def test_g_r_diagonal_counts_facets_by_size():
         for m in range(2, 6):
             expected = sum(
                 1
-                for f in homology_families(make_complex(3, m - 1))[0]
+                for f in homology_families(ComplexParams(3, m - 1))[0]
                 if len(f) == r - 1
             )
             assert g.coefficient((m, m, m)) == expected
@@ -259,7 +261,7 @@ def test_alternating_homology_count_examples():
 )
 def test_signed_count_is_the_power_sum_and_minus_euler(p, n_max):
     for n in range(1, n_max + 1):
-        params = make_complex(p, n)
+        params = ComplexParams(p, n)
         count = alternating_homology_count(n, p)
         assert count == power_sum_lhs(n, p), n
         assert count == -reduced_euler_characteristic(f_vector_formula(params)), n

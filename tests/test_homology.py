@@ -10,24 +10,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import invariant_factors
 
-from gammashell import (
-    BudgetError,
-    DomainError,
+from gammashell import homology
+from gammashell.complexes import ComplexParams
+from gammashell.errors import BudgetError, DomainError
+from gammashell.homology import (
     SparseBoundaryMatrix,
-    betti_from_shelling,
+    _pivots,
     betti_numbers,
     boundary_matrix,
     chain_ranks,
     is_torsion_free,
-    make_complex,
     matrix_rank,
     matrix_to_triplets,
     shuffled_rank,
     sparse_rank,
     verify_euler_poincare,
 )
-from gammashell import homology
-from gammashell.homology import _pivots
+from gammashell.shelling import betti_from_shelling
 
 
 def to_sympy(matrix: SparseBoundaryMatrix) -> sympy.Matrix:
@@ -38,20 +37,20 @@ def to_sympy(matrix: SparseBoundaryMatrix) -> sympy.Matrix:
 
 
 def test_boundary_matrix_of_the_single_edge():
-    m = boundary_matrix(make_complex(3, 2), 1)
+    m = boundary_matrix(ComplexParams(3, 2), 1)
     assert (m.rows, m.cols) == (8, 1)
     assert m.entries == {(0, 0): 1, (7, 0): -1}
 
 
 def test_boundary_matrix_at_dimension_zero_is_the_augmentation():
-    m = boundary_matrix(make_complex(3, 2), 0)
+    m = boundary_matrix(ComplexParams(3, 2), 0)
     assert (m.rows, m.cols) == (1, 8)
     assert m.entries == {(0, c): -1 for c in range(8)}
 
 
 @pytest.mark.parametrize("p,n", [(1, 4), (2, 3), (3, 3), (3, 4)])
 def test_boundary_columns_have_alternating_signs(p, n):
-    params = make_complex(p, n)
+    params = ComplexParams(p, n)
     for k in range(n):
         m = boundary_matrix(params, k)
         by_col: dict[int, list[int]] = {}
@@ -78,7 +77,7 @@ def sparse_compose(outer: SparseBoundaryMatrix, inner: SparseBoundaryMatrix):
 
 @pytest.mark.parametrize("p,n", [(1, 4), (2, 4), (3, 4)])
 def test_consecutive_boundaries_compose_to_zero(p, n):
-    params = make_complex(p, n)
+    params = ComplexParams(p, n)
     for k in range(n - 1):
         outer = boundary_matrix(params, k)
         inner = boundary_matrix(params, k + 1)
@@ -87,7 +86,7 @@ def test_consecutive_boundaries_compose_to_zero(p, n):
 
 @pytest.mark.parametrize("p,n", [(p, n) for p in (1, 2, 3) for n in range(1, 5)])
 def test_chain_and_entries_view_match_the_single_matrices(p, n):
-    params = make_complex(p, n)
+    params = ComplexParams(p, n)
     single = [boundary_matrix(params, k) for k in range(n)]
     assert list(homology._boundary_chain(params)) == single
     for k, m in enumerate(single):
@@ -100,7 +99,7 @@ def test_chain_and_entries_view_match_the_single_matrices(p, n):
 
 
 def test_boundary_matrix_rejects_bad_dimensions():
-    params = make_complex(3, 2)
+    params = ComplexParams(3, 2)
     with pytest.raises(DomainError):
         boundary_matrix(params, -1)
     with pytest.raises(DomainError):
@@ -109,8 +108,8 @@ def test_boundary_matrix_rejects_bad_dimensions():
 
 def test_boundary_matrix_budget():
     with pytest.raises(BudgetError, match="dimension 1"):
-        boundary_matrix(make_complex(3, 3), 1, budget=100)
-    m = boundary_matrix(make_complex(3, 3), 1, budget=None)
+        boundary_matrix(ComplexParams(3, 3), 1, budget=100)
+    m = boundary_matrix(ComplexParams(3, 3), 1, budget=None)
     assert (m.rows, m.cols) == (27, 27)
 
 
@@ -121,7 +120,7 @@ def test_over_budget_chain_is_refused_before_any_face_is_listed(monkeypatch):
     monkeypatch.setattr(homology, "enumerate_faces", listing)
     # d_0 and d_1 of Gamma_3(9) fit in the budget, d_2 has 46656x592704 cells
     with pytest.raises(BudgetError, match="dimension 2 has 46656x592704 cells"):
-        betti_numbers(make_complex(3, 9))
+        betti_numbers(ComplexParams(3, 9))
 
 
 def test_sparse_rank_matches_sympy_on_random_matrices():
@@ -272,7 +271,7 @@ def test_pivot_sequence_matches_the_frozen_elimination(p, n, monkeypatch):
         return real(active)
 
     monkeypatch.setattr(homology, "_eliminate", recording)
-    params = make_complex(p, n)
+    params = ComplexParams(p, n)
     for k in range(n):
         m = boundary_matrix(params, k)
         matrix_rank(m)
@@ -286,12 +285,12 @@ def test_pivot_sequence_matches_the_frozen_elimination(p, n, monkeypatch):
 
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_matrix_rank_matches_sympy_on_boundary_matrices(k):
-    m = boundary_matrix(make_complex(3, 3), k)
+    m = boundary_matrix(ComplexParams(3, 3), k)
     assert matrix_rank(m) == to_sympy(m).rank()
 
 
 def test_shuffled_rank_is_permutation_invariant():
-    m = boundary_matrix(make_complex(3, 3), 1)
+    m = boundary_matrix(ComplexParams(3, 3), 1)
     base = matrix_rank(m)
     for seed in range(4):
         assert shuffled_rank(m, seed) == base
@@ -349,7 +348,7 @@ def test_cleared_ranks_match_full_ranks_on_random_complexes(by_dim, seed):
 
 
 def test_chain_ranks_rejects_a_gap_in_the_chain():
-    params = make_complex(3, 3)
+    params = ComplexParams(3, 3)
     chain = [boundary_matrix(params, k) for k in (0, 2)]
     with pytest.raises(DomainError, match="does not follow"):
         chain_ranks(chain)
@@ -362,36 +361,36 @@ GAMMA_GRID = [
 
 @pytest.mark.parametrize("p,n", GAMMA_GRID)
 def test_cleared_ranks_match_full_ranks_on_gamma(p, n):
-    params = make_complex(p, n)
+    params = ComplexParams(p, n)
     chain = [boundary_matrix(params, k) for k in range(n)]
     assert_cleared_ranks_are_full_ranks(chain, range(3))
 
 
 def test_betti_numbers_examples():
-    assert betti_numbers(make_complex(3, 1)) == (0, 0)
-    assert betti_numbers(make_complex(3, 2)) == (0, 6, 0)
-    assert betti_numbers(make_complex(3, 4)) == (0, 18, 114, 6, 0)
+    assert betti_numbers(ComplexParams(3, 1)) == (0, 0)
+    assert betti_numbers(ComplexParams(3, 2)) == (0, 6, 0)
+    assert betti_numbers(ComplexParams(3, 4)) == (0, 18, 114, 6, 0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_full_simplex_has_trivial_homology(n):
     # p = 1 gives the full simplex on n vertices, which is contractible
-    assert betti_numbers(make_complex(1, n)) == (0,) * (n + 1)
+    assert betti_numbers(ComplexParams(1, n)) == (0,) * (n + 1)
 
 
 @pytest.mark.parametrize("p,n", [(1, 4), (2, 4), (2, 5), (3, 4)])
 def test_matrix_route_agrees_with_the_shelling_route(p, n):
-    params = make_complex(p, n)
+    params = ComplexParams(p, n)
     assert betti_numbers(params) == betti_from_shelling(params)
 
 
 @pytest.mark.parametrize("p,n", [(1, 3), (2, 4), (3, 3), (3, 4)])
 def test_euler_poincare(p, n):
-    assert verify_euler_poincare(make_complex(p, n))
+    assert verify_euler_poincare(ComplexParams(p, n))
 
 
 def test_triplet_rendering():
-    m = boundary_matrix(make_complex(3, 2), 1)
+    m = boundary_matrix(ComplexParams(3, 2), 1)
     assert matrix_to_triplets(m) == "%% 8 1\n0 0 1\n7 0 -1\n"
 
 
@@ -444,7 +443,7 @@ TORSION_FREE_CASES = (
 
 @pytest.mark.parametrize("p,n", TORSION_FREE_CASES)
 def test_integral_homology_is_torsion_free(p, n):
-    params = make_complex(p, n)
+    params = ComplexParams(p, n)
     assert is_torsion_free(params) is True
     if p <= 3 and n <= 4:
         for k in range(n):
@@ -456,5 +455,5 @@ def test_integral_homology_is_torsion_free(p, n):
 def test_matrix_route_at_n8():
     # the cleared chain without a budget; the figures match the frozen
     # homology-facet census of test_criterion_matches_direct_attachment_at_n8
-    betti = betti_numbers(make_complex(3, 8), budget=None)
+    betti = betti_numbers(ComplexParams(3, 8), budget=None)
     assert betti == (0, 42, 3222, 42510, 100530, 26640, 90, 0, 0)

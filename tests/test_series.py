@@ -7,12 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gammashell import (
-    DomainError,
-    MSeries,
-    dump_series,
-    parse_series,
-)
+from gammashell.errors import DomainError
+from gammashell.series import MSeries, dump_series, parse_series
 
 X = MSeries.monomial(1, 6, (1,))
 ONE = MSeries.const(1, 6, 1)

@@ -6,28 +6,28 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gammashell import (
-    DomainError,
-    PreconditionError,
-    alternating_homology_count,
+from gammashell import shelling
+from gammashell.complexes import (
+    ComplexParams,
+    f_vector_formula,
+    order_key,
+    reduced_euler_characteristic,
+)
+from gammashell.errors import DomainError, PreconditionError, VerificationError
+from gammashell.facets import enumerate_facets
+from gammashell.genfun import alternating_homology_count
+from gammashell.identities import dixon_lhs, power_sum_lhs
+from gammashell.shelling import (
+    ShellingReport,
+    _Twists,
     betti_from_shelling,
     block_partition,
-    dixon_lhs,
-    enumerate_facets,
-    f_vector_formula,
     homology_facet_by_criterion,
     homology_facets_by_criterion,
     homology_facets_direct,
     homology_families,
-    make_complex,
-    order_key,
-    power_sum_lhs,
-    reduced_euler_characteristic,
-    shelling,
     verify_shelling,
 )
-from gammashell.errors import VerificationError
-from gammashell.shelling import ShellingReport, _Twists
 
 from .conftest import (
     REFERENCE_SHAPES,
@@ -70,7 +70,7 @@ def test_sort_facets_is_deterministic_and_idempotent():
 
 
 def test_block_partition_structure():
-    params = make_complex(3, 3)
+    params = ComplexParams(3, 3)
     f_i = ((1, 1, 1), (2, 2, 2), (3, 3, 3))
     f_k = ((1, 1, 2), (3, 3, 3))
     part = block_partition(params, f_i, f_k)
@@ -81,7 +81,7 @@ def test_block_partition_structure():
 
 def test_block_partition_validates_both_faces():
     # the first face is not a facet, which must not skip the second
-    params = make_complex(3, 3)
+    params = ComplexParams(3, 3)
     with pytest.raises(DomainError):
         block_partition(params, [(1, 1, 1)], [(9, 9, 9)])
     with pytest.raises(DomainError):
@@ -112,7 +112,7 @@ def test_block_partition_invariants(args):
 
 @pytest.mark.parametrize("p,n", [(1, 4), (2, 5), (3, 4)])
 def test_canonical_order_is_a_shelling(p, n):
-    report = verify_shelling(make_complex(p, n))
+    report = verify_shelling(ComplexParams(p, n))
     assert report.is_shelling
     assert report.violations == []
     assert report.violation_count == 0
@@ -122,7 +122,7 @@ def test_canonical_order_is_a_shelling(p, n):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_reversed_order_is_not_a_shelling(n):
-    params = make_complex(3, n)
+    params = ComplexParams(3, n)
     reversed_order = list(cached_facets(3, n))[::-1]
     report = verify_shelling(params, reversed_order, witness_mode="exhaustive")
     assert not report.is_shelling
@@ -131,7 +131,7 @@ def test_reversed_order_is_not_a_shelling(n):
 
 
 def test_pair_lists_are_capped_at_the_witness_limit():
-    params = make_complex(3, 3)
+    params = ComplexParams(3, 3)
     order = list(cached_facets(3, 3))[::-1]
     full = verify_shelling(params, order, witness_mode="both", witness_limit=10**6)
     capped = verify_shelling(params, order, witness_mode="both", witness_limit=7)
@@ -146,7 +146,7 @@ def test_pair_lists_are_capped_at_the_witness_limit():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_witness_routes_agree(n):
-    report = verify_shelling(make_complex(3, n), witness_mode="both")
+    report = verify_shelling(ComplexParams(3, n), witness_mode="both")
     assert report.is_shelling
     assert report.disagreements == []
     assert report.disagreement_count == 0
@@ -157,13 +157,13 @@ def test_witness_routes_agree(n):
 
 
 def test_witness_limit_caps_stored_witnesses():
-    report = verify_shelling(make_complex(3, 3), witness_limit=5)
+    report = verify_shelling(ComplexParams(3, 3), witness_limit=5)
     assert len(report.witnesses) == 5
     assert report.total_pairs == 666
 
 
 def test_verify_shelling_rejects_bad_input():
-    params = make_complex(3, 2)
+    params = ComplexParams(3, 2)
     with pytest.raises(DomainError):
         verify_shelling(params, witness_mode="telepathy")
     with pytest.raises(DomainError):
@@ -197,7 +197,7 @@ def test_pair_without_a_witness_is_a_violation():
     edge = ((1, 1, 1), (2, 2, 2))
     singleton = ((1, 1, 2),)
     pair = (pool.index(singleton), pool.index(edge))
-    report = verify_shelling(make_complex(3, 2), pool, witness_limit=10**6)
+    report = verify_shelling(ComplexParams(3, 2), pool, witness_limit=10**6)
     assert pair in report.violations
     assert pair not in report.witnesses
 
@@ -206,13 +206,13 @@ def test_constructed_witness_is_checked_on_the_faces():
     # down-twisting the last vertex (3,) of ((1,), (3,)) gives (2,), and the
     # all-n vertex appended after it is (3,) again: the candidate is the
     # earlier facet, but it holds v, so the check must refuse it
-    twists = _Twists(make_complex(1, 3), [((1,), (2,), (3,)), ((1,), (3,))])
+    twists = _Twists(ComplexParams(1, 3), [((1,), (2,), (3,)), ((1,), (3,))])
     assert twists.twistable(1) == [(1, 0)]
     assert twists.construct(1, 1, 0) is None
     # on Gamma_2(3) both twistable vertices of ((1, 2), (3, 3)) give witnesses:
     # the first through a replacement vertex, the last through the all-n one
     pool = list(cached_facets(2, 3))
-    twists = _Twists(make_complex(2, 3), pool)
+    twists = _Twists(ComplexParams(2, 3), pool)
     k = pool.index(((1, 2), (3, 3)))
     got = [twists.construct(k, l, a) for l, a in twists.twistable(k)]
     assert got == [
@@ -224,7 +224,7 @@ def test_constructed_witness_is_checked_on_the_faces():
 
 
 def test_homology_criterion_examples():
-    params = make_complex(3, 2)
+    params = ComplexParams(3, 2)
     assert homology_facet_by_criterion(params, ((1, 1, 2),))
     assert not homology_facet_by_criterion(params, ((1, 1, 1), (2, 2, 2)))
     with pytest.raises(PreconditionError):
@@ -235,7 +235,7 @@ def test_homology_criterion_examples():
     "p,n", [(2, 4), (3, 4), (3, 5), (3, 1), (3, 2), (3, 3), (3, 6)]
 )
 def test_homology_criterion_matches_direct_attachment(p, n):
-    params = make_complex(p, n)
+    params = ComplexParams(p, n)
     assert homology_facets_by_criterion(params) == homology_facets_direct(params)
 
 
@@ -243,7 +243,7 @@ def test_homology_criterion_matches_direct_attachment(p, n):
     "p,n", [(1, 6), (2, 5), (3, 1), (3, 2), (3, 3), (3, 4), (4, 3), (4, 4)]
 )
 def test_criterion_scan_matches_the_per_facet_criterion(p, n):
-    params = make_complex(p, n)
+    params = ComplexParams(p, n)
     assert homology_facets_by_criterion(params) == [
         f for f in enumerate_facets(params) if homology_facet_by_criterion(params, f)
     ]
@@ -262,7 +262,7 @@ def _reference_homology_facets_by_criterion(params):
 
 @pytest.mark.parametrize("p,n", REFERENCE_SHAPES)
 def test_criterion_scan_matches_the_frozen_filter_scan(p, n):
-    params = make_complex(p, n)
+    params = ComplexParams(p, n)
     assert homology_facets_by_criterion(params) == (
         _reference_homology_facets_by_criterion(params)
     )
@@ -276,14 +276,14 @@ def _signed(facets):
     "p,n", [(p, n) for p in range(2, 6) for n in range(1, 6)] + [(3, 6), (3, 7)]
 )
 def test_signed_chain_count_matches_the_listed_facets(p, n):
-    params = make_complex(p, n)
+    params = ComplexParams(p, n)
     count = alternating_homology_count(n, p)
     assert count == _signed(homology_facets_by_criterion(params))
     assert count == _signed(_reference_homology_facets_by_criterion(params))
 
 
 def test_per_facet_criterion_rejects_non_facets():
-    params = make_complex(3, 3)
+    params = ComplexParams(3, 3)
     assert homology_facet_by_criterion(params, ((1, 1, 2), (2, 3, 3)))
     for face, error in (
         (((1, 1), (2, 2, 2), (3, 3, 3)), DomainError),  # arity of the first vertex
@@ -301,7 +301,7 @@ def test_per_facet_criterion_rejects_non_facets():
 @pytest.mark.slow
 def test_criterion_matches_direct_attachment_at_n8():
     # ~40 s on a 2-core machine, nearly all of it in the direct attachment sweep
-    params = make_complex(3, 8)
+    params = ComplexParams(3, 8)
     direct = homology_facets_direct(params)
     assert homology_facets_by_criterion(params) == direct
     assert len(direct) == 173034
@@ -316,23 +316,23 @@ def test_homology_census():
         if n > 4:
             continue
         census = {}
-        for f in homology_facets_direct(make_complex(3, n)):
+        for f in homology_facets_direct(ComplexParams(3, n)):
             census[len(f)] = census.get(len(f), 0) + 1
         assert census == expected
 
 
 def test_betti_from_shelling_examples():
-    assert betti_from_shelling(make_complex(3, 1)) == (0, 0)
-    assert betti_from_shelling(make_complex(3, 2)) == (0, 6, 0)
-    assert betti_from_shelling(make_complex(3, 3)) == (0, 12, 12, 0)
-    assert betti_from_shelling(make_complex(3, 4)) == (0, 18, 114, 6, 0)
-    assert betti_from_shelling(make_complex(3, 5)) == (0, 24, 396, 372, 0, 0)
+    assert betti_from_shelling(ComplexParams(3, 1)) == (0, 0)
+    assert betti_from_shelling(ComplexParams(3, 2)) == (0, 6, 0)
+    assert betti_from_shelling(ComplexParams(3, 3)) == (0, 12, 12, 0)
+    assert betti_from_shelling(ComplexParams(3, 4)) == (0, 18, 114, 6, 0)
+    assert betti_from_shelling(ComplexParams(3, 5)) == (0, 24, 396, 372, 0, 0)
 
 
 def test_betti_from_shelling_refuses_an_order_that_is_not_a_shelling(monkeypatch):
     # counted along the reversed order, Gamma_3(3) would read (0, 11, 11, 0)
     # against the true (0, 12, 12, 0)
-    params = make_complex(3, 3)
+    params = ComplexParams(3, 3)
     backwards = enumerate_facets(params)[::-1]
     monkeypatch.setattr(shelling, "enumerate_facets", lambda params: backwards)
     with pytest.raises(VerificationError, match="not a shelling"):
@@ -341,7 +341,7 @@ def test_betti_from_shelling_refuses_an_order_that_is_not_a_shelling(monkeypatch
 
 def test_betti_alternating_sum_is_the_euler_characteristic():
     for p, n in [(3, 2), (3, 3), (3, 4), (3, 5), (2, 4), (2, 5)]:
-        params = make_complex(p, n)
+        params = ComplexParams(p, n)
         betti = betti_from_shelling(params)
         alt = sum(b if i % 2 else -b for i, b in enumerate(betti))
         assert alt == reduced_euler_characteristic(f_vector_formula(params))
@@ -353,7 +353,7 @@ def test_betti_alternating_sum_is_the_euler_characteristic():
 
 def test_family_split_partitions_homology_facets():
     for n in range(2, 6):
-        params = make_complex(3, n)
+        params = ComplexParams(3, n)
         xs, ys = homology_families(params)
         assert sorted(xs + ys) == sorted(homology_facets_by_criterion(params))
         assert not (set(xs) & set(ys))
@@ -364,8 +364,8 @@ def test_family_split_partitions_homology_facets():
 
 def test_y_family_appends_the_top_vertex_to_the_smaller_x_family():
     for n in range(2, 6):
-        ys = homology_families(make_complex(3, n))[1]
-        xs_below = homology_families(make_complex(3, n - 1))[0]
+        ys = homology_families(ComplexParams(3, n))[1]
+        xs_below = homology_families(ComplexParams(3, n - 1))[0]
         lifted = sorted(g + ((n, n, n),) for g in xs_below)
         assert sorted(ys) == lifted
 
@@ -531,7 +531,7 @@ def _reference_homology_facets(params, facets):
 def shuffled_orders(draw):
     """(params, order): a facet permutation of a small complex."""
     p, n = draw(st.sampled_from([(1, 4), (2, 4), (3, 3), (4, 2)]))
-    return make_complex(p, n), draw(st.permutations(cached_facets(p, n)))
+    return ComplexParams(p, n), draw(st.permutations(cached_facets(p, n)))
 
 
 @given(
@@ -556,6 +556,6 @@ def test_sweep_matches_the_per_pair_reference(case, mode, limit):
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_direct_attachment_matches_the_per_pair_reference(n):
-    params = make_complex(3, n)
+    params = ComplexParams(3, n)
     reference = _reference_homology_facets(params, list(cached_facets(3, n)))
     assert homology_facets_direct(params) == reference

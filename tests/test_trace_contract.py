@@ -11,14 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from gammashell import (
-    MSeries,
-    boundary_matrix,
-    enumerate_facets,
+from gammashell.complexes import ComplexParams
+from gammashell.facets import enumerate_facets
+from gammashell.homology import boundary_matrix, sparse_rank
+from gammashell.series import MSeries
+from gammashell.shelling import (
     homology_facets_by_criterion,
     homology_facets_direct,
-    make_complex,
-    sparse_rank,
     verify_shelling,
 )
 
@@ -33,7 +32,7 @@ def load_tracer():
 
 
 TRACER = load_tracer()
-PARAMS = make_complex(3, 2)
+PARAMS = ComplexParams(3, 2)
 # a real return value for every traced function that has a count
 SAMPLES = {
     ("facets", "enumerate_facets"): lambda: enumerate_facets(PARAMS),
