@@ -73,6 +73,26 @@ CATALOGUE = {
         ["tests/test_package.py::"
          "test_records_bind_their_declared_fields_by_position_or_by_name"],
     ),
+    "boundary-chain-drops-its-cell-budget-check": (
+        "src/gammashell/homology.py",
+        "    _check_cells(params, budget, range(params.n))\n",
+        "",
+        ["tests/test_homology.py::test_over_budget_chain_is_refused_before_any_face_is_listed"],
+    ),
+    "alignment-box-from-the-smallest-offset": (
+        "src/gammashell/cli.py",
+        "box = max(args.n_max + max(DELTAS) + 1, 0) ** 3",
+        "box = max(args.n_max + min(DELTAS) + 1, 0) ** 3",
+        ["tests/test_cli.py::test_alignment_budget_counts_the_box_of_its_largest_offset",
+         "tests/test_cli.py::test_alignment_budget_follows_the_offsets"],
+    ),
+    "alternating-sum-flips-its-sign": (
+        "src/gammashell/complexes.py",
+        "    return sum(v if i % 2 else -v for i, v in enumerate(values))\n",
+        "    return sum(-v if i % 2 else v for i, v in enumerate(values))\n",
+        ["tests/test_complexes.py::test_reduced_euler_examples",
+         "tests/test_complexes.py::test_euler_characteristic_equals_negated_cube_sum"],
+    ),
 }
 
 # left out of the copy: version control, caches and benchmark output

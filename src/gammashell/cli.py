@@ -27,10 +27,6 @@ DEFAULT_SERIES_BUDGET = 50_000
 DEFAULT_TERM_BUDGET = 200_000
 
 
-def _alternating(values) -> int:
-    return sum(v if i % 2 else -v for i, v in enumerate(values))
-
-
 def _plain(value):
     """A record field as JSON values: string keys, tuple keys joined by commas.
 
@@ -132,35 +128,36 @@ def cmd_shelling(args: argparse.Namespace):
 
 
 def cmd_betti(args: argparse.Namespace):
-    from .complexes import ComplexParams, f_vector_formula, reduced_euler_characteristic
-    from .homology import _boundary_chain, _check_cells, betti_from_ranks, chain_ranks
+    from .complexes import ComplexParams, _alternating, f_vector_formula
+    from .complexes import reduced_euler_characteristic
+    from .homology import _boundary_chain, betti_from_ranks, chain_ranks
     from .shelling import betti_from_shelling
 
     if args.shuffle_check and args.method == "shelling":
         raise DomainError("--shuffle-check needs the matrix route (--method matrix or both)")
     params = ComplexParams(args.p, args.n)
-    if args.method != "shelling":
-        # refuse an over-budget matrix before either route does any work
-        _check_cells(params, args.cell_budget, range(params.n))
     chi = reduced_euler_characteristic(f_vector_formula(params))
     results: dict = {"reduced_euler": chi, "method": args.method}
     ok = True
     from_shelling = from_matrix = None
-    if args.method in ("both", "shelling"):
-        from_shelling = betti_from_shelling(params)
-        results["betti_from_shelling"] = list(from_shelling)
     if args.method in ("both", "matrix"):
-        # each face dimension is listed and each boundary matrix built once;
+        # this route runs first and its chain checks the cell budget before
+        # listing a face, so an over-budget matrix stops both routes unstarted.
+        # Each face dimension is listed and each boundary matrix built once;
         # the shuffled chain is its own elimination of the permuted matrices,
         # compared to the ranks
         ranks, shuffled = chain_ranks(
-            _boundary_chain(params), args.seed if args.shuffle_check else None
+            _boundary_chain(params, args.cell_budget),
+            args.seed if args.shuffle_check else None,
         )
         from_matrix = betti_from_ranks(params, ranks)
         results["betti_from_matrix"] = list(from_matrix)
         if args.shuffle_check:
             results["shuffle_check"] = ok = shuffled == ranks
             results["seed"] = args.seed
+    if args.method in ("both", "shelling"):
+        from_shelling = betti_from_shelling(params)
+        results["betti_from_shelling"] = list(from_shelling)
     if args.method == "both":
         results["match"] = from_shelling == from_matrix
         ok = ok and results["match"]
@@ -232,14 +229,15 @@ def cmd_identity(args: argparse.Namespace):
 
 
 def cmd_genfun(args: argparse.Namespace):
-    from .genfun import alignment_check, series_g_r, series_P, series_XY
+    from .genfun import DELTAS, alignment_check, series_g_r, series_P, series_XY
     from .series import dump_series
 
     if args.check_alignment:
         if args.series is not None:
             raise DomainError("--check-alignment does not take a series name")
-        # the offsets 0..3 put XY's box at T = n_max + 3
-        _check_budget(max(args.n_max + 4, 0) ** 3, args.series_budget, "series box cells")
+        # the largest offset puts XY's box at T = n_max + max(DELTAS)
+        box = max(args.n_max + max(DELTAS) + 1, 0) ** 3
+        _check_budget(box, args.series_budget, "series box cells")
         rep = alignment_check(n_max=args.n_max)
         results = _plain(vars(rep))
         del results["n_max"]

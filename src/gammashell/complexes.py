@@ -176,4 +176,9 @@ def reduced_euler_characteristic(f_vector: Sequence[int]) -> int:
     """
     if not f_vector or f_vector[0] != 1:
         raise DomainError("reduced f-vector must start with f_-1 = 1")
-    return sum(c if i % 2 else -c for i, c in enumerate(f_vector))
+    return _alternating(f_vector)
+
+
+def _alternating(values: Iterable[int]) -> int:
+    """Sum_i (-1)^(i+1) v_i: the Euler-Poincare sign rule of reduced vectors."""
+    return sum(v if i % 2 else -v for i, v in enumerate(values))

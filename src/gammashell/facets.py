@@ -92,6 +92,14 @@ def facet_certificate(params: ComplexParams, face: Iterable[Sequence[int]]) -> F
     return FacetCertificate(f, p1, p2, p3)
 
 
+def _require_facet(params: ComplexParams, face: Iterable[Sequence[int]]) -> Face:
+    """The canonical form of face; PreconditionError unless it is a facet."""
+    cert = facet_certificate(params, face)
+    if not cert.is_facet:
+        raise PreconditionError(f"{cert.face} is not a facet")
+    return cert.face
+
+
 def _chain_search(params: ComplexParams, twistable: bool = False) -> list[Face]:
     """Facet chains by depth-first search of the chain DAG, in order_key order.
 
@@ -259,10 +267,7 @@ def is_safe_twist(
     the junction above.  Every other condition survives automatically, so a
     safe twist of a facet is again a facet.
     """
-    cert = facet_certificate(params, facet)
-    if not cert.is_facet:
-        raise PreconditionError(f"{cert.face} is not a facet")
-    g = apply_twist(params, cert.face, ell, position, direction)
+    g = apply_twist(params, _require_facet(params, facet), ell, position, direction)
     r = len(g)
     if direction == UP:
         if ell == 0:
@@ -282,10 +287,7 @@ def shift_vectors(
     facet conditions make every entry positive, and prefix sums invert the
     encoding exactly.
     """
-    cert = facet_certificate(params, facet)
-    if not cert.is_facet:
-        raise PreconditionError(f"{cert.face} is not a facet")
-    f = cert.face
+    f = _require_facet(params, facet)
     n = params.n
     vectors = []
     for a in range(params.p):

@@ -40,11 +40,13 @@ IntMatrix = tuple[tuple[int, ...], ...]
 DELTAS = (0, 1, 2, 3)
 
 
+def _variable(j: int, m: int, T: int, coeff: int = 1) -> MSeries:
+    """coeff * x_j in the m-variable box truncated at T."""
+    return MSeries.monomial(m, T, tuple(int(v == j) for v in range(m)), coeff)
+
+
 def _one_minus(var: int, num_vars: int, truncation: int) -> MSeries:
-    e = tuple(1 if i == var else 0 for i in range(num_vars))
-    return MSeries.const(num_vars, truncation, 1) - MSeries.monomial(
-        num_vars, truncation, e
-    )
+    return MSeries.const(num_vars, truncation, 1) - _variable(var, num_vars, truncation)
 
 
 def _geometric_denominator(truncation: int) -> MSeries:
@@ -156,10 +158,7 @@ def det_I_minus_X(matrix: IntMatrix, T: int) -> MSeries:
     m = _validate_matrix(matrix)
     cells = [
         [
-            MSeries.const(m, T, 1 if i == j else 0)
-            - MSeries.monomial(
-                m, T, tuple(1 if v == i else 0 for v in range(m)), matrix[i][j]
-            )
+            MSeries.const(m, T, 1 if i == j else 0) - _variable(i, m, T, matrix[i][j])
             for j in range(m)
         ]
         for i in range(m)
@@ -204,8 +203,7 @@ def master_theorem_product_coefficient(
         form = MSeries.zero(m, T)
         for j, a in enumerate(row):
             if a:
-                e = tuple(1 if v == j else 0 for v in range(m))
-                form = form + MSeries.monomial(m, T, e, a)
+                form = form + _variable(j, m, T, a)
         product = product * form**k[i]
     return product.coefficient(tuple(k))
 
@@ -232,9 +230,7 @@ def dixon_product_coefficient(n: int) -> int:
     _require_ints(n=n)
     if n < 1:
         raise DomainError(f"n must be positive, got {n}")
-    x = MSeries.monomial(3, n, (1, 0, 0))
-    y = MSeries.monomial(3, n, (0, 1, 0))
-    z = MSeries.monomial(3, n, (0, 0, 1))
+    x, y, z = (_variable(j, 3, n) for j in range(3))
     product = (x - y) ** n * (y - z) ** n * (x - z) ** n
     return product.coefficient((n, n, n))
 
@@ -260,7 +256,7 @@ class AlignmentReport(Record):
     diagonal_by_delta[d][n] is the series_XY coefficient at (n+d, n+d, n+d);
     matches[d] says whether that column equals the alternating homology
     counts for every n; pinned_delta is the unique matching offset if one
-    exists.  end_to_end[n] collects the five quantities that must coincide
+    exists.  end_to_end[n] collects the six quantities that must coincide
     at the pinned offset, and end_to_end_ok is their conjunction.
     """
 

@@ -35,6 +35,7 @@ from .complexes import (
     DEFAULT_CELL_BUDGET,
     ComplexParams,
     Face,
+    _alternating,
     enumerate_faces,
     f_vector_formula,
     reduced_euler_characteristic,
@@ -116,12 +117,16 @@ def boundary_matrix(
     return _assemble(k, enumerate_faces(params, k - 1), enumerate_faces(params, k))
 
 
-def _boundary_chain(params: ComplexParams) -> Iterator[SparseBoundaryMatrix]:
+def _boundary_chain(
+    params: ComplexParams, budget: int | None = DEFAULT_CELL_BUDGET
+) -> Iterator[SparseBoundaryMatrix]:
     """d_0, ..., d_{n-1}, listing the faces of each dimension once.
 
-    The caller checks the budget (see _check_cells).  While d_k is out, only
-    the k-faces are kept, as the rows of d_{k+1}.
+    The first step refuses an over-budget chain (see _check_cells), before
+    any face is listed.  While d_k is out, only the k-faces are kept, as the
+    rows of d_{k+1}.
     """
+    _check_cells(params, budget, range(params.n))
     faces = enumerate_faces(params, -1)
     for k in range(params.n):
         sub_faces, faces = faces, enumerate_faces(params, k)
@@ -356,8 +361,7 @@ def betti_numbers(
     params: ComplexParams, budget: int | None = DEFAULT_CELL_BUDGET
 ) -> tuple[int, ...]:
     """Reduced Betti numbers (beta_-1, ..., beta_{n-1}) from matrix ranks."""
-    _check_cells(params, budget, range(params.n))
-    ranks, _ = chain_ranks(_boundary_chain(params))
+    ranks, _ = chain_ranks(_boundary_chain(params, budget))
     return betti_from_ranks(params, ranks)
 
 
@@ -365,11 +369,8 @@ def verify_euler_poincare(
     params: ComplexParams, budget: int | None = DEFAULT_CELL_BUDGET
 ) -> bool:
     """True iff the alternating f-sum equals the alternating Betti sum."""
-    f = f_vector_formula(params)
     betti = betti_numbers(params, budget)
-    alt_f = reduced_euler_characteristic(f)
-    alt_b = sum(b if i % 2 else -b for i, b in enumerate(betti))
-    return alt_f == alt_b
+    return reduced_euler_characteristic(f_vector_formula(params)) == _alternating(betti)
 
 
 def matrix_to_triplets(matrix: SparseBoundaryMatrix) -> str:
@@ -396,7 +397,6 @@ def is_torsion_free(params: ComplexParams) -> bool | None:
     is None (undecided): nothing here can prove torsion, so this never
     returns False.
     """
-    _check_cells(params, DEFAULT_CELL_BUDGET, range(params.n))
     for matrix in _boundary_chain(params):
         if not all(unimodular for _, unimodular in _steps(matrix)):
             return None

@@ -15,12 +15,13 @@ entire boundary, each of which contributes one sphere of its dimension.
 
 from __future__ import annotations
 
+from itertools import groupby
 from operator import sub
 
 from .complexes import ComplexParams, Face, Vertex
-from .errors import DomainError, PreconditionError, Record, VerificationError
+from .errors import DomainError, Record, VerificationError
 from .errors import _require_ints
-from .facets import _chain_search, enumerate_facets, facet_certificate
+from .facets import _chain_search, _require_facet, enumerate_facets, facet_certificate
 
 __all__ = [
     "BlockPartition",
@@ -47,20 +48,6 @@ class BlockPartition(Record):
     _fields = ("c_blocks", "i_blocks", "k_blocks")
 
 
-def _membership_runs(seq: Face, keep) -> tuple[tuple[Vertex, ...], ...]:
-    blocks = []
-    current: list[Vertex] = []
-    for v in seq:
-        if keep(v):
-            current.append(v)
-        elif current:
-            blocks.append(tuple(current))
-            current = []
-    if current:
-        blocks.append(tuple(current))
-    return tuple(blocks)
-
-
 def block_partition(params: ComplexParams, face_i: Face, face_k: Face) -> BlockPartition:
     """Partition both vertex sequences into shared and private blocks.
 
@@ -70,10 +57,11 @@ def block_partition(params: ComplexParams, face_i: Face, face_k: Face) -> BlockP
     """
     fi = tuple(tuple(v) for v in face_i)
     fk = tuple(tuple(v) for v in face_k)
-    shared = set(fi) & set(fk)
-    c_blocks = _membership_runs(fi, lambda v: v in shared)
-    i_blocks = _membership_runs(fi, lambda v: v not in shared)
-    k_blocks = _membership_runs(fk, lambda v: v not in shared)
+    is_shared = (set(fi) & set(fk)).__contains__
+    fi_runs = [(shared, tuple(run)) for shared, run in groupby(fi, is_shared)]
+    c_blocks = tuple(run for shared, run in fi_runs if shared)
+    i_blocks = tuple(run for shared, run in fi_runs if not shared)
+    k_blocks = tuple(tuple(run) for shared, run in groupby(fk, is_shared) if not shared)
     certs = [facet_certificate(params, f) for f in (fi, fk)]
     if all(c.is_facet for c in certs) and len(i_blocks) != len(k_blocks):
         raise VerificationError(
@@ -348,10 +336,7 @@ def homology_facet_by_criterion(params: ComplexParams, facet) -> bool:
     exceed its predecessor by more than 1 somewhere.  Applied to single
     vertices as well, where it reads: the vertex is not all ones.
     """
-    cert = facet_certificate(params, facet)
-    if not cert.is_facet:
-        raise PreconditionError(f"{cert.face} is not a facet")
-    f = cert.face
+    f = _require_facet(params, facet)
     return max(f[0]) > 1 and all(
         max(map(sub, cur, prev)) > 1 for prev, cur in zip(f, f[1:])
     )

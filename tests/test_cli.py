@@ -283,6 +283,14 @@ def test_alignment_budget_counts_the_box_of_its_largest_offset(capsys):
     assert "512 " in err and "budget" in err
 
 
+def test_alignment_budget_follows_the_offsets(capsys, monkeypatch):
+    # a fifth offset puts XY at T = n_max + 4, a box of (n_max + 5)^3 cells
+    monkeypatch.setattr(genfun, "DELTAS", (0, 1, 2, 3, 4))
+    argv = ["genfun", "--check-alignment", "--n-max", "4", "--series-budget"]
+    assert run(capsys, *argv, "728")[0] == 3
+    assert run(capsys, *argv, "729")[0] != 3
+
+
 # exit code and stdout SHA-256 of the reports built from the shelling and
 # alignment records, frozen from the field-by-field copies they replaced
 RECORD_REPORTS = {
@@ -724,11 +732,14 @@ def test_reports_carry_the_schema_envelope(capsys, argv):
 
 @st.composite
 def argvs(draw):
-    """A small argv for any subcommand, in JSON or text; many are invalid."""
-    small = st.integers(-2, 4)
+    """A small argv for any subcommand, in JSON or text; some are invalid."""
 
-    def num() -> str:
-        return str(draw(small))
+    def num(low: int, high: int) -> str:
+        # seven draws in eight lie in low..high, small enough to compute; the
+        # rest lie one or two below low, mostly out of range
+        if draw(st.integers(0, 7)) < 7:
+            return str(draw(st.integers(low, high)))
+        return str(draw(st.integers(low - 2, low - 1)))
 
     def pick(*choices) -> str:
         return draw(st.sampled_from(choices))
@@ -736,7 +747,7 @@ def argvs(draw):
     command = pick(*cli._COMMANDS)
     argv = [command]
     if command in ("fvector", "shelling", "betti", "export"):
-        argv += ["--p", num(), "--n", num()]
+        argv += ["--p", num(1, 3), "--n", num(1, 4 if command in ("fvector", "export") else 3)]
     if command == "fvector":
         argv += ["--enumerate"] if draw(st.booleans()) else []
     elif command == "shelling":
@@ -745,17 +756,17 @@ def argvs(draw):
     elif command == "betti":
         argv += ["--method", pick("both", "shelling", "matrix")]
         if draw(st.booleans()):
-            argv += ["--shuffle-check", "--seed", num()]
+            argv += ["--shuffle-check", "--seed", num(0, 4)]
     elif command == "identity":
-        argv += [pick("dixon", "3f2", "aigner"), "--n-max", num(), "--max", num()]
+        argv += [pick("dixon", "3f2", "aigner"), "--n-max", num(1, 4), "--max", num(0, 4)]
     elif command == "genfun":
         series = pick(None, "P", "XY", "g")
         argv += [series] if series else []
         if draw(st.booleans()):
-            argv += ["--check-alignment", "--n-max", num()]
-        argv += ["--truncate", num(), "--r", num()]
+            argv += ["--check-alignment", "--n-max", num(2, 4)]
+        argv += ["--truncate", num(1, 4), "--r", num(1, 2)]
     elif command == "export":
-        argv += [pick("facets", "matrix")] + (["--k", num()] if draw(st.booleans()) else [])
+        argv += [pick("facets", "matrix")] + (["--k", num(0, 3)] if draw(st.booleans()) else [])
     return argv + ["--format", pick("json", "text")]
 
 

@@ -38,7 +38,7 @@ from .conftest import all_faces_bruteforce, faces
 
 
 @pytest.mark.parametrize("p,n", [(0, 2), (3, 0), (-1, 4), (2, -2)])
-def test_make_complex_rejects_bad_parameters(p, n):
+def test_complex_params_rejects_bad_parameters(p, n):
     with pytest.raises(DomainError):
         ComplexParams(p, n)
 
@@ -46,7 +46,7 @@ def test_make_complex_rejects_bad_parameters(p, n):
 @pytest.mark.parametrize(
     "p,n", [(3, "3"), ("3", 3), (3, 2.0), (2.0, 3), (True, 3), (3, False), (None, 2)]
 )
-def test_make_complex_rejects_non_integer_parameters(p, n):
+def test_complex_params_rejects_non_integer_parameters(p, n):
     with pytest.raises(DomainError):
         ComplexParams(p, n)
 

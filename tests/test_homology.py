@@ -113,14 +113,15 @@ def test_boundary_matrix_budget():
     assert (m.rows, m.cols) == (27, 27)
 
 
-def test_over_budget_chain_is_refused_before_any_face_is_listed(monkeypatch):
+@pytest.mark.parametrize("route", [betti_numbers, is_torsion_free], ids=lambda f: f.__name__)
+def test_over_budget_chain_is_refused_before_any_face_is_listed(monkeypatch, route):
     def listing(*args, **kwargs):
         raise AssertionError("a face was listed")
 
     monkeypatch.setattr(homology, "enumerate_faces", listing)
     # d_0 and d_1 of Gamma_3(9) fit in the budget, d_2 has 46656x592704 cells
     with pytest.raises(BudgetError, match="dimension 2 has 46656x592704 cells"):
-        betti_numbers(ComplexParams(3, 9))
+        route(ComplexParams(3, 9))
 
 
 def test_sparse_rank_matches_sympy_on_random_matrices():
