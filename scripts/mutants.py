@@ -93,6 +93,25 @@ CATALOGUE = {
         ["tests/test_complexes.py::test_reduced_euler_examples",
          "tests/test_complexes.py::test_euler_characteristic_equals_negated_cube_sum"],
     ),
+    "indexed-boundary-flips-its-signs": (
+        "src/gammashell/homology.py",
+        "    signs = [(-1) ** (m + 1) for m in range(k + 1)]\n",
+        "    signs = [(-1) ** m for m in range(k + 1)]\n",
+        ["tests/test_homology.py::test_chain_and_entries_view_match_the_single_matrices"],
+    ),
+    "drop-table-removes-the-next-element": (
+        "src/gammashell/homology.py",
+        "lower[s[:m] + s[m + 1 :]]",
+        "lower[s[: (m + 1) % (k + 1)] + s[(m + 1) % (k + 1) + 1 :]]",
+        ["tests/test_homology.py::test_chain_and_entries_view_match_the_single_matrices"],
+    ),
+    "cancellation-leaves-the-row-in-its-column": (
+        "src/gammashell/homology.py",
+        "                        del row[c]\n                        col_rows[c].remove(i)\n",
+        "                        del row[c]\n",
+        ["tests/test_homology.py::test_cleared_ranks_match_full_ranks_on_gamma",
+         "tests/test_homology.py::test_integral_homology_is_torsion_free"],
+    ),
 }
 
 # left out of the copy: version control, caches and benchmark output

@@ -142,8 +142,8 @@ def cmd_betti(args: argparse.Namespace):
     from_shelling = from_matrix = None
     if args.method in ("both", "matrix"):
         # this route runs first and its chain checks the cell budget before
-        # listing a face, so an over-budget matrix stops both routes unstarted.
-        # Each face dimension is listed and each boundary matrix built once;
+        # assembling a matrix, so an over-budget matrix stops both routes
+        # unstarted.  Each boundary matrix is built once, listing no face;
         # the shuffled chain is its own elimination of the permuted matrices,
         # compared to the ranks
         ranks, shuffled = chain_ranks(
@@ -498,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n-max", type=int, default=6)
     s.add_argument("--series-budget", type=_positive_int, default=DEFAULT_SERIES_BUDGET,
                    help="box cells (T+1)^3 of P and XY, r times that for g, "
-                   "(n-max+4)^3 for --check-alignment")
+                   "(n-max + max(genfun.DELTAS) + 1)^3 for --check-alignment")
 
     s = sub.add_parser("export", parents=on_complex, help="facet lists and boundary matrices")
     s.add_argument("what", choices=("facets", "matrix"))

@@ -96,14 +96,6 @@ def order_key(face: Face):
     return (-len(face), sigma_word(face))
 
 
-class _Interned(dict):
-    """Each vertex mapped to the first equal tuple looked up, kept from then on."""
-
-    def __missing__(self, vertex: Vertex) -> Vertex:
-        self[vertex] = vertex
-        return vertex
-
-
 def enumerate_faces(
     params: ComplexParams, dim: int, budget: int | None = DEFAULT_FACE_BUDGET
 ) -> list[Face]:
@@ -111,8 +103,9 @@ def enumerate_faces(
 
     A face of dimension d chooses d+1 values independently in each of the p
     coordinates, so the count is C(n, d+1)^p.  Dimensions outside [-1, n-1]
-    have no faces.  Equal vertices of different faces are one shared tuple,
-    so the list costs little more than its pointers.
+    have no faces.  Sigma-word order is the order of boundary_matrix's rows
+    and columns; the matrix route's chain indexes its faces by integers
+    instead and lists none (see homology._indexed_boundary).
     """
     _require_ints(dim=dim)
     if dim < -1 or dim > params.n - 1:
@@ -123,8 +116,7 @@ def enumerate_faces(
     _check_budget(comb(params.n, r) ** params.p, budget, f"faces of dimension {dim}")
     values = range(1, params.n + 1)
     columns = itertools.product(itertools.combinations(values, r), repeat=params.p)
-    vertex = _Interned().__getitem__
-    faces = [tuple(map(vertex, zip(*cols))) for cols in columns]
+    faces = [tuple(zip(*cols)) for cols in columns]
     # all vertices have p coordinates: tuple order is sigma-word order here
     faces.sort()
     return faces

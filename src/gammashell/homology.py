@@ -1,18 +1,20 @@
 """Reduced simplicial homology of Gamma_p(n) over the rationals.
 
-Boundary matrices are assembled in the canonical face order, straight into
-one {column: +-1} dict per row, the rows the elimination copies; the chain
-d_0, d_1, ... lists each face dimension once and never stores a coordinate
-dict, much as Ripser assembles each coboundary on the fly.  One adapter,
-_steps, runs a matrix through fraction-free integer elimination, in face
-order or under a seeded shuffle, optionally without a set of cleared rows:
-the ranks count its steps, so Betti numbers are exact integers.  The complexes here
-are homotopy equivalent to wedges of spheres, hence integral homology is
-free and rational ranks tell the whole story.  The same elimination
-certifies that, and is_torsion_free reads it: when every pivot is +-1 and
-no row is divided by a gcd > 1, every row operation is unimodular and every
-nonzero elementary divisor is 1 (Dumas, Heckenbach, Saunders and Welker,
-2003).
+Boundary matrices are assembled straight into one {column: +-1} dict per
+row, the rows the elimination copies.  boundary_matrix orders its faces by
+sigma word, the order of enumerate_faces.  The chain d_0, d_1, ... that the
+ranks read lists no face: it indexes each face by the lex ranks of its
+coordinates' subsets of [n], much as Ripser indexes simplices by the
+combinatorial number system, and reads each row index off a small drop
+table.  One adapter, _steps, runs a matrix through fraction-free integer
+elimination, in face order or under a seeded shuffle, optionally without a
+set of cleared rows: the ranks count its steps, so Betti numbers are exact
+integers.  The complexes here are homotopy equivalent to wedges of spheres,
+hence integral homology is free and rational ranks tell the whole story.
+The same elimination certifies that, and is_torsion_free reads it: when
+every pivot is +-1 and no row is divided by a gcd > 1, every row operation
+is unimodular and every nonzero elementary divisor is 1 (Dumas,
+Heckenbach, Saunders and Welker, 2003).
 
 The Betti numbers rank the chain d_0, d_1, ... bottom-up with clearing
 (Chen and Kerber, 2011; Bauer, "Ripser", 2021): since d_k d_{k+1} = 0,
@@ -20,7 +22,7 @@ the rows of d_{k+1} named by the pivot columns of d_k's elimination are
 rational combinations of the other rows and are dropped before d_{k+1} is
 eliminated.  That holds over Q only, so the torsion certificate runs its
 eliminations on the full matrices.  Matrix sizes come from the f-vector
-formula, so an over-budget matrix is refused before any face is listed.
+formula, so an over-budget matrix is refused before it is assembled.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import itertools
 import random
 from collections.abc import Container, Iterable, Iterator, Sequence
 from math import gcd
+from operator import add
 
 from .complexes import (
     DEFAULT_CELL_BUDGET,
@@ -63,7 +66,9 @@ class SparseBoundaryMatrix(Record):
     by_row holds one dict per row, mapping each column to its +-1 entry;
     row faces are obtained from the column face by omitting one vertex,
     with sign (-1)^m for the m-th vertex (1-based).  k = 0 maps vertices to
-    the single empty-face row.  rows is len(by_row).
+    the single empty-face row.  rows is len(by_row).  Faces are in
+    sigma-word order from boundary_matrix and in integer face order from
+    the chain (see _indexed_boundary); ranks do not depend on the order.
     """
 
     _fields = ("k", "rows", "cols", "by_row")
@@ -117,23 +122,57 @@ def boundary_matrix(
     return _assemble(k, enumerate_faces(params, k - 1), enumerate_faces(params, k))
 
 
+def _indexed_boundary(params: ComplexParams, k: int) -> SparseBoundaryMatrix:
+    """d_k with its faces in integer order, assembled without a face tuple.
+
+    A face with r vertices is the p-tuple of its coordinates' r-subsets of
+    [n], indexed by the mixed-radix number of their lex ranks, base C(n, r),
+    coordinate 0 most significant: the order of
+    product(combinations(range(n), r), repeat=p).  Omitting vertex m drops
+    the m-th element of every subset, so a row index is a sum of drop-table
+    entries, one per coordinate, each scaled by its radix.
+    """
+    p, n = params.p, params.n
+    lower = {s: i for i, s in enumerate(itertools.combinations(range(n), k))}
+    base = len(lower)  # C(n, k), the radix of the rows
+    # drop[s][m]: the rank of subset s without its m-th element (0-based)
+    drop = [
+        tuple(lower[s[:m] + s[m + 1 :]] for m in range(k + 1))
+        for s in itertools.combinations(range(n), k + 1)
+    ]
+    # row offsets of coordinates 0..p-2, one tuple over m per column prefix
+    prefixes = [(0,) * (k + 1)]
+    for j in range(p - 1):
+        weight = base ** (p - 1 - j)
+        prefixes = [
+            tuple(a + weight * d for a, d in zip(prefix, ds))
+            for prefix in prefixes
+            for ds in drop
+        ]
+    signs = [(-1) ** (m + 1) for m in range(k + 1)]
+    by_row: list[dict[int, int]] = [{} for _ in range(base**p)]
+    # the rows fill in column order, so each dict holds its columns ascending
+    c = 0
+    for prefix in prefixes:
+        for ds in drop:
+            for row, sign in zip(map(add, prefix, ds), signs):
+                by_row[row][c] = sign
+            c += 1
+    return SparseBoundaryMatrix(k, c, by_row)
+
+
 def _boundary_chain(
     params: ComplexParams, budget: int | None = DEFAULT_CELL_BUDGET
 ) -> Iterator[SparseBoundaryMatrix]:
-    """d_0, ..., d_{n-1}, listing the faces of each dimension once.
+    """d_0, ..., d_{n-1} in integer face order (see _indexed_boundary).
 
     The first step refuses an over-budget chain (see _check_cells), before
-    any face is listed.  While d_k is out, only the k-faces are kept, as the
-    rows of d_{k+1}.
+    any matrix is assembled.  Each d_k is built when the consumer asks for
+    it, so only the matrices the consumer holds are alive.
     """
     _check_cells(params, budget, range(params.n))
-    faces = enumerate_faces(params, -1)
     for k in range(params.n):
-        sub_faces, faces = faces, enumerate_faces(params, k)
-        matrix = _assemble(k, sub_faces, faces)
-        del sub_faces
-        yield matrix
-        del matrix  # d_k lives on only while the consumer holds it
+        yield _indexed_boundary(params, k)
 
 
 def _normalize_row(row: dict[int, int]) -> bool:
@@ -181,10 +220,11 @@ def _eliminate(active: dict[int, dict[int, int]]) -> Iterator[tuple[int, bool]]:
     its pivot is +-1 and none of its row updates divided a row by a gcd > 1;
     then it changes no elementary divisor.
     """
-    col_rows: dict[int, set[int]] = {}
+    # each live column's row ids: a list of a few ids costs far less than a set
+    col_rows: dict[int, list[int]] = {}
     for i, row in active.items():
         for c in row:
-            col_rows.setdefault(c, set()).add(i)
+            col_rows.setdefault(c, []).append(i)
     queue = [(len(ids), c) for c, ids in col_rows.items()]
     heapq.heapify(queue)
     while active:
@@ -221,14 +261,14 @@ def _eliminate(active: dict[int, dict[int, int]]) -> Iterator[tuple[int, bool]]:
                 val = row.get(c)
                 if val is None:
                     row[c] = -factor * v
-                    col_rows[c].add(i)
+                    col_rows[c].append(i)
                 else:
                     val -= factor * v
                     if val:
                         row[c] = val
                     else:
                         del row[c]
-                        col_rows[c].discard(i)
+                        col_rows[c].remove(i)
             if _normalize_row(row):
                 unimodular = False
             if not row:
@@ -236,7 +276,7 @@ def _eliminate(active: dict[int, dict[int, int]]) -> Iterator[tuple[int, bool]]:
         # every row count that changed in this step belongs to a pivot-row column
         for c in pivot_row:
             ids = col_rows[c]
-            ids.discard(pivot_row_id)
+            ids.remove(pivot_row_id)
             if ids:
                 heapq.heappush(queue, (len(ids), c))
             else:

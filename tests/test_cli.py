@@ -433,8 +433,8 @@ def test_betti_report_carries_both_routes(capsys):
 
 
 def test_betti_shuffle_check_builds_and_ranks_each_matrix_once(capsys, monkeypatch):
-    # each face dimension is listed once and each d_k assembled once; one
-    # elimination per matrix in canonical order, one in shuffled order
+    # no face is listed and each d_k is assembled once; one elimination per
+    # matrix in canonical order, one in shuffled order
     listed, assembled, eliminations = [], [], []
 
     def counting(calls, fn, key):
@@ -446,13 +446,13 @@ def test_betti_shuffle_check_builds_and_ranks_each_matrix_once(capsys, monkeypat
 
     for name, calls, key in [
         ("enumerate_faces", listed, lambda params, dim: dim),
-        ("_assemble", assembled, lambda k, sub_faces, faces: k),
+        ("_indexed_boundary", assembled, lambda params, k: k),
         ("_eliminate", eliminations, lambda active: None),
     ]:
         monkeypatch.setattr(homology, name, counting(calls, getattr(homology, name), key))
     report = run_json(capsys, "betti", "--n", "3", "--shuffle-check")
     assert report["results"]["shuffle_check"] is True
-    assert listed == [-1, 0, 1, 2]
+    assert listed == []
     assert assembled == [0, 1, 2]
     assert len(eliminations) == 6
 

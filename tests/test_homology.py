@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from sympy.matrices.normalforms import invariant_factors
 
 from gammashell import homology
-from gammashell.complexes import ComplexParams
+from gammashell.complexes import ComplexParams, enumerate_faces
 from gammashell.errors import BudgetError, DomainError
 from gammashell.homology import (
     SparseBoundaryMatrix,
@@ -84,15 +84,43 @@ def test_consecutive_boundaries_compose_to_zero(p, n):
         assert sparse_compose(outer, inner) == {}
 
 
-@pytest.mark.parametrize("p,n", [(p, n) for p in (1, 2, 3) for n in range(1, 5)])
+def face_of_index(params: ComplexParams, r: int, index: int) -> tuple:
+    """The face with r vertices at an index of the chain's integer order."""
+    subsets = list(itertools.combinations(range(1, params.n + 1), r))
+    columns = []
+    for _ in range(params.p):
+        index, rank = divmod(index, len(subsets))
+        columns.append(subsets[rank])
+    # the last coordinate is the least significant digit
+    return tuple(zip(*reversed(columns)))
+
+
+@pytest.mark.parametrize(
+    "p,n", [(p, n) for p in (1, 2, 3) for n in range(1, 5)] + [(4, n) for n in range(1, 4)]
+)
 def test_chain_and_entries_view_match_the_single_matrices(p, n):
+    # the chain's faces are integers; decoded, each entry and sign must be
+    # boundary_matrix's at that face's sigma-order position
     params = ComplexParams(p, n)
+    position = [
+        {face: i for i, face in enumerate(enumerate_faces(params, dim))}
+        for dim in range(-1, n)
+    ]
     single = [boundary_matrix(params, k) for k in range(n)]
-    assert list(homology._boundary_chain(params)) == single
-    for k, m in enumerate(single):
+    chain = list(homology._boundary_chain(params))
+    assert [m.k for m in chain] == list(range(n))
+    for k, (m, oracle) in enumerate(zip(chain, single)):
+        assert (m.rows, m.cols) == (oracle.rows, oracle.cols)
+        decoded = {
+            (position[k][face_of_index(params, k, r)],
+             position[k + 1][face_of_index(params, k + 1, c)]): v
+            for (r, c), v in m.entries.items()
+        }
+        assert decoded == oracle.entries
+    for m in single + chain:
         entries = m.entries
         # every k-face has k + 1 faces of dimension k - 1
-        assert len(entries) == sum(map(len, m.by_row)) == (k + 1) * m.cols
+        assert len(entries) == sum(map(len, m.by_row)) == (m.k + 1) * m.cols
         assert list(entries) == sorted(entries)
         for (r, c), v in entries.items():
             assert m.by_row[r][c] == v
@@ -115,10 +143,10 @@ def test_boundary_matrix_budget():
 
 @pytest.mark.parametrize("route", [betti_numbers, is_torsion_free], ids=lambda f: f.__name__)
 def test_over_budget_chain_is_refused_before_any_face_is_listed(monkeypatch, route):
-    def listing(*args, **kwargs):
-        raise AssertionError("a face was listed")
+    def assembling(*args, **kwargs):
+        raise AssertionError("a boundary matrix was assembled")
 
-    monkeypatch.setattr(homology, "enumerate_faces", listing)
+    monkeypatch.setattr(homology, "_indexed_boundary", assembling)
     # d_0 and d_1 of Gamma_3(9) fit in the budget, d_2 has 46656x592704 cells
     with pytest.raises(BudgetError, match="dimension 2 has 46656x592704 cells"):
         route(ComplexParams(3, 9))
