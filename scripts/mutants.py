@@ -112,6 +112,24 @@ CATALOGUE = {
         ["tests/test_homology.py::test_cleared_ranks_match_full_ranks_on_gamma",
          "tests/test_homology.py::test_integral_homology_is_torsion_free"],
     ),
+    "integer-rule-admits-bool": (
+        "src/gammashell/errors.py",
+        "        if type(value) is not int:\n",
+        "        if not isinstance(value, int):\n",
+        ["tests/test_package.py::test_non_int_arguments_raise_domain_error"],
+    ),
+    "lower-bound-excludes-the-bound": (
+        "src/gammashell/errors.py",
+        "        if value < low:\n",
+        "        if value <= low:\n",
+        ["tests/test_integer_rule.py::test_each_lower_bound_is_inclusive"],
+    ),
+    "check-vertex-admits-bool": (
+        "src/gammashell/complexes.py",
+        "        if type(c) is not int or c < 1 or c > params.n:\n",
+        "        if not isinstance(c, int) or c < 1 or c > params.n:\n",
+        ["tests/test_integer_rule.py::test_non_int_entries_raise_domain_error"],
+    ),
 }
 
 # left out of the copy: version control, caches and benchmark output

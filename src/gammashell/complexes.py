@@ -13,7 +13,7 @@ import itertools
 from collections.abc import Iterable, Sequence
 from math import comb
 
-from .errors import DomainError, Record, _check_budget, _require_ints
+from .errors import DomainError, Record, _check_budget, _require_at_least, _require_ints
 
 __all__ = [
     "DEFAULT_CELL_BUDGET",
@@ -47,20 +47,20 @@ class ComplexParams(Record):
     _fields = ("p", "n")
 
     def __init__(self, p: int, n: int) -> None:
-        _require_ints(p=p, n=n)
-        if p < 1 or n < 1:
-            raise DomainError(f"need p >= 1 and n >= 1, got p={p}, n={n}")
+        _require_at_least(1, p=p, n=n)
         super().__init__(p, n)
 
 
 def check_vertex(params: ComplexParams, vertex: Sequence[int]) -> Vertex:
-    """Return the vertex as a tuple, rejecting wrong arity or range."""
+    """Return the vertex as a tuple, rejecting wrong arity, type or range."""
     v = tuple(vertex)
     if len(v) != params.p:
         raise DomainError(f"vertex {v} does not have arity {params.p}")
     for c in v:
-        if not isinstance(c, int) or c < 1 or c > params.n:
-            raise DomainError(f"vertex {v} has a coordinate outside [1, {params.n}]")
+        if type(c) is not int or c < 1 or c > params.n:
+            fault = ("non-integer coordinate" if type(c) is not int
+                     else f"coordinate outside [1, {params.n}]")
+            raise DomainError(f"vertex {v} has a {fault}")
     return v
 
 

@@ -32,10 +32,18 @@ def _check_budget(count: int, budget: int | None, what: str) -> None:
 
 
 def _require_ints(**values) -> None:
-    """Raise DomainError unless every named value is an int (bool excluded)."""
+    """The integer rule: DomainError unless each value's type is int, so no bool."""
     for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, int):
+        if type(value) is not int:
             raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
+def _require_at_least(low: int, **values) -> None:
+    """_require_ints, then DomainError unless every named value is >= low."""
+    _require_ints(**values)
+    for name, value in values.items():
+        if value < low:
+            raise DomainError(f"{name} must be at least {low}, got {value}")
 
 
 class Record:

@@ -326,8 +326,8 @@ def facet_from_shift_vectors(
     if len(lengths) != 1 or lengths.pop() < 2:
         raise DomainError("shift vectors must share a common length of at least 2")
     for vec in vectors:
-        if any(e < 1 for e in vec):
-            raise DomainError(f"shift vector {tuple(vec)} has a non-positive entry")
+        if any(type(e) is not int or e < 1 for e in vec):
+            raise DomainError(f"shift vector {tuple(vec)} has a non-int or non-positive entry")
         if sum(vec) != params.n + 1:
             raise DomainError(f"shift vector {tuple(vec)} does not sum to {params.n + 1}")
     r = len(vectors[0]) - 1
@@ -355,7 +355,11 @@ def format_facets(params: ComplexParams, facets: Sequence[Face]) -> str:
 
 
 def parse_facets(text: str) -> tuple[ComplexParams, list[Face]]:
-    """Parse the text exchange format back into parameters and facets."""
+    """Parse the text exchange format back into parameters and facets.
+
+    A line that is not a face, or repeats one, raises DomainError, and a
+    face that is not a facet raises PreconditionError.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("#"):
         raise DomainError("facet text must start with a '# p=<p> n=<n>' header")
@@ -365,7 +369,7 @@ def parse_facets(text: str) -> tuple[ComplexParams, list[Face]]:
     except (KeyError, ValueError) as exc:
         raise DomainError(f"malformed facet header {lines[0]!r}") from exc
     params = ComplexParams(p, n)
-    facets = []
+    facets: dict[Face, None] = {}
     for ln in lines[1:]:
         verts = []
         for tok in ln.split():
@@ -375,5 +379,8 @@ def parse_facets(text: str) -> tuple[ComplexParams, list[Face]]:
                 verts.append(tuple(int(c) for c in tok[1:-1].split(",")))
             except ValueError as exc:
                 raise DomainError(f"malformed vertex token {tok!r}") from exc
-        facets.append(canonical_face(params, verts))
-    return params, facets
+        face = _require_facet(params, verts)
+        if face in facets:
+            raise DomainError(f"facet {face} is listed twice")
+        facets[face] = None
+    return params, list(facets)

@@ -13,7 +13,7 @@ than assumed.
 from __future__ import annotations
 
 from .complexes import ComplexParams, f_vector_formula, reduced_euler_characteristic
-from .errors import DomainError, Record, VerificationError, _require_ints
+from .errors import DomainError, Record, VerificationError, _require_at_least, _require_ints
 from .facets import _signed_chain_count
 from .identities import dixon_lhs, dixon_rhs
 from .series import MSeries
@@ -83,9 +83,7 @@ def series_P(T: int) -> MSeries:
     f = x y^2 z^2 / ((1-y)(1-z)) and h = x y z^2 / (1-z); both builds are
     compared coefficient by coefficient before returning.
     """
-    _require_ints(T=T)
-    if T < 2:
-        raise DomainError(f"series_P needs truncation >= 2, got {T}")
+    _require_at_least(2, T=T)
     closed = _closed_P(T)
     f = MSeries.monomial(3, T, (1, 2, 2)) / (
         _one_minus(1, 3, T) * _one_minus(2, 3, T)
@@ -105,11 +103,8 @@ def series_P(T: int) -> MSeries:
 
 def series_g_r(r: int, T: int) -> MSeries:
     """P^r; its coefficients count r-column shift-vector collections."""
-    _require_ints(r=r, T=T)
-    if r < 1:
-        raise DomainError(f"r must be positive, got {r}")
-    if T < 2 * r:
-        raise DomainError(f"series_g_r needs truncation >= {2 * r}, got {T}")
+    _require_at_least(1, r=r)
+    _require_at_least(2 * r, T=T)
     return _closed_P(T) ** r
 
 
@@ -121,9 +116,7 @@ def series_XY(T: int) -> MSeries:
     coefficient by coefficient against the closed rational form before
     returning.
     """
-    _require_ints(T=T)
-    if T < 1:
-        raise DomainError(f"series_XY needs truncation >= 1, got {T}")
+    _require_at_least(1, T=T)
     one = MSeries.const(3, T, 1)
     xyz = MSeries.monomial(3, T, (1, 1, 1))
     closed = xyz / (_geometric_denominator(T) + xyz)
@@ -187,9 +180,7 @@ def _validate_exponents(
     _require_ints(**{f"k[{i}]": e for i, e in enumerate(k)})
     if T is None:
         T = max(k)
-    _require_ints(T=T)
-    if T < max(k):
-        raise DomainError(f"truncation {T} below max exponent {max(k)}")
+    _require_at_least(max(k), T=T)
     return m, T
 
 
@@ -227,9 +218,7 @@ def master_theorem_check(
 
 def dixon_product_coefficient(n: int) -> int:
     """[x^n y^n z^n] of (x-y)^n (y-z)^n (x-z)^n by direct expansion."""
-    _require_ints(n=n)
-    if n < 1:
-        raise DomainError(f"n must be positive, got {n}")
+    _require_at_least(1, n=n)
     x, y, z = (_variable(j, 3, n) for j in range(3))
     product = (x - y) ** n * (y - z) ** n * (x - z) ** n
     return product.coefficient((n, n, n))
@@ -275,9 +264,7 @@ def alignment_check(n_max: int = 6) -> AlignmentReport:
     binomials = its closed form = minus the reduced Euler characteristic,
     plus the direct product-coefficient route.
     """
-    _require_ints(n_max=n_max)
-    if n_max < 2:
-        raise DomainError(f"n_max must be at least 2, got {n_max}")
+    _require_at_least(2, n_max=n_max)
 
     xy = series_XY(n_max + max(DELTAS))
     alternating = {n: alternating_homology_count(n) for n in range(1, n_max + 1)}

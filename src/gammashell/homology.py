@@ -194,7 +194,7 @@ def _pivots(rows: list[dict[int, int]]) -> Iterator[tuple[int, bool]]:
     for i, r in enumerate(rows):
         row = {}
         for c, v in r.items():
-            if not isinstance(v, int):
+            if type(v) is not int:
                 raise DomainError(f"row {i} column {c}: entry {v!r} is not an int")
             if v:
                 row[c] = v

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from math import comb, factorial
 
-from .errors import DomainError, _require_ints
+from .errors import _require_at_least
 
 __all__ = [
     "aigner_rhs",
@@ -20,18 +20,9 @@ __all__ = [
 ]
 
 
-def _check_positive(n: int) -> None:
-    _require_ints(n=n)
-    if n < 1:
-        raise DomainError(f"n must be positive, got {n}")
-
-
 def power_sum_lhs(n: int, p: int) -> int:
     """Alternating sum of p-th powers of binomials: sum (-1)^s C(n,s)^p."""
-    _check_positive(n)
-    _require_ints(p=p)
-    if p < 1:
-        raise DomainError(f"p must be positive, got {p}")
+    _require_at_least(1, n=n, p=p)
     return sum((-1) ** s * comb(n, s) ** p for s in range(n + 1))
 
 
@@ -42,7 +33,7 @@ def dixon_lhs(n: int) -> int:
 
 def dixon_rhs(n: int) -> int:
     """0 for odd n, else (-1)^{n/2} (3n/2)! / (n/2)!^3."""
-    _check_positive(n)
+    _require_at_least(1, n=n)
     if n % 2:
         return 0
     half = n // 2
@@ -52,7 +43,7 @@ def dixon_rhs(n: int) -> int:
 
 def aigner_rhs(n: int) -> int:
     """0 for odd n, else (-1)^{n/2} C(n, n/2); pairs with power_sum_lhs(n, 2)."""
-    _check_positive(n)
+    _require_at_least(1, n=n)
     if n % 2:
         return 0
     half = n // 2
@@ -66,10 +57,7 @@ def threeF2_lhs(n1: int, n2: int, n3: int) -> int:
     sum over s of (-1)^s C(n3,s) C(n2,n1-s) C(n1,n2-n3+s), with s running
     from max(0, n1-n2, n3-n2) to min(n1, n3, n1+n3-n2); empty windows give 0.
     """
-    _require_ints(n1=n1, n2=n2, n3=n3)
-    for v in (n1, n2, n3):
-        if v < 0:
-            raise DomainError(f"arguments must be nonnegative, got {v}")
+    _require_at_least(0, n1=n1, n2=n2, n3=n3)
     lo = max(0, n1 - n2, n3 - n2)
     hi = min(n1, n3, n1 + n3 - n2)
     total = 0
@@ -85,10 +73,7 @@ def threeF2_rhs(n1: int, n2: int, n3: int) -> int:
     (-1)^{N/2 - n2} (N/2)! / ((N/2-n1)! (N/2-n2)! (N/2-n3)!) with N the
     argument sum; 0 whenever a factorial argument would be negative.
     """
-    _require_ints(n1=n1, n2=n2, n3=n3)
-    for v in (n1, n2, n3):
-        if v < 0:
-            raise DomainError(f"arguments must be nonnegative, got {v}")
+    _require_at_least(0, n1=n1, n2=n2, n3=n3)
     total = n1 + n2 + n3
     if total % 2:
         return 0

@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable
 
-from .errors import DomainError, Record, _require_ints
+from .errors import DomainError, Record, _require_at_least
 
 __all__ = ["MSeries", "dump_series", "parse_series"]
 
@@ -41,12 +41,12 @@ Exponent = tuple[int, ...]
 
 def _check_exponent(e: Exponent, num_vars: int, truncation: int) -> None:
     if len(e) == num_vars and all(
-        isinstance(x, int) and 0 <= x <= truncation for x in e
+        type(x) is int and 0 <= x <= truncation for x in e
     ):
         return
     if len(e) != num_vars:
         raise DomainError(f"exponent {e} has arity {len(e)}, expected {num_vars}")
-    if not all(isinstance(x, int) for x in e):
+    if not all(type(x) is int for x in e):
         raise DomainError(f"exponent {e} has a non-int entry")
     if any(x < 0 for x in e):
         raise DomainError(f"negative exponent in {e}")
@@ -90,11 +90,8 @@ class MSeries(Record):
     def __init__(
         self, num_vars: int, truncation: int, coeffs: dict[Exponent, int] | None = None
     ) -> None:
-        _require_ints(num_vars=num_vars, truncation=truncation)
-        if num_vars < 1:
-            raise DomainError("num_vars must be positive")
-        if truncation < 0:
-            raise DomainError("truncation must be nonnegative")
+        _require_at_least(1, num_vars=num_vars)
+        _require_at_least(0, truncation=truncation)
         cleaned = {}
         for e, c in (coeffs or {}).items():
             try:
@@ -102,7 +99,7 @@ class MSeries(Record):
             except TypeError:
                 raise DomainError(f"exponent {e!r} is not a tuple") from None
             _check_exponent(e, num_vars, truncation)
-            if not isinstance(c, int):
+            if type(c) is not int:
                 raise DomainError(f"coefficient {c!r} at {e} is not an int")
             if c:
                 cleaned[e] = c
@@ -189,9 +186,7 @@ class MSeries(Record):
         )
 
     def __pow__(self, exponent: int) -> "MSeries":
-        _require_ints(exponent=exponent)
-        if exponent < 0:
-            raise DomainError("negative power")
+        _require_at_least(0, exponent=exponent)
         result = MSeries.const(self.num_vars, self.truncation, 1)
         for _ in range(exponent):
             result = result * self
@@ -324,9 +319,7 @@ class MSeries(Record):
 
     def truncate(self, truncation: int) -> "MSeries":
         """Restrict to a smaller box; enlarging would fabricate coefficients."""
-        _require_ints(truncation=truncation)
-        if truncation < 0:
-            raise DomainError("truncation must be nonnegative")
+        _require_at_least(0, truncation=truncation)
         if truncation > self.truncation:
             raise DomainError(
                 f"cannot raise truncation {self.truncation} to {truncation}"
@@ -349,8 +342,9 @@ def dump_series(series: MSeries) -> str:
 
 
 def parse_series(text: str, num_vars: int, truncation: int) -> MSeries:
-    """Inverse of dump_series for the given box."""
+    """Inverse of dump_series for the given box; each exponent on one line."""
     coeffs: dict[Exponent, int] = {}
+    line_of: dict[Exponent, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -361,4 +355,6 @@ def parse_series(text: str, num_vars: int, truncation: int) -> MSeries:
             coeffs[e] = int(right)
         except ValueError as exc:
             raise DomainError(f"bad series line {lineno}: {raw!r}") from exc
+        if line_of.setdefault(e, lineno) != lineno:
+            raise DomainError(f"series lines {line_of[e]} and {lineno} repeat exponent {e}")
     return MSeries(num_vars, truncation, coeffs)

@@ -19,8 +19,7 @@ from itertools import groupby
 from operator import sub
 
 from .complexes import ComplexParams, Face, Vertex
-from .errors import DomainError, Record, VerificationError
-from .errors import _require_ints
+from .errors import DomainError, Record, VerificationError, _require_at_least
 from .facets import _chain_search, _require_facet, enumerate_facets, facet_certificate
 
 __all__ = [
@@ -272,9 +271,7 @@ def _verify_order(
     """The body of verify_shelling for a list known to order every facet once."""
     if witness_mode not in _MODES:
         raise DomainError(f"witness_mode must be one of {_MODES}")
-    _require_ints(witness_limit=witness_limit)
-    if witness_limit < 0:
-        raise DomainError(f"witness_limit must be nonnegative, got {witness_limit}")
+    _require_at_least(0, witness_limit=witness_limit)
     twists = _Twists(params, facets)
     constructed = violation_count = fallback_count = disagreement_count = 0
     witnesses: dict[tuple[int, int], tuple[int, Vertex]] = {}

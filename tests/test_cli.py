@@ -760,11 +760,15 @@ def argvs(draw):
     elif command == "identity":
         argv += [pick("dixon", "3f2", "aigner"), "--n-max", num(1, 4), "--max", num(0, 4)]
     elif command == "genfun":
-        series = pick(None, "P", "XY", "g")
-        argv += [series] if series else []
-        if draw(st.booleans()):
-            argv += ["--check-alignment", "--n-max", num(2, 4)]
-        argv += ["--truncate", num(1, 4), "--r", num(1, 2)]
+        # one series or the alignment check, and a truncation each series
+        # admits, so that most draws compute
+        series = pick("P", "XY", "g", "--check-alignment")
+        if series == "--check-alignment":
+            argv += [series, "--n-max", num(2, 4)]
+        else:
+            r = draw(st.integers(1, 2))
+            low = {"P": 2, "XY": 1, "g": 2 * r}[series]
+            argv += [series, "--truncate", num(low, 4), "--r", str(r)]
     elif command == "export":
         argv += [pick("facets", "matrix")] + (["--k", num(0, 3)] if draw(st.booleans()) else [])
     return argv + ["--format", pick("json", "text")]

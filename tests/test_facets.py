@@ -300,9 +300,14 @@ def test_parse_facets_errors():
         "# p=3 n\n",
         "# p=3 n=2\n(1,a,1)\n",
         "# p=3 n=2\n()\n",
+        "# p=3 n=2\n(1,1,1) (1,1,1)\n",  # not a face
+        "# p=3 n=2\n(1,1,2) (2,2,1)\n",  # not a face
+        "# p=3 n=2\n(1,1,1) (2,2,2)\n(2,2,2) (1,1,1)\n",  # one facet twice
     ):
         with pytest.raises(DomainError):
             parse_facets(text)
+    with pytest.raises(PreconditionError):
+        parse_facets("# p=3 n=2\n(1,1,1)\n")  # a face, not a facet
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -22,6 +22,7 @@ from gammashell.genfun import (
     series_XY,
 )
 from gammashell.homology import boundary_matrix
+from gammashell.identities import power_sum_lhs, threeF2_lhs
 from gammashell.series import MSeries
 from gammashell.shelling import block_partition, verify_shelling
 
@@ -126,7 +127,7 @@ def test_records_bind_their_declared_fields_by_position_or_by_name():
 
 
 # each entry point called with one int argument, named first, replaced by a
-# str or a float
+# str, a float or a bool
 NON_INT_CALLS = {
     "series_P": ("T", lambda: series_P("3")),
     "series_XY": ("T", lambda: series_XY("3")),
@@ -145,6 +146,31 @@ NON_INT_CALLS = {
     ),
     "MSeries.__pow__": ("exponent", lambda: MSeries.const(3, 4, 1) ** "2"),
     "apply_twist": ("ell", lambda: apply_twist(ComplexParams(3, 2), ((1, 1, 2),), "0", 0, UP)),
+    "series_P_bool": ("T", lambda: series_P(True)),
+    "series_XY_bool": ("T", lambda: series_XY(True)),
+    "series_g_r_bool": ("r", lambda: series_g_r(True, 4)),
+    "alignment_check_bool": ("n_max", lambda: alignment_check(True)),
+    "dixon_product_coefficient_bool": ("n", lambda: dixon_product_coefficient(True)),
+    "enumerate_faces_bool": ("dim", lambda: enumerate_faces(ComplexParams(3, 2), True)),
+    "boundary_matrix_bool": ("k", lambda: boundary_matrix(ComplexParams(3, 2), True)),
+    "master_theorem_check_bool": (
+        "T", lambda: master_theorem_check(matrix_A(), (1, 1, 1), True)
+    ),
+    "master_theorem_check_k_bool": (
+        r"k\[0\]", lambda: master_theorem_check(matrix_A(), (True, 1, 1))
+    ),
+    "MSeries.__pow___bool": ("exponent", lambda: MSeries.const(3, 4, 1) ** True),
+    "apply_twist_bool": (
+        "ell", lambda: apply_twist(ComplexParams(3, 2), ((1, 1, 2),), False, 0, UP)
+    ),
+    "ComplexParams_bool": ("p", lambda: ComplexParams(True, 2)),
+    "MSeries_bool": ("num_vars", lambda: MSeries(True, 2)),
+    "MSeries.truncate_bool": ("truncation", lambda: MSeries.const(1, 2, 1).truncate(True)),
+    "power_sum_lhs_bool": ("n", lambda: power_sum_lhs(True, 3)),
+    "threeF2_lhs_bool": ("n1", lambda: threeF2_lhs(True, 1, 1)),
+    "verify_shelling_bool": (
+        "witness_limit", lambda: verify_shelling(ComplexParams(3, 1), witness_limit=True)
+    ),
 }
 
 

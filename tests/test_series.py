@@ -173,6 +173,8 @@ def test_parse_tolerates_comments_and_rejects_garbage():
         parse_series("0 0 = 7\n", 2, 3)
     with pytest.raises(DomainError, match="line 2"):
         parse_series("0 0 : 7\nnot a line\n", 2, 3)
+    with pytest.raises(DomainError, match="lines 1 and 4"):
+        parse_series("0 0 : 7\n1 0 : 2\n\n0 0 : 5\n", 2, 3)
 
 
 # -- frozen oracle for the packed-exponent kernels ----------------------------
