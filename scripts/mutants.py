@@ -130,6 +130,30 @@ CATALOGUE = {
         "        if not isinstance(c, int) or c < 1 or c > params.n:\n",
         ["tests/test_integer_rule.py::test_non_int_entries_raise_domain_error"],
     ),
+    "twist-sets-back-on-canonical-face": (
+        "src/gammashell/facets.py",
+        "    return _twist_sets(params, facet_certificate(params, face).face)\n",
+        "    return _twist_sets(params, canonical_face(params, face))\n",
+        ["tests/test_facets.py::test_twist_sets_requires_nonempty_face"],
+    ),
+    "block-partition-back-on-raw-tuples": (
+        "src/gammashell/shelling.py",
+        "    fi, fk = cert_i.face, cert_k.face\n",
+        "    fi, fk = (tuple(map(tuple, f)) for f in (face_i, face_k))\n",
+        ["tests/test_shelling.py::test_block_partition_validates_both_faces"],
+    ),
+    "betti-from-ranks-admits-a-negative-beta": (
+        "src/gammashell/homology.py",
+        "    if min(betti) < 0:\n",
+        "    if False:\n",
+        ["tests/test_complexes.py::test_integer_inputs_reject_other_types"],
+    ),
+    "shuffle-takes-any-seed": (
+        "src/gammashell/homology.py",
+        "    _require_ints(seed=seed)\n",
+        "",
+        ["tests/test_package.py::test_non_int_arguments_raise_domain_error"],
+    ),
 }
 
 # left out of the copy: version control, caches and benchmark output

@@ -68,9 +68,13 @@ def canonical_face(params: ComplexParams, vertices: Iterable[Sequence[int]]) -> 
     """Validate the vertices and return them sorted by first coordinate.
 
     Strict coordinatewise increase makes any single coordinate a valid sort
-    key, so this is the normal form for faces.
+    key, so this is the normal form for faces.  Each vertex is checked, but
+    not that the vertices form a face; facets.facet_certificate checks that.
     """
-    vs = tuple(check_vertex(params, v) for v in vertices)
+    try:
+        vs = tuple(check_vertex(params, v) for v in vertices)
+    except TypeError:
+        raise DomainError(f"{vertices!r} is not a collection of vertices") from None
     return tuple(sorted(vs, key=lambda v: v[0]))
 
 

@@ -19,7 +19,7 @@ import itertools
 from collections.abc import Iterable, Sequence
 from functools import cache
 from math import comb
-from operator import eq
+from operator import eq, sub
 
 from .complexes import (
     DEFAULT_FACE_BUDGET,
@@ -83,12 +83,12 @@ def facet_certificate(params: ComplexParams, face: Iterable[Sequence[int]]) -> F
     f = canonical_face(params, face)
     if not f:
         raise DomainError("facet conditions are undefined for the empty face")
-    gaps = [min(b - a for a, b in zip(prev, cur)) for prev, cur in zip(f, f[1:])]
-    if any(g < 1 for g in gaps):
+    gaps = [min(map(sub, cur, prev)) for prev, cur in zip(f, f[1:])]
+    if min(gaps, default=1) < 1:
         raise DomainError(f"{f} is not a face of Gamma_{params.p}({params.n})")
     p1 = max(f[-1]) == params.n
     p2 = min(f[0]) == 1
-    p3 = all(g == 1 for g in gaps)
+    p3 = max(gaps, default=1) == 1
     return FacetCertificate(f, p1, p2, p3)
 
 
@@ -195,10 +195,12 @@ def enumerate_facets(params: ComplexParams, budget: int | None = DEFAULT_FACE_BU
 
 
 def twist_sets(params: ComplexParams, face: Iterable[Sequence[int]]) -> TwistSets:
-    """Compute the up- and down-twistable positions of every vertex."""
-    f = canonical_face(params, face)
-    if not f:
-        raise DomainError("twist sets are undefined for the empty face")
+    """Compute the up- and down-twistable positions of every vertex of a face."""
+    return _twist_sets(params, facet_certificate(params, face).face)
+
+
+def _twist_sets(params: ComplexParams, f: Face) -> TwistSets:
+    """twist_sets of a face that facet_certificate has validated."""
     n = params.n
     r = len(f)
     a_sets = []
@@ -231,8 +233,8 @@ def apply_twist(
     which guarantees the result is again a face.
     """
     _require_ints(ell=ell, position=position)
-    f = canonical_face(params, face)
-    sets = twist_sets(params, f)
+    f = facet_certificate(params, face).face
+    sets = _twist_sets(params, f)
     if direction == UP:
         allowed = sets.a_sets
         step = 1
@@ -320,6 +322,10 @@ def facet_from_shift_vectors(
     params: ComplexParams, vectors: Sequence[Sequence[int]]
 ) -> Face:
     """Rebuild the facet encoded by p compositions of n + 1 via prefix sums."""
+    try:
+        vectors = [tuple(vec) for vec in vectors]
+    except TypeError:
+        raise DomainError(f"shift vectors {vectors!r} are not a collection of sequences") from None
     if len(vectors) != params.p:
         raise DomainError(f"need {params.p} shift vectors, got {len(vectors)}")
     lengths = {len(v) for v in vectors}
@@ -327,19 +333,11 @@ def facet_from_shift_vectors(
         raise DomainError("shift vectors must share a common length of at least 2")
     for vec in vectors:
         if any(type(e) is not int or e < 1 for e in vec):
-            raise DomainError(f"shift vector {tuple(vec)} has a non-int or non-positive entry")
+            raise DomainError(f"shift vector {vec} has a non-int or non-positive entry")
         if sum(vec) != params.n + 1:
-            raise DomainError(f"shift vector {tuple(vec)} does not sum to {params.n + 1}")
-    r = len(vectors[0]) - 1
-    columns = []
-    for vec in vectors:
-        prefix = list(itertools.accumulate(vec))[:r]
-        columns.append(prefix)
-    face = tuple(tuple(col[l] for col in columns) for l in range(r))
-    cert = facet_certificate(params, face)
-    if not cert.is_facet:
-        raise PreconditionError(f"shift vectors {vectors} do not encode a facet")
-    return face
+            raise DomainError(f"shift vector {vec} does not sum to {params.n + 1}")
+    # read across, the prefix sums are the vertices, then (n + 1, ..., n + 1)
+    return _require_facet(params, tuple(zip(*map(itertools.accumulate, vectors)))[:-1])
 
 
 def format_facets(params: ComplexParams, facets: Sequence[Face]) -> str:

@@ -170,25 +170,18 @@ def det_I_minus_X(matrix: IntMatrix, T: int) -> MSeries:
     return det(cells)
 
 
-def _validate_exponents(
-    matrix: IntMatrix, k: tuple[int, ...], T: int | None
-) -> tuple[int, int]:
-    """Matrix side and truncation for extracting x^k; T defaults to max(k)."""
+def _validate_exponents(matrix: IntMatrix, k: tuple[int, ...]) -> tuple[int, int]:
+    """Matrix side and truncation max(k), the least that holds x^k."""
     m = _validate_matrix(matrix)
     if len(k) != m:
         raise DomainError("exponent vector length must match matrix side")
     _require_ints(**{f"k[{i}]": e for i, e in enumerate(k)})
-    if T is None:
-        T = max(k)
-    _require_at_least(max(k), T=T)
-    return m, T
+    return m, max(k)
 
 
-def master_theorem_product_coefficient(
-    matrix: IntMatrix, k: tuple[int, ...], T: int | None = None
-) -> int:
+def master_theorem_product_coefficient(matrix: IntMatrix, k: tuple[int, ...]) -> int:
     """Coefficient of x^k in the product over i of (row_i . x)^{k_i}."""
-    m, T = _validate_exponents(matrix, k, T)
+    m, T = _validate_exponents(matrix, k)
     product = MSeries.const(m, T, 1)
     for i, row in enumerate(matrix):
         form = MSeries.zero(m, T)
@@ -199,20 +192,16 @@ def master_theorem_product_coefficient(
     return product.coefficient(tuple(k))
 
 
-def master_theorem_inverse_coefficient(
-    matrix: IntMatrix, k: tuple[int, ...], T: int | None = None
-) -> int:
+def master_theorem_inverse_coefficient(matrix: IntMatrix, k: tuple[int, ...]) -> int:
     """Coefficient of x^k in 1 / det(I - XA)."""
-    _, T = _validate_exponents(matrix, k, T)
+    _, T = _validate_exponents(matrix, k)
     return det_I_minus_X(matrix, T).invert_unit().coefficient(tuple(k))
 
 
-def master_theorem_check(
-    matrix: IntMatrix, k: tuple[int, ...], T: int | None = None
-) -> bool:
+def master_theorem_check(matrix: IntMatrix, k: tuple[int, ...]) -> bool:
     """True iff both coefficient extractions agree at x^k."""
-    lhs = master_theorem_product_coefficient(matrix, k, T)
-    rhs = master_theorem_inverse_coefficient(matrix, k, T)
+    lhs = master_theorem_product_coefficient(matrix, k)
+    rhs = master_theorem_inverse_coefficient(matrix, k)
     return lhs == rhs
 
 

@@ -43,7 +43,7 @@ from .complexes import (
     f_vector_formula,
     reduced_euler_characteristic,
 )
-from .errors import DomainError, Record, _check_budget, _require_ints
+from .errors import DomainError, Record, _check_budget, _require_at_least, _require_ints
 
 __all__ = [
     "SparseBoundaryMatrix",
@@ -310,6 +310,7 @@ def _steps(
         active = {r: row.copy() for r, row in enumerate(rows) if row and r not in cleared}
         yield from _eliminate(active)
         return
+    _require_ints(seed=seed)
     rng = random.Random(seed)
     row_perm = list(range(matrix.rows))
     col_perm = list(range(matrix.cols))
@@ -388,13 +389,17 @@ def betti_from_ranks(params: ComplexParams, ranks: Sequence[int]) -> tuple[int, 
 
     beta_k = f_k - rank d_k - rank d_{k+1}, with rank d_-1 = rank d_n = 0;
     the empty-face row makes beta_-1 vanish for every nonempty complex.
+    Ranks of no chain complex (some beta_k < 0) raise DomainError.
     """
     if len(ranks) != params.n:
         raise DomainError(f"need {params.n} ranks, got {len(ranks)}")
-    _require_ints(**{f"rank d_{k}": r for k, r in enumerate(ranks)})
+    _require_at_least(0, **{f"rank d_{k}": r for k, r in enumerate(ranks)})
     f = f_vector_formula(params)
     r = [0, *ranks, 0]
-    return tuple(f[i] - r[i] - r[i + 1] for i in range(params.n + 1))
+    betti = tuple(f[i] - r[i] - r[i + 1] for i in range(params.n + 1))
+    if min(betti) < 0:
+        raise DomainError(f"ranks {tuple(ranks)} give a negative Betti number: {betti}")
+    return betti
 
 
 def betti_numbers(

@@ -18,7 +18,7 @@ from __future__ import annotations
 from itertools import groupby
 from operator import sub
 
-from .complexes import ComplexParams, Face, Vertex
+from .complexes import ComplexParams, Face, Vertex, canonical_face
 from .errors import DomainError, Record, VerificationError, _require_at_least
 from .facets import _chain_search, _require_facet, enumerate_facets, facet_certificate
 
@@ -39,9 +39,9 @@ class BlockPartition(Record):
     """Shared and private vertices of a facet pair, grouped into runs.
 
     Each block is a maximal run of vertices consecutive within its facet:
-    c_blocks and i_blocks follow the first facet's vertex sequence, k_blocks
-    the second's.  For two facets the private partitions always have the
-    same number of blocks.
+    c_blocks and i_blocks follow the first facet's canonical vertex order,
+    k_blocks the second's.  For two facets the private partitions always
+    have the same number of blocks.
     """
 
     _fields = ("c_blocks", "i_blocks", "k_blocks")
@@ -50,19 +50,18 @@ class BlockPartition(Record):
 def block_partition(params: ComplexParams, face_i: Face, face_k: Face) -> BlockPartition:
     """Partition both vertex sequences into shared and private blocks.
 
-    Walk each facet in order, cutting a block whenever membership in the
-    shared vertex set flips.  When both inputs are facets, the private
-    partitions are checked to have equal block counts.
+    Walk each face in canonical order, cutting a block whenever membership
+    in the shared vertex set flips.  When both inputs are facets, the
+    private partitions are checked to have equal block counts.
     """
-    fi = tuple(tuple(v) for v in face_i)
-    fk = tuple(tuple(v) for v in face_k)
+    cert_i, cert_k = facet_certificate(params, face_i), facet_certificate(params, face_k)
+    fi, fk = cert_i.face, cert_k.face
     is_shared = (set(fi) & set(fk)).__contains__
     fi_runs = [(shared, tuple(run)) for shared, run in groupby(fi, is_shared)]
     c_blocks = tuple(run for shared, run in fi_runs if shared)
     i_blocks = tuple(run for shared, run in fi_runs if not shared)
     k_blocks = tuple(tuple(run) for shared, run in groupby(fk, is_shared) if not shared)
-    certs = [facet_certificate(params, f) for f in (fi, fk)]
-    if all(c.is_facet for c in certs) and len(i_blocks) != len(k_blocks):
+    if cert_i.is_facet and cert_k.is_facet and len(i_blocks) != len(k_blocks):
         raise VerificationError(
             f"private block counts differ for facets {fi} and {fk}: "
             f"{len(i_blocks)} vs {len(k_blocks)}"
@@ -250,7 +249,10 @@ def verify_shelling(
     """
     facets = enumerate_facets(params)
     if order is not None:
-        ordered = [tuple(tuple(v) for v in f) for f in order]
+        try:
+            ordered = [canonical_face(params, f) for f in order]
+        except TypeError:
+            raise DomainError(f"order {order!r} is not a collection of faces") from None
         if len(ordered) != len(facets) or set(ordered) != set(facets):
             raise DomainError("order must list every facet exactly once")
         facets = ordered

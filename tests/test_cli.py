@@ -747,15 +747,18 @@ def argvs(draw):
     command = pick(*cli._COMMANDS)
     argv = [command]
     if command in ("fvector", "shelling", "betti", "export"):
-        argv += ["--p", num(1, 3), "--n", num(1, 4 if command in ("fvector", "export") else 3)]
+        n = num(1, 4 if command in ("fvector", "export") else 3)
+        argv += ["--p", num(1, 3), "--n", n]
     if command == "fvector":
         argv += ["--enumerate"] if draw(st.booleans()) else []
     elif command == "shelling":
         argv += ["--order", pick("canonical", "reversed"),
                  "--witness-mode", pick("constructive", "exhaustive", "both")]
     elif command == "betti":
-        argv += ["--method", pick("both", "shelling", "matrix")]
-        if draw(st.booleans()):
+        method = pick("both", "shelling", "matrix")
+        argv += ["--method", method]
+        # the shuffle check runs on the matrix route only
+        if method != "shelling" and draw(st.booleans()):
             argv += ["--shuffle-check", "--seed", num(0, 4)]
     elif command == "identity":
         argv += [pick("dixon", "3f2", "aigner"), "--n-max", num(1, 4), "--max", num(0, 4)]
@@ -770,7 +773,11 @@ def argvs(draw):
             low = {"P": 2, "XY": 1, "g": 2 * r}[series]
             argv += [series, "--truncate", num(low, 4), "--r", str(r)]
     elif command == "export":
-        argv += [pick("facets", "matrix")] + (["--k", num(0, 3)] if draw(st.booleans()) else [])
+        # export matrix needs a boundary dimension --k in 0..n-1
+        what = pick("facets", "matrix")
+        argv += [what]
+        if what == "matrix" or draw(st.booleans()):
+            argv += ["--k", num(0, max(int(n) - 1, 0))]
     return argv + ["--format", pick("json", "text")]
 
 

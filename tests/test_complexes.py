@@ -71,6 +71,9 @@ def test_complex_params_rejects_non_integer_parameters(p, n):
         lambda: verify_shelling(ComplexParams(3, 2), witness_limit=True),
         lambda: betti_from_ranks(ComplexParams(3, 3), [1]),
         lambda: betti_from_ranks(ComplexParams(3, 1), [1.0]),
+        # ranks of no chain complex: a negative one, and beta_2 = f_2 - rank d_2 = 1 - 3
+        lambda: betti_from_ranks(ComplexParams(2, 3), [-5, 0, 0]),
+        lambda: betti_from_ranks(ComplexParams(2, 3), [1, 2, 3]),
     ],
 )
 def test_integer_inputs_reject_other_types(call):

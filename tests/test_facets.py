@@ -168,6 +168,10 @@ def test_twist_sets_example():
 def test_twist_sets_requires_nonempty_face():
     with pytest.raises(DomainError):
         twist_sets(ComplexParams(3, 3), [])
+    # vertices that do not increase strictly, and a repeated vertex
+    for face in [((1, 2), (2, 1)), ((1, 1), (1, 1))]:
+        with pytest.raises(DomainError, match="is not a face"):
+            twist_sets(ComplexParams(2, 3), face)
 
 
 def test_apply_twist_examples():
@@ -189,6 +193,8 @@ def test_apply_twist_preconditions():
         apply_twist(params, face, 5, 0, DOWN)
     with pytest.raises(DomainError):
         apply_twist(params, face, 0, 0, "sideways")
+    with pytest.raises(DomainError, match="is not a face"):
+        apply_twist(ComplexParams(2, 3), ((1, 2), (2, 1)), 1, 0, UP)
 
 
 @given(facets())
@@ -266,6 +272,9 @@ def test_facet_from_shift_vectors_validation():
         facet_from_shift_vectors(params, [(1, 4), (1, 4), (2, 2)])  # bad sum
     with pytest.raises(DomainError):
         facet_from_shift_vectors(params, [(0, 5), (1, 4), (1, 4)])  # zero entry
+    for vectors in (5, [5, 5, 5]):
+        with pytest.raises(DomainError, match="not a collection"):
+            facet_from_shift_vectors(params, vectors)
     with pytest.raises(PreconditionError):
         facet_from_shift_vectors(params, [(2, 3), (1, 4), (1, 4)])  # not a facet
 

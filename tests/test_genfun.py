@@ -236,8 +236,6 @@ def test_master_theorem_rejects_bad_input():
             extract(((1, 0), (0, 1), (0, 0)), (1, 1))
         with pytest.raises(DomainError):
             extract(matrix_A(), (1, 1))
-        with pytest.raises(DomainError):
-            extract(matrix_A(), (2, 2, 2), T=1)
 
 
 def test_dixon_product_coefficient_matches_the_sum():

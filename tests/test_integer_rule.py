@@ -7,15 +7,8 @@ import pytest
 from gammashell.complexes import ComplexParams, check_vertex
 from gammashell.errors import DomainError
 from gammashell.facets import facet_from_shift_vectors
-from gammashell.genfun import (
-    dixon_product_coefficient,
-    master_theorem_check,
-    matrix_A,
-    series_g_r,
-    series_P,
-    series_XY,
-)
-from gammashell.homology import sparse_rank
+from gammashell.genfun import dixon_product_coefficient, series_g_r, series_P, series_XY
+from gammashell.homology import betti_from_ranks, sparse_rank
 from gammashell.identities import aigner_rhs, dixon_rhs, power_sum_lhs, threeF2_lhs, threeF2_rhs
 from gammashell.series import MSeries
 from gammashell.shelling import verify_shelling
@@ -62,8 +55,10 @@ BOUNDS = {
     "series_XY": ("T", 1, series_XY),
     "series_g_r_r": ("r", 1, lambda v: series_g_r(v, 2)),
     "series_g_r_T": ("T", 4, lambda v: series_g_r(2, v)),
-    "master_theorem_check": ("T", 2, lambda v: master_theorem_check(matrix_A(), (2, 1, 0), v)),
     "dixon_product_coefficient": ("n", 1, dixon_product_coefficient),
+    "betti_from_ranks": (
+        "rank d_0", 0, lambda v: betti_from_ranks(ComplexParams(2, 3), [v, 0, 0])
+    ),
     "power_sum_lhs_n": ("n", 1, lambda v: power_sum_lhs(v, 3)),
     "power_sum_lhs_p": ("p", 1, lambda v: power_sum_lhs(3, v)),
     "dixon_rhs": ("n", 1, dixon_rhs),

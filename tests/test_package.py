@@ -21,7 +21,7 @@ from gammashell.genfun import (
     series_P,
     series_XY,
 )
-from gammashell.homology import boundary_matrix
+from gammashell.homology import boundary_matrix, chain_ranks, shuffled_rank
 from gammashell.identities import power_sum_lhs, threeF2_lhs
 from gammashell.series import MSeries
 from gammashell.shelling import block_partition, verify_shelling
@@ -140,11 +140,14 @@ NON_INT_CALLS = {
         "budget", lambda: enumerate_faces(ComplexParams(3, 2), 1, budget="100")
     ),
     "boundary_matrix": ("k", lambda: boundary_matrix(ComplexParams(3, 2), "1")),
-    "master_theorem_check": ("T", lambda: master_theorem_check(matrix_A(), (1, 1, 1), "3")),
     "master_theorem_check_k": (
         r"k\[0\]", lambda: master_theorem_check(matrix_A(), ("1", 1, 1))
     ),
     "MSeries.__pow__": ("exponent", lambda: MSeries.const(3, 4, 1) ** "2"),
+    "shuffled_rank": ("seed", lambda: shuffled_rank(boundary_matrix(ComplexParams(3, 2), 1), "x")),
+    "shuffled_rank_float": (
+        "seed", lambda: shuffled_rank(boundary_matrix(ComplexParams(3, 2), 1), 1.5)
+    ),
     "apply_twist": ("ell", lambda: apply_twist(ComplexParams(3, 2), ((1, 1, 2),), "0", 0, UP)),
     "series_P_bool": ("T", lambda: series_P(True)),
     "series_XY_bool": ("T", lambda: series_XY(True)),
@@ -153,13 +156,16 @@ NON_INT_CALLS = {
     "dixon_product_coefficient_bool": ("n", lambda: dixon_product_coefficient(True)),
     "enumerate_faces_bool": ("dim", lambda: enumerate_faces(ComplexParams(3, 2), True)),
     "boundary_matrix_bool": ("k", lambda: boundary_matrix(ComplexParams(3, 2), True)),
-    "master_theorem_check_bool": (
-        "T", lambda: master_theorem_check(matrix_A(), (1, 1, 1), True)
-    ),
     "master_theorem_check_k_bool": (
         r"k\[0\]", lambda: master_theorem_check(matrix_A(), (True, 1, 1))
     ),
     "MSeries.__pow___bool": ("exponent", lambda: MSeries.const(3, 4, 1) ** True),
+    "shuffled_rank_bool": (
+        "seed", lambda: shuffled_rank(boundary_matrix(ComplexParams(3, 2), 1), True)
+    ),
+    "chain_ranks_bool": (
+        "seed", lambda: chain_ranks([boundary_matrix(ComplexParams(3, 2), 0)], True)
+    ),
     "apply_twist_bool": (
         "ell", lambda: apply_twist(ComplexParams(3, 2), ((1, 1, 2),), False, 0, UP)
     ),

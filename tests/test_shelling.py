@@ -86,6 +86,12 @@ def test_block_partition_validates_both_faces():
         block_partition(params, [(1, 1, 1)], [(9, 9, 9)])
     with pytest.raises(DomainError):
         block_partition(params, [(9, 9, 9)], [(1, 1, 1)])
+    # the faces are validated into canonical order before the blocks are cut
+    facets = cached_facets(3, 3)
+    for f_i in facets:
+        for f_k in facets:
+            reverse = block_partition(params, f_i[::-1], f_k[::-1])
+            assert reverse == block_partition(params, f_i, f_k)
 
 
 @given(facet_pairs())
@@ -172,6 +178,9 @@ def test_verify_shelling_rejects_bad_input():
         verify_shelling(params, list(cached_facets(3, 2))[:-1])
     with pytest.raises(DomainError):
         verify_shelling(params, list(cached_facets(3, 3)))
+    for order in ([1, 2, 3], 5):
+        with pytest.raises(DomainError, match="not a collection"):
+            verify_shelling(params, order)
 
 
 @given(facet_pairs(), st.sampled_from(["constructive", "exhaustive", "both"]))
