@@ -126,8 +126,8 @@ CATALOGUE = {
     ),
     "check-vertex-admits-bool": (
         "src/gammashell/complexes.py",
-        "        if type(c) is not int or c < 1 or c > params.n:\n",
-        "        if not isinstance(c, int) or c < 1 or c > params.n:\n",
+        "        if type(c) is not int or c < 1 or c > n:\n",
+        "        if not isinstance(c, int) or c < 1 or c > n:\n",
         ["tests/test_integer_rule.py::test_non_int_entries_raise_domain_error"],
     ),
     "twist-sets-back-on-canonical-face": (
@@ -135,6 +135,19 @@ CATALOGUE = {
         "    return _twist_sets(params, facet_certificate(params, face).face)\n",
         "    return _twist_sets(params, canonical_face(params, face))\n",
         ["tests/test_facets.py::test_twist_sets_requires_nonempty_face"],
+    ),
+    "padded-chain-tops-out-at-n": (
+        "src/gammashell/facets.py",
+        "    flat = sum(f, (0,) * p) + (params.n + 1,) * p\n",
+        "    flat = sum(f, (0,) * p) + (params.n,) * p\n",
+        ["tests/test_facets.py::test_twist_sets_are_the_single_steps_that_stay_faces",
+         "tests/test_facets.py::test_shift_vectors_example"],
+    ),
+    "safe-twist-reads-the-other-jump": (
+        "src/gammashell/facets.py",
+        "    return min(_jumps(params, g)[ell + (direction == DOWN)]) == 1\n",
+        "    return min(_jumps(params, g)[ell + (direction == UP)]) == 1\n",
+        ["tests/test_facets.py::test_safe_twists_are_exactly_the_facet_preserving_ones"],
     ),
     "block-partition-back-on-raw-tuples": (
         "src/gammashell/shelling.py",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Sequence
 from math import comb
+from operator import itemgetter
 
 from .errors import DomainError, Record, _check_budget, _require_at_least, _require_ints
 
@@ -53,13 +54,17 @@ class ComplexParams(Record):
 
 def check_vertex(params: ComplexParams, vertex: Sequence[int]) -> Vertex:
     """Return the vertex as a tuple, rejecting wrong arity, type or range."""
-    v = tuple(vertex)
+    try:
+        v = tuple(vertex)
+    except TypeError:
+        raise DomainError(f"vertex {vertex!r} is not a sequence of coordinates") from None
     if len(v) != params.p:
         raise DomainError(f"vertex {v} does not have arity {params.p}")
+    n = params.n
     for c in v:
-        if type(c) is not int or c < 1 or c > params.n:
+        if type(c) is not int or c < 1 or c > n:
             fault = ("non-integer coordinate" if type(c) is not int
-                     else f"coordinate outside [1, {params.n}]")
+                     else f"coordinate outside [1, {n}]")
             raise DomainError(f"vertex {v} has a {fault}")
     return v
 
@@ -72,10 +77,11 @@ def canonical_face(params: ComplexParams, vertices: Iterable[Sequence[int]]) -> 
     not that the vertices form a face; facets.facet_certificate checks that.
     """
     try:
-        vs = tuple(check_vertex(params, v) for v in vertices)
+        vs = [check_vertex(params, v) for v in vertices]
     except TypeError:
         raise DomainError(f"{vertices!r} is not a collection of vertices") from None
-    return tuple(sorted(vs, key=lambda v: v[0]))
+    vs.sort(key=itemgetter(0))
+    return tuple(vs)
 
 
 def is_face(params: ComplexParams, vertices: Iterable[Sequence[int]]) -> bool:

@@ -199,24 +199,24 @@ def twist_sets(params: ComplexParams, face: Iterable[Sequence[int]]) -> TwistSet
     return _twist_sets(params, facet_certificate(params, face).face)
 
 
+def _jumps(params: ComplexParams, f: Face) -> list[Vertex]:
+    """The r + 1 jumps along the padded chain (0, ..., 0) < f < (n + 1, ..., n + 1).
+
+    Jump l is chain vertex l + 1 minus chain vertex l; at coordinate a it is
+    entry l of shift vector a.  On a facet every jump holds a 1: P2 for the
+    first, P3 between vertices, P1 for the last.
+    """
+    p = params.p
+    # the chain's coordinates in one row: p zeros, the vertices, p values n + 1
+    flat = sum(f, (0,) * p) + (params.n + 1,) * p
+    # each entry minus the one p places before, grouped p at a time
+    return list(zip(*[map(sub, flat[p:], flat)] * p))
+
+
 def _twist_sets(params: ComplexParams, f: Face) -> TwistSets:
-    """twist_sets of a face that facet_certificate has validated."""
-    n = params.n
-    r = len(f)
-    a_sets = []
-    b_sets = []
-    for l, v in enumerate(f):
-        if l + 1 < r:
-            nxt = f[l + 1]
-            a_sets.append(tuple(a for a in range(params.p) if nxt[a] - v[a] > 1))
-        else:
-            a_sets.append(tuple(a for a in range(params.p) if v[a] < n))
-        if l > 0:
-            prev = f[l - 1]
-            b_sets.append(tuple(a for a in range(params.p) if v[a] - prev[a] > 1))
-        else:
-            b_sets.append(tuple(a for a in range(params.p) if v[a] > 1))
-    return TwistSets(tuple(a_sets), tuple(b_sets))
+    """twist_sets of a validated face: A_l reads jump l + 1 and B_l jump l."""
+    wide = [tuple(a for a, d in enumerate(jump) if d > 1) for jump in _jumps(params, f)]
+    return TwistSets(tuple(wide[1:]), tuple(wide[:-1]))
 
 
 def apply_twist(
@@ -233,7 +233,11 @@ def apply_twist(
     which guarantees the result is again a face.
     """
     _require_ints(ell=ell, position=position)
-    f = facet_certificate(params, face).face
+    return _twist(params, facet_certificate(params, face).face, ell, position, direction)
+
+
+def _twist(params: ComplexParams, f: Face, ell: int, position: int, direction: str) -> Face:
+    """apply_twist on a validated face f, with ell and position known ints."""
     sets = _twist_sets(params, f)
     if direction == UP:
         allowed = sets.a_sets
@@ -263,21 +267,16 @@ def is_safe_twist(
 ) -> bool:
     """True iff the twist preserves the one facet condition it can break.
 
-    An up-twist of the first vertex can only lose P2; an up-twist elsewhere
-    can only lose P3 at the junction below the vertex.  A down-twist of the
-    last vertex can only lose P1; a down-twist elsewhere can only lose P3 at
-    the junction above.  Every other condition survives automatically, so a
-    safe twist of a facet is again a facet.
+    A twist of vertex ell narrows one jump of the padded chain and widens
+    the other: an up-twist widens jump ell, below the vertex, and a
+    down-twist widens jump ell + 1, above it.  Only the widened jump can
+    lose its 1, so the twist is safe iff that jump still holds one; a safe
+    twist of a facet is again a facet.
     """
-    g = apply_twist(params, _require_facet(params, facet), ell, position, direction)
-    r = len(g)
-    if direction == UP:
-        if ell == 0:
-            return min(g[0]) == 1
-        return min(b - a for a, b in zip(g[ell - 1], g[ell])) == 1
-    if ell == r - 1:
-        return max(g[-1]) == params.n
-    return min(b - a for a, b in zip(g[ell], g[ell + 1])) == 1
+    f = _require_facet(params, facet)
+    _require_ints(ell=ell, position=position)
+    g = _twist(params, f, ell, position, direction)
+    return min(_jumps(params, g)[ell + (direction == DOWN)]) == 1
 
 
 def shift_vectors(
@@ -285,19 +284,11 @@ def shift_vectors(
 ) -> tuple[tuple[int, ...], ...]:
     """Encode a facet as p compositions of n + 1, one per coordinate position.
 
-    Composition a reads (v_1[a], v_2[a] - v_1[a], ..., n + 1 - v_r[a]).  The
-    facet conditions make every entry positive, and prefix sums invert the
-    encoding exactly.
+    Composition a reads (v_1[a], v_2[a] - v_1[a], ..., n + 1 - v_r[a]), the
+    jumps of the padded chain at coordinate a.  The facet conditions make
+    every entry positive, and prefix sums invert the encoding exactly.
     """
-    f = _require_facet(params, facet)
-    n = params.n
-    vectors = []
-    for a in range(params.p):
-        col = [v[a] for v in f]
-        vectors.append(
-            tuple([col[0]] + [y - x for x, y in zip(col, col[1:])] + [n + 1 - col[-1]])
-        )
-    return tuple(vectors)
+    return tuple(zip(*_jumps(params, _require_facet(params, facet))))
 
 
 def facet_counts(params: ComplexParams) -> tuple[int, ...]:

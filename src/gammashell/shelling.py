@@ -16,11 +16,10 @@ entire boundary, each of which contributes one sphere of its dimension.
 from __future__ import annotations
 
 from itertools import groupby
-from operator import sub
 
 from .complexes import ComplexParams, Face, Vertex, canonical_face
 from .errors import DomainError, Record, VerificationError, _require_at_least
-from .facets import _chain_search, _require_facet, enumerate_facets, facet_certificate
+from .facets import _chain_search, _jumps, _require_facet, enumerate_facets, facet_certificate
 
 __all__ = [
     "BlockPartition",
@@ -331,14 +330,12 @@ def _verify_order(
 def homology_facet_by_criterion(params: ComplexParams, facet) -> bool:
     """True iff every vertex of the facet has a nonempty down-twist set.
 
-    The first vertex must exceed 1 somewhere and every later vertex must
-    exceed its predecessor by more than 1 somewhere.  Applied to single
-    vertices as well, where it reads: the vertex is not all ones.
+    Vertex l can move down where jump l of the padded chain exceeds 1.  On a
+    face no jump has a coordinate below 1, so this reads: no jump but the
+    last is (1, ..., 1).  For a single vertex: it is not all ones.
     """
-    f = _require_facet(params, facet)
-    return max(f[0]) > 1 and all(
-        max(map(sub, cur, prev)) > 1 for prev, cur in zip(f, f[1:])
-    )
+    jumps = _jumps(params, _require_facet(params, facet))
+    return (1,) * params.p not in jumps[:-1]
 
 
 def homology_facets_by_criterion(params: ComplexParams) -> list[Face]:

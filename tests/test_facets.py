@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 
 from gammashell import facets as facets_module
-from gammashell.complexes import ComplexParams, enumerate_faces, order_key
+from gammashell.complexes import ComplexParams, enumerate_faces, is_face, order_key
 from gammashell.errors import BudgetError, DomainError, PreconditionError
 from gammashell.facets import (
     DOWN,
@@ -174,6 +174,23 @@ def test_twist_sets_requires_nonempty_face():
             twist_sets(ComplexParams(2, 3), face)
 
 
+@pytest.mark.parametrize("p,n", [(2, 5), (3, 4), (4, 3)])
+def test_twist_sets_are_the_single_steps_that_stay_faces(p, n):
+    # oracle: move one coordinate of one vertex by one and ask is_face; a
+    # coordinate leaving [1, n] is not a face
+    params = ComplexParams(p, n)
+    values = range(1, n + 1)
+    for facet in cached_facets(p, n):
+        sets = twist_sets(params, facet)
+        for ell, v in enumerate(facet):
+            for step, allowed in ((1, sets.a_sets[ell]), (-1, sets.b_sets[ell])):
+                for a in range(p):
+                    w = v[:a] + (v[a] + step,) + v[a + 1 :]
+                    moved = facet[:ell] + (w,) + facet[ell + 1 :]
+                    stays = w[a] in values and is_face(params, moved)
+                    assert (a in allowed) == stays, (facet, ell, a, step)
+
+
 def test_apply_twist_examples():
     params = ComplexParams(3, 5)
     face = ((1, 1, 2), (2, 5, 5))
@@ -223,6 +240,22 @@ def test_safe_twists_are_exactly_the_facet_preserving_ones(n):
                         is_safe_twist(params, facet, ell, a, direction)
                         == facet_certificate(params, twisted).is_facet
                     ), (facet, ell, a, direction)
+
+
+def test_is_safe_twist_certifies_its_facet_once(monkeypatch):
+    calls = []
+
+    def counting(params, face):
+        calls.append(face)
+        return facet_certificate(params, face)
+
+    monkeypatch.setattr(facets_module, "facet_certificate", counting)
+    params = ComplexParams(3, 5)
+    facet = ((1, 1, 2), (2, 5, 5))
+    for ell, a, direction in ((0, 1, UP), (1, 0, UP), (0, 2, DOWN), (1, 1, DOWN)):
+        calls.clear()
+        is_safe_twist(params, facet, ell, a, direction)
+        assert len(calls) == 1, (ell, a, direction)
 
 
 def test_is_safe_twist_requires_a_facet():

@@ -27,6 +27,9 @@ ENTRY_CALLS = {
     "check_vertex_float": (
         "non-integer coordinate", lambda: check_vertex(ComplexParams(3, 2), (1.0, 1, 1))
     ),
+    "check_vertex_int": (
+        "not a sequence of coordinates", lambda: check_vertex(ComplexParams(3, 2), 5)
+    ),
     "MSeries_exponent_bool": ("non-int entry", lambda: MSeries(2, 3, {(True, 0): 1})),
     "MSeries_coefficient_bool": ("not an int", lambda: MSeries(2, 3, {(0, 0): True})),
     "sparse_rank_bool": ("not an int", lambda: sparse_rank([{0: True}])),
