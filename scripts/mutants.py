@@ -161,6 +161,26 @@ CATALOGUE = {
         "    if False:\n",
         ["tests/test_complexes.py::test_integer_inputs_reject_other_types"],
     ),
+    "division-drops-the-prefix-borrow-test": (
+        "src/gammashell/series.py",
+        "(top - pd) & guard == guard",
+        "True",
+        ["tests/test_series.py::test_packed_inverse_matches_the_tuple_reference"],
+    ),
+    "chain-ranks-runs-the-canonical-pass-first": (
+        "src/gammashell/homology.py",
+        "        if shuffled is not None:\n"
+        "            shuffled_cleared = {f for f, _ in _steps(matrix, seed, shuffled_cleared)}\n"
+        "            shuffled.append(len(shuffled_cleared))\n"
+        "        cleared = {f for f, _ in _steps(matrix, None, cleared)}\n"
+        "        ranks.append(len(cleared))\n",
+        "        cleared = {f for f, _ in _steps(matrix, None, cleared)}\n"
+        "        ranks.append(len(cleared))\n"
+        "        if shuffled is not None:\n"
+        "            shuffled_cleared = {f for f, _ in _steps(matrix, seed, shuffled_cleared)}\n"
+        "            shuffled.append(len(shuffled_cleared))\n",
+        ["tests/test_homology.py::test_cleared_ranks_match_full_ranks_on_gamma"],
+    ),
     "shuffle-takes-any-seed": (
         "src/gammashell/homology.py",
         "    _require_ints(seed=seed)\n",

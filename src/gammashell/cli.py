@@ -410,10 +410,8 @@ def _render_text(report: dict, extra: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_csv(report: dict, extra: dict) -> str:
-    rows = extra.get("rows")
-    if not rows:
-        raise DomainError(f"csv output is not available for {report['command']}")
+def _render_csv(extra: dict) -> str:
+    rows = extra["rows"]
     header = list(rows[0])
     lines = [",".join(header)]
     for row in rows:
@@ -425,7 +423,7 @@ def _render(args: argparse.Namespace, report: dict, extra: dict) -> str:
     if args.fmt == "json":
         return json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.fmt == "csv":
-        return _render_csv(report, extra)
+        return _render_csv(extra)
     return _render_text(report, extra)
 
 
@@ -444,11 +442,12 @@ def _positive_int(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("json", "text", "csv"), default="json", dest="fmt"
-    )
-    common.add_argument("--output", default=None, help="write the result to a file")
+    # csv is offered only to the tabular commands, fvector and identity, so
+    # the parser refuses it for the others before any work
+    common, tabular = (argparse.ArgumentParser(add_help=False) for _ in range(2))
+    for args, formats in ((common, ("json", "text")), (tabular, ("json", "text", "csv"))):
+        args.add_argument("--format", choices=formats, default="json", dest="fmt")
+        args.add_argument("--output", default=None, help="write the result to a file")
 
     parser = argparse.ArgumentParser(
         prog="gammashell",
@@ -463,7 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
     complex_args.add_argument("--n", type=int, required=True)
     on_complex = [common, complex_args]
 
-    s = sub.add_parser("fvector", parents=on_complex, help="face counts and Euler characteristic")
+    s = sub.add_parser("fvector", parents=[tabular, complex_args],
+                       help="face counts and Euler characteristic")
     s.add_argument("--enumerate", action="store_true", dest="enumerate_check",
                    help="cross-check the formula against enumeration")
     s.add_argument("--face-budget", type=_positive_int, default=DEFAULT_FACE_BUDGET)
@@ -482,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="recompute ranks under a seeded face shuffle")
     s.add_argument("--seed", type=int, default=0)
 
-    s = sub.add_parser("identity", parents=[common], help="binomial identity tables")
+    s = sub.add_parser("identity", parents=[tabular], help="binomial identity tables")
     s.add_argument("kind", choices=("dixon", "3f2", "aigner"))
     s.add_argument("--n-max", type=int, default=40)
     s.add_argument("--max", type=int, default=8, dest="max_value",

@@ -1,7 +1,7 @@
 """Reduced simplicial homology of Gamma_p(n) over the rationals.
 
 Boundary matrices are assembled straight into one {column: +-1} dict per
-row, the rows the elimination copies.  boundary_matrix orders its faces by
+row, which the chain eliminates in place.  boundary_matrix orders its faces by
 sigma word, the order of enumerate_faces.  The chain d_0, d_1, ... that the
 ranks read lists no face: it indexes each face by the lex ranks of its
 coordinates' subsets of [n], much as Ripser indexes simplices by the
@@ -300,14 +300,16 @@ def _steps(
 ) -> Iterator[tuple[int, bool]]:
     """Yield (pivot face, unimodular) for each step of matrix's elimination.
 
-    The rows are copied from matrix.by_row, without the empty rows and the
-    rows in cleared (face indices); they are nonzero ints, so nothing is
-    checked.  With a seed, rows and columns are first permuted by a seeded
-    shuffle and each pivot column is mapped back to its face index.
+    The rows are matrix.by_row, without the empty rows and the rows in
+    cleared (face indices); they are nonzero ints, so nothing is checked.
+    Without a seed they are eliminated in place, which uses the matrix up.
+    With a seed, rows and columns are first permuted by a seeded shuffle
+    into new rows, so the matrix stays intact, and each pivot column is
+    mapped back to its face index.
     """
     rows = matrix.by_row
     if seed is None:
-        active = {r: row.copy() for r, row in enumerate(rows) if row and r not in cleared}
+        active = {r: row for r, row in enumerate(rows) if row and r not in cleared}
         yield from _eliminate(active)
         return
     _require_ints(seed=seed)
@@ -330,8 +332,8 @@ def _steps(
 
 
 def matrix_rank(matrix: SparseBoundaryMatrix) -> int:
-    """Rank of a sparse boundary matrix over the rationals."""
-    return sum(1 for _ in _steps(matrix))
+    """Rank of a sparse boundary matrix over the rationals; matrix stays intact."""
+    return sparse_rank(matrix.by_row)
 
 
 def shuffled_rank(matrix: SparseBoundaryMatrix, seed: int) -> int:
@@ -361,7 +363,8 @@ def chain_ranks(
     With a seed, a second chain eliminates every matrix under shuffled_rank's
     seeded permutation and clears from its own pivots, mapped back to the
     unpermuted faces; its ranks come second, else None.  The matrices are
-    consumed one at a time.
+    consumed one at a time: the unseeded elimination uses up each one's
+    rows, so the seeded chain, which permutes them into new rows, runs first.
     """
     ranks: list[int] = []
     shuffled: list[int] | None = None if seed is None else []
@@ -375,11 +378,11 @@ def chain_ranks(
                 f"d_{follows[0] - 1} with {follows[1]} columns"
             )
         follows = (matrix.k + 1, matrix.cols)
-        cleared = {f for f, _ in _steps(matrix, None, cleared)}
-        ranks.append(len(cleared))
         if shuffled is not None:
             shuffled_cleared = {f for f, _ in _steps(matrix, seed, shuffled_cleared)}
             shuffled.append(len(shuffled_cleared))
+        cleared = {f for f, _ in _steps(matrix, None, cleared)}
+        ranks.append(len(cleared))
         del matrix  # one matrix alive at a time
     return ranks, shuffled
 

@@ -242,24 +242,18 @@ class MSeries(Record):
         if c0 not in (1, -1):
             raise DomainError(f"constant term {c0} is not a unit")
         guard, _, pack, _ = _packing(v - 1, t)
-        prefixes = list(itertools.product(range(t + 1), repeat=v - 1))
-
-        def position(prefix: Exponent) -> int:
-            i = 0
-            for x in prefix:
-                i = i * (t + 1) + x
-            return i
-
-        # terms grouped by prefix as (last field, coefficient); the divisor
-        # terms of prefix 0 other than c0 act within a row, the rest between
+        # increasing packed order is lexicographic, the order rows are solved in
+        prefixes = list(map(pack, itertools.product(range(t + 1), repeat=v - 1)))
+        # terms grouped by packed prefix as (last field, coefficient); the divisor
+        # terms of prefix 0 other than c0 act within a row, the rest between rows
         rows: dict[int, list[tuple[int, int]]] = {}
         for e, c in self.coeffs.items():
-            rows.setdefault(position(e[:-1]), []).append((e[-1], c))
-        groups: dict[Exponent, list[tuple[int, int]]] = {}
+            rows.setdefault(pack(e[:-1]), []).append((e[-1], c))
+        groups: dict[int, list[tuple[int, int]]] = {}
         for d, c in other.coeffs.items():
-            groups.setdefault(d[:-1], []).append((d[-1], c))
-        inner = sorted((k, c) for k, c in groups.pop((0,) * (v - 1)) if k)
-        outer = sorted((pack(dp), position(dp), terms) for dp, terms in groups.items())
+            groups.setdefault(pack(d[:-1]), []).append((d[-1], c))
+        inner = sorted((k, c) for k, c in groups.pop(0) if k)
+        outer = sorted(groups.items())
         max_a = max(map(abs, self.coeffs.values()), default=0)
         sum_b = sum(map(abs, other.coeffs.values()))
 
@@ -277,23 +271,21 @@ class MSeries(Record):
             def packed(terms: Iterable[tuple[int, int]]) -> int:
                 return sum(c << width * k for k, c in terms)
 
-            dividend = {i: packed(terms) for i, terms in rows.items()}
-            polys = [(pd, di, packed(terms)) for pd, di, terms in outer]
-            solved = [packed(enumerate(row)) for row in h]
+            polys = [(pd, packed(terms)) for pd, terms in outer]
+            solved = {q: packed(enumerate(row)) for q, row in zip(prefixes, h)}
             max_h = max((abs(c) for row in h for c in row), default=0)
-            for i in range(len(h), len(prefixes)):
+            for q in prefixes[len(h):]:
                 if max_a + sum_b * max_h >= half:
                     return False
-                prefix = prefixes[i]
-                q = pack(prefix)
                 top = q | guard
-                x = dividend.get(i, 0)
-                for pd, di, poly in polys:
+                x = packed(rows.get(q, ()))
+                for pd, poly in polys:
                     if pd > q:
                         break
-                    # dp <= prefix in every field iff no guard bit borrows
+                    # dp <= prefix in every field iff no guard bit borrows,
+                    # and then q - pd is the packed prefix of row q - dp
                     if (top - pd) & guard == guard:
-                        x -= poly * solved[i - di]
+                        x -= poly * solved[q - pd]
                 x += offset
                 row = [(x >> at & mask) - half for at in shifts]
                 for k, s in enumerate(row):
@@ -304,7 +296,7 @@ class MSeries(Record):
                     row[k] = c0 * s
                 h.append(row)
                 max_h = max(max_h, *map(abs, row))
-                solved.append(packed(enumerate(row)))
+                solved[q] = packed(enumerate(row))
             return True
 
         width = max(64, sum_b.bit_length() + max_a.bit_length() + 4)

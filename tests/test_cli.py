@@ -45,7 +45,6 @@ def test_domain_errors_exit_2(capsys):
         ["genfun", "P", "--truncate", "1"],
         ["genfun", "P", "--check-alignment"],
         ["export", "matrix", "--n", "2"],
-        ["shelling", "--n", "2", "--format", "csv"],
         ["betti", "--n", "2", "--method", "shelling", "--shuffle-check"],
         ["identity", "dixon", "--n-max", "0"],
         ["identity", "aigner", "--n-max", "-1"],
@@ -58,15 +57,46 @@ def test_domain_errors_exit_2(capsys):
 
 
 def test_usage_error_writes_no_file(tmp_path, capsys):
-    target = tmp_path / "facets.csv"
-    code, out, err = run(
-        capsys, "export", "facets", "--n", "2", "--format", "csv",
-        "--output", str(target),
-    )
+    target = tmp_path / "matrix.txt"
+    code, out, err = run(capsys, "export", "matrix", "--n", "2", "--output", str(target))
     assert code == 2
     assert not out
     assert "error" in err
     assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["shelling", "--n", "3"],
+        ["betti", "--n", "3"],
+        ["export", "facets", "--n", "3"],
+        ["genfun", "--check-alignment", "--n-max", "3"],
+    ],
+    ids=["shelling", "betti", "export", "genfun"],
+)
+def test_csv_without_a_table_is_refused_before_any_facet_is_listed(
+    tmp_path, capsys, monkeypatch, argv
+):
+    # only fvector and identity have a table: the parser refuses csv for the
+    # other commands, so none of them starts and nothing is written
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_facets(*args, **kwargs)
+
+    for module in (facets, shelling):
+        monkeypatch.setattr(module, "enumerate_facets", counted)
+    target = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--format", "csv", "--output", str(target)])
+    out, err = capsys.readouterr()
+    assert info.value.code == 2
+    assert not out
+    assert "invalid choice: 'csv'" in err
+    assert not target.exists()
+    assert not calls
 
 
 @pytest.mark.parametrize(
