@@ -181,6 +181,24 @@ CATALOGUE = {
         "            shuffled.append(len(shuffled_cleared))\n",
         ["tests/test_homology.py::test_cleared_ranks_match_full_ranks_on_gamma"],
     ),
+    "cone-test-reads-the-signature-at-i-minus-one": (
+        "src/gammashell/homology.py",
+        "2 * bisect_left(s, i) + (i in s)) for i in range(n))",
+        "2 * bisect_left(s, i - 1) + (i - 1 in s)) for i in range(1, n))",
+        ["tests/test_homology.py::"
+         "test_relative_chain_keeps_the_faces_outside_the_diagonal_stars",
+         "tests/test_homology.py::"
+         "test_relative_chain_has_the_full_chains_betti_numbers_and_torsion_verdict"],
+    ),
+    "relative-chain-keeps-the-empty-face-row": (
+        "src/gammashell/homology.py",
+        "    row_of = [-1 if relative else 0]\n",
+        "    row_of = [0]\n",
+        ["tests/test_homology.py::"
+         "test_relative_chain_keeps_the_faces_outside_the_diagonal_stars",
+         "tests/test_homology.py::"
+         "test_relative_chain_has_the_full_chains_betti_numbers_and_torsion_verdict"],
+    ),
     "shuffle-takes-any-seed": (
         "src/gammashell/homology.py",
         "    _require_ints(seed=seed)\n",

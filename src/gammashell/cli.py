@@ -143,14 +143,14 @@ def cmd_betti(args: argparse.Namespace):
     if args.method in ("both", "matrix"):
         # this route runs first and its chain checks the cell budget before
         # assembling a matrix, so an over-budget matrix stops both routes
-        # unstarted.  Each boundary matrix is built once, listing no face;
-        # the shuffled chain is its own elimination of the permuted matrices,
-        # compared to the ranks
-        ranks, shuffled = chain_ranks(
+        # unstarted.  Each boundary matrix of the relative chain is built
+        # once, listing no face; the shuffled chain is its own elimination
+        # of the permuted matrices, compared to the ranks
+        faces, ranks, shuffled = chain_ranks(
             _boundary_chain(params, args.cell_budget),
             args.seed if args.shuffle_check else None,
         )
-        from_matrix = betti_from_ranks(params, ranks)
+        from_matrix = betti_from_ranks(faces, ranks)
         results["betti_from_matrix"] = list(from_matrix)
         if args.shuffle_check:
             results["shuffle_check"] = ok = shuffled == ranks

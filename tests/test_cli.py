@@ -476,7 +476,7 @@ def test_betti_shuffle_check_builds_and_ranks_each_matrix_once(capsys, monkeypat
 
     for name, calls, key in [
         ("enumerate_faces", listed, lambda params, dim: dim),
-        ("_indexed_boundary", assembled, lambda params, k: k),
+        ("_indexed_boundary", assembled, lambda params, k, *rest: k),
         ("_eliminate", eliminations, lambda active: None),
     ]:
         monkeypatch.setattr(homology, name, counting(calls, getattr(homology, name), key))

@@ -69,11 +69,11 @@ def test_complex_params_rejects_non_integer_parameters(p, n):
         lambda: threeF2_rhs(1, 1, "1"),
         lambda: verify_shelling(ComplexParams(3, 2), witness_limit=2.5),
         lambda: verify_shelling(ComplexParams(3, 2), witness_limit=True),
-        lambda: betti_from_ranks(ComplexParams(3, 3), [1]),
-        lambda: betti_from_ranks(ComplexParams(3, 1), [1.0]),
+        lambda: betti_from_ranks(f_vector_formula(ComplexParams(3, 3)), [1]),
+        lambda: betti_from_ranks(f_vector_formula(ComplexParams(3, 1)), [1.0]),
         # ranks of no chain complex: a negative one, and beta_2 = f_2 - rank d_2 = 1 - 3
-        lambda: betti_from_ranks(ComplexParams(2, 3), [-5, 0, 0]),
-        lambda: betti_from_ranks(ComplexParams(2, 3), [1, 2, 3]),
+        lambda: betti_from_ranks(f_vector_formula(ComplexParams(2, 3)), [-5, 0, 0]),
+        lambda: betti_from_ranks(f_vector_formula(ComplexParams(2, 3)), [1, 2, 3]),
     ],
 )
 def test_integer_inputs_reject_other_types(call):

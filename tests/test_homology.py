@@ -95,19 +95,20 @@ def face_of_index(params: ComplexParams, r: int, index: int) -> tuple:
     return tuple(zip(*reversed(columns)))
 
 
-@pytest.mark.parametrize(
-    "p,n", [(p, n) for p in (1, 2, 3) for n in range(1, 5)] + [(4, n) for n in range(1, 4)]
-)
+SMALL_GRID = [(p, n) for p in (1, 2, 3) for n in range(1, 5)] + [(4, n) for n in range(1, 4)]
+
+
+@pytest.mark.parametrize("p,n", SMALL_GRID)
 def test_chain_and_entries_view_match_the_single_matrices(p, n):
-    # the chain's faces are integers; decoded, each entry and sign must be
-    # boundary_matrix's at that face's sigma-order position
+    # the full chain's faces are integers; decoded, each entry and sign must
+    # be boundary_matrix's at that face's sigma-order position
     params = ComplexParams(p, n)
     position = [
         {face: i for i, face in enumerate(enumerate_faces(params, dim))}
         for dim in range(-1, n)
     ]
     single = [boundary_matrix(params, k) for k in range(n)]
-    chain = list(homology._boundary_chain(params))
+    chain = list(homology._boundary_chain(params, relative=False))
     assert [m.k for m in chain] == list(range(n))
     for k, (m, oracle) in enumerate(zip(chain, single)):
         assert (m.rows, m.cols) == (oracle.rows, oracle.cols)
@@ -124,6 +125,83 @@ def test_chain_and_entries_view_match_the_single_matrices(p, n):
         assert list(entries) == sorted(entries)
         for (r, c), v in entries.items():
             assert m.by_row[r][c] == v
+
+
+# -- relative chain ----------------------------------------------------------
+
+
+def in_diagonal_stars(params: ComplexParams, face: tuple) -> bool:
+    """Brute force: face plus some (i, ..., i) is a chain, strictly increasing
+    in every coordinate."""
+    for i in range(1, params.n + 1):
+        chain = sorted(set(face) | {(i,) * params.p})
+        if all(a < b for u, v in zip(chain, chain[1:]) for a, b in zip(u, v)):
+            return True
+    return False
+
+
+def relative_chain_and_kept(params, monkeypatch):
+    """The relative chain, and per dimension -1, 0, ... the full face index
+    of each of its rows and columns, read off the assembly's face maps."""
+    maps = []
+    real = homology._indexed_boundary
+
+    def recording(*args):
+        matrix, col_of = real(*args)
+        maps.append(col_of)
+        return matrix, col_of
+
+    monkeypatch.setattr(homology, "_indexed_boundary", recording)
+    chain = list(homology._boundary_chain(params))
+    monkeypatch.undo()
+    kept = [list(range(chain[0].rows))]  # the empty face, index 0, if kept
+    for m, col_of in zip(chain, maps):
+        # kept faces are numbered by rank in the integer face order
+        assert [c for c in col_of if c >= 0] == list(range(m.cols))
+        kept.append([f for f, c in enumerate(col_of) if c >= 0])
+    return chain, kept
+
+
+@pytest.mark.parametrize("p,n", SMALL_GRID)
+def test_relative_chain_keeps_the_faces_outside_the_diagonal_stars(p, n, monkeypatch):
+    params = ComplexParams(p, n)
+    chain, kept = relative_chain_and_kept(params, monkeypatch)
+    assert [chain[0].rows] + [m.cols for m in chain] == list(map(len, kept))
+    for dim in range(-1, n):
+        outside = {f for f in enumerate_faces(params, dim) if not in_diagonal_stars(params, f)}
+        assert {face_of_index(params, dim + 1, f) for f in kept[dim + 1]} == outside
+
+
+@pytest.mark.parametrize("p,n", SMALL_GRID)
+def test_relative_chain_is_the_full_chain_restricted(p, n, monkeypatch):
+    # decoded to full face indices, each relative matrix holds exactly the
+    # full chain's entries between kept faces
+    params = ComplexParams(p, n)
+    chain, kept = relative_chain_and_kept(params, monkeypatch)
+    full = list(homology._boundary_chain(params, relative=False))
+    for k, (m, oracle) in enumerate(zip(chain, full)):
+        rows, cols = kept[k], kept[k + 1]
+        keep_rows, keep_cols = set(rows), set(cols)
+        assert {(rows[r], cols[c]): v for (r, c), v in m.entries.items()} == {
+            (r, c): v
+            for (r, c), v in oracle.entries.items()
+            if r in keep_rows and c in keep_cols
+        }
+
+
+@pytest.mark.parametrize(
+    "p,n", [(p, n) for p, top in ((1, 4), (2, 5), (3, 6), (4, 5)) for n in range(1, top + 1)]
+)
+def test_relative_chain_has_the_full_chains_betti_numbers_and_torsion_verdict(p, n):
+    params = ComplexParams(p, n)
+    faces, ranks, _ = chain_ranks(homology._boundary_chain(params, relative=False))
+    assert betti_numbers(params) == homology.betti_from_ranks(faces, ranks)
+    full_verdict = all(
+        unimodular
+        for m in homology._boundary_chain(params, relative=False)
+        for _, unimodular in homology._steps(m)
+    )
+    assert is_torsion_free(params) is (True if full_verdict else None)
 
 
 def test_boundary_matrix_rejects_bad_dimensions():
@@ -373,16 +451,32 @@ def boundary_chain(by_dim):
 def assert_cleared_ranks_are_full_ranks(make_chain, seeds):
     # chain_ranks uses up the rows of the matrices it ranks, so each call
     # gets a fresh chain
-    expected = [matrix_rank(m) for m in make_chain()]
-    assert chain_ranks(iter(make_chain())) == (expected, None)
+    chain = make_chain()
+    faces = [chain[0].rows] + [m.cols for m in chain]
+    expected = [matrix_rank(m) for m in chain]
+    assert chain_ranks(iter(make_chain())) == (faces, expected, None)
     for seed in seeds:
-        assert chain_ranks(iter(make_chain()), seed) == (expected, expected)
+        assert chain_ranks(iter(make_chain()), seed) == (faces, expected, expected)
 
 
 @settings(max_examples=100)
 @given(simplicial_complexes(), st.integers(0, 2**32))
 def test_cleared_ranks_match_full_ranks_on_random_complexes(by_dim, seed):
     assert_cleared_ranks_are_full_ranks(lambda: boundary_chain(by_dim), [seed])
+
+
+def test_a_matrix_eliminated_in_place_is_used_up():
+    # ranking the same matrices twice once gave [1, 45, 57, 1], then
+    # [1, 45, 47, 1], and matrix_rank [1, 46, 37, 1], with no error
+    chain = [boundary_matrix(ComplexParams(3, 4), k) for k in range(4)]
+    assert chain_ranks(chain)[1] == [1, 45, 57, 1]
+    with pytest.raises(DomainError, match="used up"):
+        chain_ranks(chain)
+    for m in chain:
+        with pytest.raises(DomainError, match="used up"):
+            matrix_rank(m)
+        with pytest.raises(DomainError, match="used up"):
+            shuffled_rank(m, 0)
 
 
 def test_chain_ranks_rejects_a_gap_in_the_chain():

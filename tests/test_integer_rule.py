@@ -4,7 +4,7 @@ import, so a mutant of the rule fails these tests instead of their import."""
 
 import pytest
 
-from gammashell.complexes import ComplexParams, check_vertex
+from gammashell.complexes import ComplexParams, check_vertex, f_vector_formula
 from gammashell.errors import DomainError
 from gammashell.facets import facet_from_shift_vectors
 from gammashell.genfun import dixon_product_coefficient, series_g_r, series_P, series_XY
@@ -60,7 +60,9 @@ BOUNDS = {
     "series_g_r_T": ("T", 4, lambda v: series_g_r(2, v)),
     "dixon_product_coefficient": ("n", 1, dixon_product_coefficient),
     "betti_from_ranks": (
-        "rank d_0", 0, lambda v: betti_from_ranks(ComplexParams(2, 3), [v, 0, 0])
+        "rank d_0",
+        0,
+        lambda v: betti_from_ranks(f_vector_formula(ComplexParams(2, 3)), [v, 0, 0]),
     ),
     "power_sum_lhs_n": ("n", 1, lambda v: power_sum_lhs(v, 3)),
     "power_sum_lhs_p": ("p", 1, lambda v: power_sum_lhs(3, v)),
