@@ -172,9 +172,9 @@ CATALOGUE = {
         "        if shuffled is not None:\n"
         "            shuffled_cleared = {f for f, _ in _steps(matrix, seed, shuffled_cleared)}\n"
         "            shuffled.append(len(shuffled_cleared))\n"
-        "        cleared = {f for f, _ in _steps(matrix, None, cleared)}\n"
+        "        cleared = {f for f, _ in _in_place(matrix, cleared)}\n"
         "        ranks.append(len(cleared))\n",
-        "        cleared = {f for f, _ in _steps(matrix, None, cleared)}\n"
+        "        cleared = {f for f, _ in _in_place(matrix, cleared)}\n"
         "        ranks.append(len(cleared))\n"
         "        if shuffled is not None:\n"
         "            shuffled_cleared = {f for f, _ in _steps(matrix, seed, shuffled_cleared)}\n"
@@ -198,6 +198,18 @@ CATALOGUE = {
          "test_relative_chain_keeps_the_faces_outside_the_diagonal_stars",
          "tests/test_homology.py::"
          "test_relative_chain_has_the_full_chains_betti_numbers_and_torsion_verdict"],
+    ),
+    "betti-match-compares-the-matrix-route-with-itself": (
+        "src/gammashell/cli.py",
+        "        results[\"match\"] = from_shelling == from_matrix\n",
+        "        results[\"match\"] = from_matrix == from_matrix\n",
+        ["tests/test_cli.py::test_disagreeing_betti_routes_exit_1"],
+    ),
+    "betti-shuffle-check-compares-the-ranks-with-themselves": (
+        "src/gammashell/cli.py",
+        "            results[\"shuffle_check\"] = ok = shuffled == ranks\n",
+        "            results[\"shuffle_check\"] = ok = ranks == ranks\n",
+        ["tests/test_cli.py::test_disagreeing_betti_routes_exit_1"],
     ),
     "shuffle-takes-any-seed": (
         "src/gammashell/homology.py",

@@ -130,7 +130,7 @@ def cmd_shelling(args: argparse.Namespace):
 def cmd_betti(args: argparse.Namespace):
     from .complexes import ComplexParams, _alternating, f_vector_formula
     from .complexes import reduced_euler_characteristic
-    from .homology import _boundary_chain, betti_from_ranks, chain_ranks
+    from .homology import betti_from_ranks, chain_ranks
     from .shelling import betti_from_shelling
 
     if args.shuffle_check and args.method == "shelling":
@@ -146,10 +146,8 @@ def cmd_betti(args: argparse.Namespace):
         # unstarted.  Each boundary matrix of the relative chain is built
         # once, listing no face; the shuffled chain is its own elimination
         # of the permuted matrices, compared to the ranks
-        faces, ranks, shuffled = chain_ranks(
-            _boundary_chain(params, args.cell_budget),
-            args.seed if args.shuffle_check else None,
-        )
+        seed = args.seed if args.shuffle_check else None
+        faces, ranks, shuffled = chain_ranks(params, args.cell_budget, seed)
         from_matrix = betti_from_ranks(faces, ranks)
         results["betti_from_matrix"] = list(from_matrix)
         if args.shuffle_check:

@@ -1,14 +1,14 @@
 """Reduced simplicial homology of Gamma_p(n) over the rationals.
 
 Boundary matrices are assembled straight into one {column: +-1} dict per
-row, which the chain eliminates in place.  boundary_matrix orders its faces by
-sigma word, the order of enumerate_faces.  The chain d_0, d_1, ... that the
-ranks read lists no face: it indexes each face by the lex ranks of its
-coordinates' subsets of [n], much as Ripser indexes simplices by the
-combinatorial number system, and reads each row index off a small drop
-table.  One adapter, _steps, runs a matrix through fraction-free integer
-elimination, in face order or under a seeded shuffle, optionally without a
-set of cleared rows: the ranks count its steps, so Betti numbers are exact
+row.  boundary_matrix orders its faces by sigma word, the order of
+enumerate_faces.  The chain d_0, d_1, ... that the ranks read lists no
+face: it indexes each face by the lex ranks of its coordinates' subsets of
+[n], much as Ripser indexes simplices by the combinatorial number system,
+and reads each row index off a small drop table.  chain_ranks builds that
+chain itself and eliminates each matrix's rows in place, so no matrix a
+caller holds is ever changed.  Every rank counts the steps of one
+fraction-free integer elimination, _eliminate, so Betti numbers are exact
 integers.  The complexes here are homotopy equivalent to wedges of spheres,
 hence integral homology is free and rational ranks tell the whole story.
 The same elimination certifies that, and is_torsion_free reads it: when
@@ -351,32 +351,16 @@ def sparse_rank(rows: list[dict[int, int]]) -> int:
     return sum(1 for _ in _pivots(rows))
 
 
-def _rows(matrix: SparseBoundaryMatrix) -> list[dict[int, int]]:
-    """matrix.by_row; DomainError if an elimination in place used it up."""
-    if len(matrix.by_row) != matrix.rows:
-        raise DomainError(f"d_{matrix.k} was used up by an elimination in place")
-    return matrix.by_row
-
-
 def _steps(
-    matrix: SparseBoundaryMatrix, seed: int | None = None, cleared: Container[int] = ()
+    matrix: SparseBoundaryMatrix, seed: int, cleared: Container[int] = ()
 ) -> Iterator[tuple[int, bool]]:
-    """Yield (pivot face, unimodular) for each step of matrix's elimination.
+    """Yield (pivot face, unimodular) for each step of matrix's seeded elimination.
 
-    The rows are matrix.by_row, without the empty rows and the rows in
-    cleared (face indices); they are nonzero ints, so nothing is checked.
-    Without a seed they are eliminated in place: the elimination takes them
-    and empties by_row, which marks the matrix used up.  With a seed, rows
-    and columns are first permuted by a seeded shuffle into new rows, so the
-    matrix stays intact, and each pivot column is mapped back to its face
-    index.  A used-up matrix raises DomainError.
+    The rows of matrix.by_row, without the empty rows and the rows in
+    cleared (face indices), and its columns are permuted by a seeded shuffle
+    into new rows, so the matrix stays intact; each pivot column is mapped
+    back to its face index.  The rows hold nonzero ints: nothing is checked.
     """
-    rows = _rows(matrix)
-    if seed is None:
-        active = {r: row for r, row in enumerate(rows) if row and r not in cleared}
-        rows.clear()
-        yield from _eliminate(active)
-        return
     _require_ints(seed=seed)
     rng = random.Random(seed)
     row_perm = list(range(matrix.rows))
@@ -389,19 +373,29 @@ def _steps(
     relabel = col_perm.__getitem__
     active = {
         row_perm[r]: dict(zip(map(relabel, row), row.values()))
-        for r, row in enumerate(rows)
+        for r, row in enumerate(matrix.by_row)
         if row and r not in cleared
     }
     for c, unimodular in _eliminate(active):
         yield face[c], unimodular
 
 
-def matrix_rank(matrix: SparseBoundaryMatrix) -> int:
-    """Rank of a sparse boundary matrix over the rationals; matrix stays intact.
+def _in_place(
+    matrix: SparseBoundaryMatrix, cleared: Container[int] = ()
+) -> Iterator[tuple[int, bool]]:
+    """_eliminate on matrix's own rows in face order, without the rows in cleared.
 
-    A matrix used up by an elimination in place raises DomainError.
+    The rows are taken out of by_row, so the elimination frees each one it
+    is done with: only a matrix that nothing else reads may come here.
     """
-    return sparse_rank(_rows(matrix))
+    active = {r: row for r, row in enumerate(matrix.by_row) if row and r not in cleared}
+    matrix.by_row.clear()
+    return _eliminate(active)
+
+
+def matrix_rank(matrix: SparseBoundaryMatrix) -> int:
+    """Rank of a sparse boundary matrix over the rationals; matrix stays intact."""
+    return sparse_rank(matrix.by_row)
 
 
 def shuffled_rank(matrix: SparseBoundaryMatrix, seed: int) -> int:
@@ -414,6 +408,15 @@ def shuffled_rank(matrix: SparseBoundaryMatrix, seed: int) -> int:
 
 
 def chain_ranks(
+    params: ComplexParams,
+    budget: int | None = DEFAULT_CELL_BUDGET,
+    seed: int | None = None,
+) -> tuple[list[int], list[int], list[int] | None]:
+    """_cleared_ranks of the relative chain, built here under the cell budget."""
+    return _cleared_ranks(_boundary_chain(params, budget), seed)
+
+
+def _cleared_ranks(
     matrices: Iterable[SparseBoundaryMatrix], seed: int | None = None
 ) -> tuple[list[int], list[int], list[int] | None]:
     """Face counts and ranks of d_0, d_1, ..., by eliminations that clear rows bottom-up.
@@ -421,44 +424,36 @@ def chain_ranks(
     The face counts are those the matrices map between, f_-1, f_0, ...:
     d_0's rows, then each matrix's columns.
 
-    The matrices must be consecutive boundaries, d_k followed by d_{k+1},
-    else DomainError is raised.  Each is eliminated once, without the rows
-    of d_{k+1} named by the pivot columns Q of d_k's elimination, which
-    leaves the rank over Q unchanged: every row y of d_k has
-    y . d_{k+1} = 0, and the columns Q are independent with
-    |Q| = rank d_k, so for each q in Q the row space of d_k holds a y with
-    y restricted to Q equal to e_q.  Row q of d_{k+1} is then a rational
-    combination of the rows outside Q.  Over Z it need not be, so the
-    clearing says nothing about elementary divisors.
+    The matrices are consecutive boundaries, d_k followed by d_{k+1}.  Each
+    is eliminated once, without the rows of d_{k+1} named by the pivot
+    columns Q of d_k's elimination, which leaves the rank over Q unchanged:
+    every row y of d_k has y . d_{k+1} = 0, and the columns Q are
+    independent with |Q| = rank d_k, so for each q in Q the row space of
+    d_k holds a y with y restricted to Q equal to e_q.  Row q of d_{k+1} is
+    then a rational combination of the rows outside Q.  Over Z it need not
+    be, so the clearing says nothing about elementary divisors.
 
     With a seed, a second chain eliminates every matrix under shuffled_rank's
     seeded permutation and clears from its own pivots, mapped back to the
-    unpermuted faces; its ranks come last, else None.  The matrices are
-    consumed one at a time: the unseeded elimination uses up each one's
-    rows, so the seeded chain, which permutes them into new rows, runs first.
+    unpermuted faces; its ranks come last, else None.  The seeded chain
+    runs first, on new rows; the elimination in face order then takes each
+    matrix's own rows (see _in_place), so the matrices must be read by
+    nothing else.
     """
     faces: list[int] = []
     ranks: list[int] = []
     shuffled: list[int] | None = None if seed is None else []
     cleared: set[int] = set()
     shuffled_cleared: set[int] = set()
-    follows = None  # (k, rows) of the matrix that may come next
     for matrix in matrices:
-        if follows is not None and (matrix.k, matrix.rows) != follows:
-            raise DomainError(
-                f"d_{matrix.k} with {matrix.rows} rows does not follow "
-                f"d_{follows[0] - 1} with {follows[1]} columns"
-            )
-        follows = (matrix.k + 1, matrix.cols)
         if not faces:
             faces.append(matrix.rows)
         faces.append(matrix.cols)
         if shuffled is not None:
             shuffled_cleared = {f for f, _ in _steps(matrix, seed, shuffled_cleared)}
             shuffled.append(len(shuffled_cleared))
-        cleared = {f for f, _ in _steps(matrix, None, cleared)}
+        cleared = {f for f, _ in _in_place(matrix, cleared)}
         ranks.append(len(cleared))
-        del matrix  # one matrix alive at a time
     return faces, ranks, shuffled
 
 
@@ -492,7 +487,7 @@ def betti_numbers(
 
     They are those of the relative chain (see the module docstring).
     """
-    faces, ranks, _ = chain_ranks(_boundary_chain(params, budget))
+    faces, ranks, _ = chain_ranks(params, budget)
     return betti_from_ranks(faces, ranks)
 
 
@@ -525,13 +520,11 @@ def is_torsion_free(params: ComplexParams) -> bool | None:
     default cell budget, and run whole, with no row cleared, through the
     elimination that ranks it: a cleared row is a combination of the others
     over Q but not always over Z, so clearing would hide the elementary
-    divisors.  When every step is
-    unimodular, every nonzero elementary divisor is 1.  Otherwise the answer
-    is None (undecided): nothing here can prove torsion, so this never
-    returns False.
+    divisors.  When every step is unimodular, every nonzero elementary
+    divisor is 1.  Otherwise the answer is None (undecided): nothing here
+    can prove torsion, so this never returns False.
     """
     for matrix in _boundary_chain(params):
-        if not all(unimodular for _, unimodular in _steps(matrix)):
+        if not all(unimodular for _, unimodular in _in_place(matrix)):
             return None
-        del matrix  # one matrix alive at a time
     return True

@@ -487,6 +487,33 @@ def test_betti_shuffle_check_builds_and_ranks_each_matrix_once(capsys, monkeypat
     assert len(eliminations) == 6
 
 
+def test_disagreeing_betti_routes_exit_1(capsys, monkeypatch):
+    # each check must compare two routes, not one route with itself; at n = 4
+    # the relative chain has one matrix of nonzero rank, d_2
+    from_shelling = shelling.betti_from_shelling
+    steps = homology._steps
+
+    def shifted(params):
+        betti = from_shelling(params)
+        return (betti[0] + 1, *betti[1:])
+
+    def losing_a_pivot(*args):
+        # the seeded elimination of each matrix drops its first pivot
+        yield from list(steps(*args))[1:]
+
+    for module, name, fake, key in [
+        (shelling, "betti_from_shelling", shifted, "match"),
+        (homology, "_steps", losing_a_pivot, "shuffle_check"),
+    ]:
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, fake)
+            code, out, err = run(capsys, "betti", "--n", "4", "--shuffle-check")
+        assert code == 1, err
+        report = json.loads(out)
+        assert report["results"][key] is False
+        assert report["pass"] is False
+
+
 def test_identity_report(capsys):
     report = run_json(capsys, "identity", "dixon", "--n-max", "6")
     res = report["results"]

@@ -194,12 +194,12 @@ def test_relative_chain_is_the_full_chain_restricted(p, n, monkeypatch):
 )
 def test_relative_chain_has_the_full_chains_betti_numbers_and_torsion_verdict(p, n):
     params = ComplexParams(p, n)
-    faces, ranks, _ = chain_ranks(homology._boundary_chain(params, relative=False))
+    faces, ranks, _ = homology._cleared_ranks(homology._boundary_chain(params, relative=False))
     assert betti_numbers(params) == homology.betti_from_ranks(faces, ranks)
     full_verdict = all(
         unimodular
         for m in homology._boundary_chain(params, relative=False)
-        for _, unimodular in homology._steps(m)
+        for _, unimodular in _pivots(m.by_row)
     )
     assert is_torsion_free(params) is (True if full_verdict else None)
 
@@ -219,7 +219,9 @@ def test_boundary_matrix_budget():
     assert (m.rows, m.cols) == (27, 27)
 
 
-@pytest.mark.parametrize("route", [betti_numbers, is_torsion_free], ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "route", [betti_numbers, is_torsion_free, chain_ranks], ids=lambda f: f.__name__
+)
 def test_over_budget_chain_is_refused_before_any_face_is_listed(monkeypatch, route):
     def assembling(*args, **kwargs):
         raise AssertionError("a boundary matrix was assembled")
@@ -396,10 +398,13 @@ def test_matrix_rank_matches_sympy_on_boundary_matrices(k):
     assert matrix_rank(m) == to_sympy(m).rank()
 
 
-def test_matrix_rank_leaves_the_matrix_intact():
+@pytest.mark.parametrize(
+    "rank", [matrix_rank, lambda m: shuffled_rank(m, 0)], ids=["matrix_rank", "shuffled_rank"]
+)
+def test_matrix_rank_leaves_the_matrix_intact(rank):
     m = boundary_matrix(ComplexParams(3, 3), 1)
     before = [dict(row) for row in m.by_row]
-    matrix_rank(m)
+    rank(m)
     assert m.by_row == before
 
 
@@ -449,41 +454,20 @@ def boundary_chain(by_dim):
 
 
 def assert_cleared_ranks_are_full_ranks(make_chain, seeds):
-    # chain_ranks uses up the rows of the matrices it ranks, so each call
-    # gets a fresh chain
+    # the cleared ranks eliminate the rows of the matrices they rank in
+    # place, so each call gets a fresh chain
     chain = make_chain()
     faces = [chain[0].rows] + [m.cols for m in chain]
     expected = [matrix_rank(m) for m in chain]
-    assert chain_ranks(iter(make_chain())) == (faces, expected, None)
+    assert homology._cleared_ranks(iter(make_chain())) == (faces, expected, None)
     for seed in seeds:
-        assert chain_ranks(iter(make_chain()), seed) == (faces, expected, expected)
+        assert homology._cleared_ranks(iter(make_chain()), seed) == (faces, expected, expected)
 
 
 @settings(max_examples=100)
 @given(simplicial_complexes(), st.integers(0, 2**32))
 def test_cleared_ranks_match_full_ranks_on_random_complexes(by_dim, seed):
     assert_cleared_ranks_are_full_ranks(lambda: boundary_chain(by_dim), [seed])
-
-
-def test_a_matrix_eliminated_in_place_is_used_up():
-    # ranking the same matrices twice once gave [1, 45, 57, 1], then
-    # [1, 45, 47, 1], and matrix_rank [1, 46, 37, 1], with no error
-    chain = [boundary_matrix(ComplexParams(3, 4), k) for k in range(4)]
-    assert chain_ranks(chain)[1] == [1, 45, 57, 1]
-    with pytest.raises(DomainError, match="used up"):
-        chain_ranks(chain)
-    for m in chain:
-        with pytest.raises(DomainError, match="used up"):
-            matrix_rank(m)
-        with pytest.raises(DomainError, match="used up"):
-            shuffled_rank(m, 0)
-
-
-def test_chain_ranks_rejects_a_gap_in_the_chain():
-    params = ComplexParams(3, 3)
-    chain = [boundary_matrix(params, k) for k in (0, 2)]
-    with pytest.raises(DomainError, match="does not follow"):
-        chain_ranks(chain)
 
 
 GAMMA_GRID = [

@@ -164,7 +164,7 @@ NON_INT_CALLS = {
         "seed", lambda: shuffled_rank(boundary_matrix(ComplexParams(3, 2), 1), True)
     ),
     "chain_ranks_bool": (
-        "seed", lambda: chain_ranks([boundary_matrix(ComplexParams(3, 2), 0)], True)
+        "seed", lambda: chain_ranks(ComplexParams(3, 2), seed=True)
     ),
     "apply_twist_bool": (
         "ell", lambda: apply_twist(ComplexParams(3, 2), ((1, 1, 2),), False, 0, UP)
