@@ -97,13 +97,13 @@ CATALOGUE = {
         "src/gammashell/homology.py",
         "    signs = [(-1) ** (m + 1) for m in range(k + 1)]\n",
         "    signs = [(-1) ** m for m in range(k + 1)]\n",
-        ["tests/test_homology.py::test_chain_and_entries_view_match_the_single_matrices"],
+        ["tests/test_homology.py::test_relative_chain_is_the_full_chain_restricted"],
     ),
     "drop-table-removes-the-next-element": (
         "src/gammashell/homology.py",
         "lower[s[:m] + s[m + 1 :]]",
         "lower[s[: (m + 1) % (k + 1)] + s[(m + 1) % (k + 1) + 1 :]]",
-        ["tests/test_homology.py::test_chain_and_entries_view_match_the_single_matrices"],
+        ["tests/test_homology.py::test_relative_chain_is_the_full_chain_restricted"],
     ),
     "cancellation-leaves-the-row-in-its-column": (
         "src/gammashell/homology.py",
@@ -192,7 +192,7 @@ CATALOGUE = {
     ),
     "relative-chain-keeps-the-empty-face-row": (
         "src/gammashell/homology.py",
-        "    row_of = [-1 if relative else 0]\n",
+        "    row_of = [-1]\n",
         "    row_of = [0]\n",
         ["tests/test_homology.py::"
          "test_relative_chain_keeps_the_faces_outside_the_diagonal_stars",
@@ -216,6 +216,72 @@ CATALOGUE = {
         "    _require_ints(seed=seed)\n",
         "",
         ["tests/test_package.py::test_non_int_arguments_raise_domain_error"],
+    ),
+    "single-matrix-assembled-by-the-chain": (
+        "src/gammashell/homology.py",
+        "    return _assemble(k, enumerate_faces(params, k - 1), enumerate_faces(params, k))\n",
+        "    return _indexed_boundary(params, k, list(range(f_vector_formula(params)[k])))[0]\n",
+        ["tests/test_independence.py::test_the_two_sides_of_each_cross_check_share_no_code"],
+    ),
+    "torsion-certificate-decides-a-non-unit-pivot": (
+        "src/gammashell/homology.py",
+        "            return None\n    return True\n",
+        "            return True\n    return True\n",
+        ["tests/test_homology.py::test_torsion_certificate_is_undecided_on_a_non_unit_pivot"],
+    ),
+    "clearing-by-pivot-rows": (
+        "src/gammashell/homology.py",
+        "        yield pivot_col, unimodular\n",
+        "        yield pivot_row_id, unimodular\n",
+        ["tests/test_homology.py::test_cleared_ranks_match_full_ranks_on_gamma"],
+    ),
+    "f-vector-enumerated-returns-the-formula": (
+        "src/gammashell/complexes.py",
+        "    return tuple(counts)\n",
+        "    return f_vector_formula(params)\n",
+        ["tests/test_complexes.py::test_f_vector_enumerated_counts_the_brute_force_faces"],
+    ),
+    "series-P-compares-its-closed-build-with-itself": (
+        "src/gammashell/genfun.py",
+        '    _require_dual_equal("series_P", closed, permuted)\n',
+        '    _require_dual_equal("series_P", closed, closed)\n',
+        ["tests/test_genfun.py::test_series_P_compares_its_two_constructions"],
+    ),
+    "series-XY-compares-its-closed-build-with-itself": (
+        "src/gammashell/genfun.py",
+        '    _require_dual_equal("series_XY", closed, alternating)\n',
+        '    _require_dual_equal("series_XY", closed, closed)\n',
+        ["tests/test_cli.py::test_disagreeing_series_constructions_exit_1"],
+    ),
+    "alignment-matches-each-diagonal-with-itself": (
+        "src/gammashell/genfun.py",
+        "all(column[n] == alternating[n] for n in column)",
+        "all(column[n] == column[n] for n in column)",
+        ["tests/test_acceptance.py::test_acceptance_10_diagonal_alignment"],
+    ),
+    "usage-error-exits-as-budget": (
+        "src/gammashell/cli.py",
+        '        print(f"error: {exc}", file=sys.stderr)\n        return _USAGE\n',
+        '        print(f"error: {exc}", file=sys.stderr)\n        return _BUDGET\n',
+        ["tests/test_cli.py::test_domain_errors_exit_2"],
+    ),
+    "budget-error-exits-as-usage": (
+        "src/gammashell/cli.py",
+        '        print(f"budget exceeded: {exc}", file=sys.stderr)\n        return _BUDGET\n',
+        '        print(f"budget exceeded: {exc}", file=sys.stderr)\n        return _USAGE\n',
+        ["tests/test_cli.py::test_budget_overruns_exit_3"],
+    ),
+    "io-error-exits-as-usage": (
+        "src/gammashell/cli.py",
+        '        print(f"i/o error: {exc}", file=sys.stderr)\n        return _IO\n',
+        '        print(f"i/o error: {exc}", file=sys.stderr)\n        return _USAGE\n',
+        ["tests/test_cli.py::test_unwritable_output_exits_4[report]"],
+    ),
+    "verification-failure-exits-as-pass": (
+        "src/gammashell/cli.py",
+        '        print(f"verification failure: {exc}", file=sys.stderr)\n        return _FAIL\n',
+        '        print(f"verification failure: {exc}", file=sys.stderr)\n        return _PASS\n',
+        ["tests/test_cli.py::test_disagreeing_series_constructions_exit_1"],
     ),
 }
 

@@ -29,10 +29,8 @@ columns of A's faces deleted, so no new boundary formula is needed.  A face
 F lies in A iff some (i, ..., i) lies in F or is comparable with every
 vertex of F: for some i, each coordinate subset of F has the same pair
 (#elements below i, i in subset).  The empty face lies in A.  At p = 3,
-n = 5 the chain keeps 318 of the full chain's 5630 nonzeros.  The full
-chain, with nothing deleted, comes out of the same assembly and serves the
-tests as the relative chain's oracle.  G is a fixed face: nothing here
-reads the shelling.
+n = 5 the chain keeps 318 of the full chain's 5630 nonzeros.  G is a
+fixed face: nothing here reads the shelling.
 
 The Betti numbers rank the chain d_0, d_1, ... bottom-up with clearing
 (Chen and Kerber, 2011; Bauer, "Ripser", 2021): since d_k d_{k+1} = 0,
@@ -59,10 +57,8 @@ from .complexes import (
     DEFAULT_CELL_BUDGET,
     ComplexParams,
     Face,
-    _alternating,
     enumerate_faces,
     f_vector_formula,
-    reduced_euler_characteristic,
 )
 from .errors import DomainError, Record, _check_budget, _require_at_least, _require_ints
 
@@ -77,7 +73,6 @@ __all__ = [
     "matrix_to_triplets",
     "shuffled_rank",
     "sparse_rank",
-    "verify_euler_poincare",
 ]
 
 
@@ -159,7 +154,7 @@ def _cone_masks(n: int, subsets: list[tuple[int, ...]]) -> list[int]:
 
 
 def _indexed_boundary(
-    params: ComplexParams, k: int, row_of: list[int], relative: bool
+    params: ComplexParams, k: int, row_of: list[int]
 ) -> tuple[SparseBoundaryMatrix, list[int]]:
     """d_k with its kept faces in integer order, assembled without a face tuple.
 
@@ -170,10 +165,10 @@ def _indexed_boundary(
     the m-th element of every subset, so a row's face index is a sum of
     drop-table entries, one per coordinate, each scaled by its radix.
 
-    The relative chain deletes the faces of A (see _cone_masks); with
-    relative False nothing is deleted.  row_of maps each (k-1)-face index to
-    its row, or to -1 when the face is deleted.  Returns d_k and the same
-    map for the k-faces, their columns, which are the rows of d_{k+1}.
+    The relative chain deletes the faces of A (see _cone_masks).  row_of
+    maps each (k-1)-face index to its row, or to -1 when the face is
+    deleted.  Returns d_k and the same map for the k-faces, their columns,
+    which are the rows of d_{k+1}.
     """
     p, n = params.p, params.n
     lower = {s: i for i, s in enumerate(itertools.combinations(range(n), k))}
@@ -181,7 +176,7 @@ def _indexed_boundary(
     upper = list(itertools.combinations(range(n), k + 1))
     # drop[s][m]: the rank of subset s without its m-th element (0-based)
     drop = [tuple(lower[s[:m] + s[m + 1 :]] for m in range(k + 1)) for s in upper]
-    cone = _cone_masks(n, upper) if relative else [0] * len(upper)
+    cone = _cone_masks(n, upper)
     # per column prefix: the row offsets of coordinates 0..p-2, one tuple
     # over m, and the AND of their cone masks
     prefixes = [((0,) * (k + 1), -1)]
@@ -212,22 +207,19 @@ def _indexed_boundary(
 
 
 def _boundary_chain(
-    params: ComplexParams,
-    budget: int | None = DEFAULT_CELL_BUDGET,
-    relative: bool = True,
+    params: ComplexParams, budget: int | None = DEFAULT_CELL_BUDGET
 ) -> Iterator[SparseBoundaryMatrix]:
     """d_0, ..., d_{n-1} of (Gamma, A) in integer face order (see _indexed_boundary).
 
-    With relative False, the chain of Gamma itself, which only the tests
-    read.  The first step refuses an over-budget chain (see _check_cells),
-    before any matrix is assembled.  Each d_k is built when the consumer
-    asks for it, so only the matrices the consumer holds are alive.
+    The first step refuses an over-budget chain (see _check_cells), before
+    any matrix is assembled.  Each d_k is built when the consumer asks for
+    it, so only the matrices the consumer holds are alive.
     """
     _check_cells(params, budget, range(params.n))
     # the empty face lies in every star
-    row_of = [-1 if relative else 0]
+    row_of = [-1]
     for k in range(params.n):
-        matrix, row_of = _indexed_boundary(params, k, row_of, relative)
+        matrix, row_of = _indexed_boundary(params, k, row_of)
         yield matrix
 
 
@@ -489,14 +481,6 @@ def betti_numbers(
     """
     faces, ranks, _ = chain_ranks(params, budget)
     return betti_from_ranks(faces, ranks)
-
-
-def verify_euler_poincare(
-    params: ComplexParams, budget: int | None = DEFAULT_CELL_BUDGET
-) -> bool:
-    """True iff the alternating f-sum equals the alternating Betti sum."""
-    betti = betti_numbers(params, budget)
-    return reduced_euler_characteristic(f_vector_formula(params)) == _alternating(betti)
 
 
 def matrix_to_triplets(matrix: SparseBoundaryMatrix) -> str:

@@ -190,6 +190,23 @@ def test_f_vector_enumerated_equals_formula_at_larger_sizes(p, n):
     assert f_vector_enumerated(params) == f_vector_formula(params)
 
 
+@pytest.mark.parametrize(
+    "p,n", [(p, n) for p, top in ((1, 5), (2, 4), (3, 3)) for n in range(1, top + 1)]
+)
+def test_f_vector_enumerated_counts_the_brute_force_faces(p, n, monkeypatch):
+    # with the closed form off by one, the count must still be that of the
+    # brute-force lists, which never read it: an enumeration that returned
+    # the formula would pass every check against the true formula
+    params = ComplexParams(p, n)
+    formula = complexes.f_vector_formula
+    monkeypatch.setattr(
+        complexes, "f_vector_formula", lambda params: tuple(f + 1 for f in formula(params))
+    )
+    assert f_vector_enumerated(params) == tuple(
+        len(all_faces_bruteforce(params, dim)) for dim in range(-1, n)
+    )
+
+
 def test_f_vector_enumerated_budget(monkeypatch):
     # the closed form sizes the budget: no face is visited first
     def no_enumeration(*args, **kwargs):

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 from sympy.matrices.normalforms import invariant_factors
 
 from gammashell import homology
-from gammashell.complexes import ComplexParams, enumerate_faces
+from gammashell.complexes import (
+    ComplexParams,
+    _alternating,
+    enumerate_faces,
+    f_vector_formula,
+    reduced_euler_characteristic,
+)
 from gammashell.errors import BudgetError, DomainError
 from gammashell.homology import (
     SparseBoundaryMatrix,
@@ -24,7 +30,6 @@ from gammashell.homology import (
     matrix_to_triplets,
     shuffled_rank,
     sparse_rank,
-    verify_euler_poincare,
 )
 from gammashell.shelling import betti_from_shelling
 
@@ -100,28 +105,18 @@ SMALL_GRID = [(p, n) for p in (1, 2, 3) for n in range(1, 5)] + [(4, n) for n in
 
 @pytest.mark.parametrize("p,n", SMALL_GRID)
 def test_chain_and_entries_view_match_the_single_matrices(p, n):
-    # the full chain's faces are integers; decoded, each entry and sign must
-    # be boundary_matrix's at that face's sigma-order position
+    # the entries view reads by_row in row-major order, on the single
+    # matrices and on the relative chain alike
     params = ComplexParams(p, n)
-    position = [
-        {face: i for i, face in enumerate(enumerate_faces(params, dim))}
-        for dim in range(-1, n)
-    ]
     single = [boundary_matrix(params, k) for k in range(n)]
-    chain = list(homology._boundary_chain(params, relative=False))
+    chain = list(homology._boundary_chain(params))
     assert [m.k for m in chain] == list(range(n))
-    for k, (m, oracle) in enumerate(zip(chain, single)):
-        assert (m.rows, m.cols) == (oracle.rows, oracle.cols)
-        decoded = {
-            (position[k][face_of_index(params, k, r)],
-             position[k + 1][face_of_index(params, k + 1, c)]): v
-            for (r, c), v in m.entries.items()
-        }
-        assert decoded == oracle.entries
+    for m in single:
+        # every k-face has k + 1 faces of dimension k - 1
+        assert sum(map(len, m.by_row)) == (m.k + 1) * m.cols
     for m in single + chain:
         entries = m.entries
-        # every k-face has k + 1 faces of dimension k - 1
-        assert len(entries) == sum(map(len, m.by_row)) == (m.k + 1) * m.cols
+        assert len(entries) == sum(map(len, m.by_row))
         assert list(entries) == sorted(entries)
         for (r, c), v in entries.items():
             assert m.by_row[r][c] == v
@@ -174,13 +169,21 @@ def test_relative_chain_keeps_the_faces_outside_the_diagonal_stars(p, n, monkeyp
 
 @pytest.mark.parametrize("p,n", SMALL_GRID)
 def test_relative_chain_is_the_full_chain_restricted(p, n, monkeypatch):
-    # decoded to full face indices, each relative matrix holds exactly the
-    # full chain's entries between kept faces
+    # decoded to their sigma-order positions, the kept faces carry exactly
+    # boundary_matrix's entries and signs between them
     params = ComplexParams(p, n)
     chain, kept = relative_chain_and_kept(params, monkeypatch)
-    full = list(homology._boundary_chain(params, relative=False))
-    for k, (m, oracle) in enumerate(zip(chain, full)):
-        rows, cols = kept[k], kept[k + 1]
+    position = [
+        {face: i for i, face in enumerate(enumerate_faces(params, dim))}
+        for dim in range(-1, n)
+    ]
+    sigma = [
+        [position[r][face_of_index(params, r, f)] for f in faces]
+        for r, faces in enumerate(kept)
+    ]
+    for k, m in enumerate(chain):
+        oracle = boundary_matrix(params, k)
+        rows, cols = sigma[k], sigma[k + 1]
         keep_rows, keep_cols = set(rows), set(cols)
         assert {(rows[r], cols[c]): v for (r, c), v in m.entries.items()} == {
             (r, c): v
@@ -194,13 +197,11 @@ def test_relative_chain_is_the_full_chain_restricted(p, n, monkeypatch):
 )
 def test_relative_chain_has_the_full_chains_betti_numbers_and_torsion_verdict(p, n):
     params = ComplexParams(p, n)
-    faces, ranks, _ = homology._cleared_ranks(homology._boundary_chain(params, relative=False))
+    full = [boundary_matrix(params, k) for k in range(n)]
+    # _pivots eliminates a copy; _cleared_ranks then takes the rows themselves
+    full_verdict = all(unimodular for m in full for _, unimodular in _pivots(m.by_row))
+    faces, ranks, _ = homology._cleared_ranks(full)
     assert betti_numbers(params) == homology.betti_from_ranks(faces, ranks)
-    full_verdict = all(
-        unimodular
-        for m in homology._boundary_chain(params, relative=False)
-        for _, unimodular in _pivots(m.by_row)
-    )
     assert is_torsion_free(params) is (True if full_verdict else None)
 
 
@@ -503,7 +504,10 @@ def test_matrix_route_agrees_with_the_shelling_route(p, n):
 
 @pytest.mark.parametrize("p,n", [(1, 3), (2, 4), (3, 3), (3, 4)])
 def test_euler_poincare(p, n):
-    assert verify_euler_poincare(ComplexParams(p, n))
+    params = ComplexParams(p, n)
+    assert _alternating(betti_numbers(params)) == reduced_euler_characteristic(
+        f_vector_formula(params)
+    )
 
 
 def test_triplet_rendering():
@@ -566,6 +570,16 @@ def test_integral_homology_is_torsion_free(p, n):
         for k in range(n):
             dense = to_sympy(boundary_matrix(params, k))
             assert invariant_factor_set(dense) <= {0, 1}
+
+
+def test_torsion_certificate_is_undecided_on_a_non_unit_pivot(monkeypatch):
+    # every Gamma is torsion-free, so only a chain put in its place reaches
+    # the undecided answer; a pivot of 2 proves nothing, so never False
+    def chain(params, budget=None):
+        yield SparseBoundaryMatrix(0, 1, [{0: 2}])
+
+    monkeypatch.setattr(homology, "_boundary_chain", chain)
+    assert is_torsion_free(ComplexParams(3, 2)) is None
 
 
 @pytest.mark.slow

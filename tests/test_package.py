@@ -2,9 +2,11 @@
 it, the read-only value records that its functions return, and the
 DomainError its entry points raise on a non-int argument."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +47,26 @@ def test_each_module_defines_every_name_it_exports():
     public = {name for name in vars(gammashell) if not name.startswith("__")}
     assert public <= set(modules)
     assert not hasattr(gammashell, "__all__")
+
+
+def test_every_import_is_read_or_exported():
+    # no linter runs in Tier-1: an import whose last reader was deleted
+    # must fail here
+    for path in sorted(Path(gammashell.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported, read, exported = set(), set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import | ast.ImportFrom):
+                if getattr(node, "module", None) != "__future__":
+                    imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Assign) and "__all__" in {
+                getattr(t, "id", None) for t in node.targets
+            }:
+                exported = set(ast.literal_eval(node.value))
+        unused = sorted(imported - read - exported)
+        assert not unused, f"{path.name} imports {unused} and never reads them"
 
 
 RECORDS = {
