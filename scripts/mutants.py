@@ -211,6 +211,12 @@ CATALOGUE = {
         "            results[\"shuffle_check\"] = ok = ranks == ranks\n",
         ["tests/test_cli.py::test_disagreeing_betti_routes_exit_1"],
     ),
+    "text-summary-passes-a-failing-report": (
+        "src/gammashell/cli.py",
+        '"PASS" if report["pass"] else "FAIL"',
+        '"PASS"',
+        ["tests/test_cli.py::test_text_summaries[shelling-reversed]"],
+    ),
     "shuffle-takes-any-seed": (
         "src/gammashell/homology.py",
         "    _require_ints(seed=seed)\n",

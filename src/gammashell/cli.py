@@ -53,10 +53,19 @@ def _report(command: str, params: dict, constants: dict, results: dict, ok: bool
     }
 
 
+def _yesno(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
+def _joined(values) -> str:
+    return " ".join(map(str, values))
+
+
 # -- subcommand handlers -----------------------------------------------------
 # each takes the parsed arguments and returns (report dict, extra) where extra
-# may carry a raw text payload ("payload") or tabular rows ("rows") for the
-# CSV renderer; report["pass"] decides the exit code.  Handlers touch no file:
+# carries the text summary's lines ("lines", PASS or FAIL follows them), a raw
+# text payload ("payload") or tabular rows ("rows") for the CSV renderer;
+# report["pass"] decides the exit code.  Handlers touch no file:
 # main renders and writes, so a command that fails writes nothing.  Each one
 # imports what it runs, so a command loads only the modules it uses
 
@@ -81,16 +90,17 @@ def cmd_fvector(args: argparse.Namespace):
         digits = int(log_max / log(10) * (1 + 1e-12)) + 1
         _check_budget(digits, limit, "digits in the largest face count")
     f = f_vector_formula(params)
-    results = {
-        "f_vector": list(f),
-        "reduced_euler": reduced_euler_characteristic(f),
-    }
+    chi = reduced_euler_characteristic(f)
+    results = {"f_vector": list(f), "reduced_euler": chi}
+    lines = [f"p={args.p} n={args.n}", f"f-vector: {_joined(f)}",
+             f"reduced Euler characteristic: {chi}"]
     ok = True
     if args.enumerate_check:
         enumerated = f_vector_enumerated(params, args.face_budget)
         results["f_vector_enumerated"] = list(enumerated)
         ok = enumerated == f
         results["match"] = ok
+        lines += [f"enumerated: {_joined(enumerated)}", f"match: {_yesno(ok)}"]
     report = _report(
         "fvector",
         {"p": args.p, "n": args.n},
@@ -99,7 +109,7 @@ def cmd_fvector(args: argparse.Namespace):
         ok,
     )
     rows = [{"dim": d - 1, "count": c} for d, c in enumerate(f)]
-    return report, {"rows": rows}
+    return report, {"lines": lines, "rows": rows}
 
 
 def cmd_shelling(args: argparse.Namespace):
@@ -124,7 +134,14 @@ def cmd_shelling(args: argparse.Namespace):
         results,
         ok,
     )
-    return report, {}
+    lines = [
+        f"p={args.p} n={args.n} order={args.order} mode={rep.mode}",
+        f"facets: {rep.facet_count}  pairs: {rep.total_pairs}  "
+        f"constructed: {rep.constructed}  fallbacks: {rep.fallback_count}",
+        f"violations: {rep.violation_count}  disagreements: {rep.disagreement_count}",
+        f"is shelling: {_yesno(rep.is_shelling)}",
+    ]
+    return report, {"lines": lines}
 
 
 def cmd_betti(args: argparse.Namespace):
@@ -135,9 +152,12 @@ def cmd_betti(args: argparse.Namespace):
 
     if args.shuffle_check and args.method == "shelling":
         raise DomainError("--shuffle-check needs the matrix route (--method matrix or both)")
+    if args.seed is not None and not args.shuffle_check:
+        raise DomainError("--seed needs --shuffle-check")
     params = ComplexParams(args.p, args.n)
     chi = reduced_euler_characteristic(f_vector_formula(params))
     results: dict = {"reduced_euler": chi, "method": args.method}
+    lines = [f"p={args.p} n={args.n}"]
     ok = True
     from_shelling = from_matrix = None
     if args.method in ("both", "matrix"):
@@ -146,23 +166,31 @@ def cmd_betti(args: argparse.Namespace):
         # unstarted.  Each boundary matrix of the relative chain is built
         # once, listing no face; the shuffled chain is its own elimination
         # of the permuted matrices, compared to the ranks
-        seed = args.seed if args.shuffle_check else None
+        seed = (args.seed or 0) if args.shuffle_check else None
         faces, ranks, shuffled = chain_ranks(params, args.cell_budget, seed)
         from_matrix = betti_from_ranks(faces, ranks)
         results["betti_from_matrix"] = list(from_matrix)
         if args.shuffle_check:
             results["shuffle_check"] = ok = shuffled == ranks
-            results["seed"] = args.seed
+            results["seed"] = seed
     if args.method in ("both", "shelling"):
         from_shelling = betti_from_shelling(params)
         results["betti_from_shelling"] = list(from_shelling)
+        lines.append(f"betti (shelling): {_joined(from_shelling)}")
+    if from_matrix is not None:
+        lines.append(f"betti (matrix):   {_joined(from_matrix)}")
     if args.method == "both":
         results["match"] = from_shelling == from_matrix
         ok = ok and results["match"]
-    betti = from_matrix if from_matrix is not None else from_shelling
-    results["alternating_betti_sum"] = _alternating(betti)
-    results["euler_poincare"] = results["alternating_betti_sum"] == chi
+        lines.append(f"match: {_yesno(results['match'])}")
+    alternating = _alternating(from_matrix if from_matrix is not None else from_shelling)
+    results["alternating_betti_sum"] = alternating
+    results["euler_poincare"] = alternating == chi
     ok = ok and results["euler_poincare"]
+    lines.append(f"alternating Betti sum: {alternating}  reduced Euler: {chi}  "
+                 f"Euler-Poincare: {_yesno(results['euler_poincare'])}")
+    if args.shuffle_check:
+        lines.append(f"shuffle check (seed {seed}): {_yesno(results['shuffle_check'])}")
     report = _report(
         "betti",
         {"p": args.p, "n": args.n},
@@ -170,7 +198,7 @@ def cmd_betti(args: argparse.Namespace):
         results,
         ok,
     )
-    return report, {}
+    return report, {"lines": lines}
 
 
 def cmd_identity(args: argparse.Namespace):
@@ -219,11 +247,15 @@ def cmd_identity(args: argparse.Namespace):
         "failed": len(failures),
         "failures": failures[:50],
     }
+    lines = [f"identity {args.kind}: checked {len(rows)}, failed {len(failures)}"]
     if args.kind in ("dixon", "aigner"):
         results["table"] = rows
+        for row in rows:
+            cells = "  ".join(f"{k}={v}" for k, v in row.items() if k != "equal")
+            lines.append(f"{cells}  ok={_yesno(row['equal'])}")
     ok = not failures
     report = _report("identity", params, {"term_budget": args.term_budget}, results, ok)
-    return report, {"rows": rows}
+    return report, {"lines": lines, "rows": rows}
 
 
 def cmd_genfun(args: argparse.Namespace):
@@ -243,7 +275,18 @@ def cmd_genfun(args: argparse.Namespace):
         report = _report(
             "genfun", {"n_max": args.n_max}, {"deltas": list(rep.deltas)}, results, ok
         )
-        return report, {}
+        counts = _joined(rep.alternating_counts[n] for n in range(2, args.n_max + 1))
+        lines = [f"pinned offset delta: {rep.pinned_delta}",
+                 f"signed counts (n=2..{args.n_max}): {counts}"]
+        for d, column in rep.diagonal_by_delta.items():
+            # a column holds n = 2..n_max in order, like the counts line
+            lines.append(f"delta={d}: diagonal {_joined(column.values())}  "
+                         f"matches={_yesno(rep.matches[d])}")
+        for n, vals in sorted(rep.end_to_end.items()):
+            shown = "  ".join(f"{k}={v}" for k, v in sorted(vals.items()))
+            lines.append(f"n={n}: {shown}  ok={_yesno(len(set(vals.values())) == 1)}")
+        lines.append(f"end-to-end: {_yesno(rep.end_to_end_ok)}")
+        return report, {"lines": lines}
 
     if args.series is None:
         raise DomainError("choose a series (P, XY, g) or pass --check-alignment")
@@ -283,8 +326,15 @@ def cmd_export(args: argparse.Namespace):
     else:
         if args.k is None:
             raise DomainError("export matrix requires --k")
+        from .complexes import f_vector_formula
         from .homology import boundary_matrix, matrix_to_triplets
 
+        # price d_k's two face lists before boundary_matrix lists them; it
+        # refuses a k outside [0, n-1] itself
+        if 0 <= args.k < args.n:
+            f = f_vector_formula(params)
+            _check_budget(f[args.k] + f[args.k + 1], args.face_budget,
+                          f"faces of dimensions {args.k - 1} and {args.k}")
         m = boundary_matrix(params, args.k, args.cell_budget)
         payload = matrix_to_triplets(m)
         results = {
@@ -294,10 +344,12 @@ def cmd_export(args: argparse.Namespace):
             "cols": m.cols,
             "entries": sum(map(len, m.by_row)),
         }
+    extra = {"payload": payload}
     if args.output:
         # main writes the payload; the report records where and how much
         results["written"] = args.output
         results["bytes"] = len(payload.encode("utf-8"))
+        extra["lines"] = [f"wrote {results['bytes']} bytes to {args.output}"]
     else:
         results["content"] = payload
     report = _report(
@@ -307,7 +359,7 @@ def cmd_export(args: argparse.Namespace):
         results,
         True,
     )
-    return report, {"payload": payload}
+    return report, extra
 
 
 _COMMANDS = {
@@ -323,89 +375,12 @@ _COMMANDS = {
 # -- rendering ----------------------------------------------------------------
 
 
-def _yesno(flag: bool) -> str:
-    return "yes" if flag else "no"
-
-
 def _render_text(report: dict, extra: dict) -> str:
-    cmd = report["command"]
-    res = report["results"]
     # a raw payload (series dump, facet list, triplets) is the text output,
-    # unless export has written it to a file
-    if "payload" in extra and "written" not in res:
+    # unless export has written it to a file and left a line saying so
+    if "lines" not in extra:
         return extra["payload"]
-    lines: list[str] = []
-    if cmd == "fvector":
-        lines.append(f"p={report['params']['p']} n={report['params']['n']}")
-        lines.append("f-vector: " + " ".join(str(c) for c in res["f_vector"]))
-        lines.append(f"reduced Euler characteristic: {res['reduced_euler']}")
-        if "f_vector_enumerated" in res:
-            lines.append(
-                "enumerated: "
-                + " ".join(str(c) for c in res["f_vector_enumerated"])
-            )
-            lines.append(f"match: {_yesno(res['match'])}")
-    elif cmd == "shelling":
-        lines.append(
-            f"p={report['params']['p']} n={report['params']['n']} "
-            f"order={res['order']} mode={res['mode']}"
-        )
-        lines.append(
-            f"facets: {res['facet_count']}  pairs: {res['total_pairs']}  "
-            f"constructed: {res['constructed']}  fallbacks: {res['fallback_count']}"
-        )
-        lines.append(
-            f"violations: {res['violation_count']}  "
-            f"disagreements: {res['disagreement_count']}"
-        )
-        lines.append(f"is shelling: {_yesno(res['is_shelling'])}")
-    elif cmd == "betti":
-        lines.append(f"p={report['params']['p']} n={report['params']['n']}")
-        if "betti_from_shelling" in res:
-            lines.append(
-                "betti (shelling): "
-                + " ".join(str(b) for b in res["betti_from_shelling"])
-            )
-        if "betti_from_matrix" in res:
-            lines.append(
-                "betti (matrix):   "
-                + " ".join(str(b) for b in res["betti_from_matrix"])
-            )
-        if "match" in res:
-            lines.append(f"match: {_yesno(res['match'])}")
-        lines.append(
-            f"alternating Betti sum: {res['alternating_betti_sum']}  "
-            f"reduced Euler: {res['reduced_euler']}  "
-            f"Euler-Poincare: {_yesno(res['euler_poincare'])}"
-        )
-        if "shuffle_check" in res:
-            lines.append(
-                f"shuffle check (seed {res['seed']}): {_yesno(res['shuffle_check'])}"
-            )
-    elif cmd == "identity":
-        lines.append(f"identity {res['kind']}: checked {res['checked']}, failed {res['failed']}")
-        for row in res.get("table", []):
-            cells = "  ".join(f"{k}={v}" for k, v in row.items() if k != "equal")
-            lines.append(f"{cells}  ok={_yesno(row['equal'])}")
-    elif cmd == "genfun":
-        n_max = report["params"]["n_max"]
-        counts = " ".join(str(res["alternating_counts"][str(n)]) for n in range(2, n_max + 1))
-        lines.append(f"pinned offset delta: {res['pinned_delta']}")
-        lines.append(f"signed counts (n=2..{n_max}): {counts}")
-        for d, column in res["diagonal_by_delta"].items():
-            # a column holds n = 2..n_max in order, like the counts line
-            diagonal = " ".join(map(str, column.values()))
-            lines.append(f"delta={d}: diagonal {diagonal}  matches={_yesno(res['matches'][d])}")
-        for n in sorted(res["end_to_end"], key=int):
-            vals = res["end_to_end"][n]
-            shown = "  ".join(f"{k}={v}" for k, v in sorted(vals.items()))
-            agree = len(set(vals.values())) == 1
-            lines.append(f"n={n}: {shown}  ok={_yesno(agree)}")
-        lines.append(f"end-to-end: {_yesno(res['end_to_end_ok'])}")
-    elif cmd == "export":
-        lines.append(f"wrote {res['bytes']} bytes to {res['written']}")
-    lines.append("PASS" if report["pass"] else "FAIL")
-    return "\n".join(lines) + "\n"
+    return "\n".join([*extra["lines"], "PASS" if report["pass"] else "FAIL"]) + "\n"
 
 
 def _render_csv(extra: dict) -> str:
@@ -478,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--cell-budget", type=_positive_int, default=DEFAULT_CELL_BUDGET)
     s.add_argument("--shuffle-check", action="store_true",
                    help="recompute ranks under a seeded face shuffle")
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=int, default=None, help="seed of --shuffle-check (default 0)")
 
     s = sub.add_parser("identity", parents=[tabular], help="binomial identity tables")
     s.add_argument("kind", choices=("dixon", "3f2", "aigner"))

@@ -46,6 +46,7 @@ def test_domain_errors_exit_2(capsys):
         ["genfun", "P", "--check-alignment"],
         ["export", "matrix", "--n", "2"],
         ["betti", "--n", "2", "--method", "shelling", "--shuffle-check"],
+        ["betti", "--n", "3", "--seed", "5"],
         ["identity", "dixon", "--n-max", "0"],
         ["identity", "aigner", "--n-max", "-1"],
         ["identity", "3f2", "--max", "-1"],
@@ -284,8 +285,9 @@ def test_over_budget_series_and_sums_are_refused_before_any_work(argv):
         (["identity", "dixon", "--n-max", "3"], "--term-budget", 2 + 3 + 4),
         (["identity", "aigner", "--n-max", "4"], "--term-budget", 2 + 3 + 4 + 5),
         (["identity", "3f2", "--max", "2"], "--term-budget", 3**3),
+        (["export", "matrix", "--n", "3", "--k", "1"], "--face-budget", 27 + 27),
     ],
-    ids=["P", "g", "dixon", "aigner", "3f2"],
+    ids=["P", "g", "dixon", "aigner", "3f2", "export-matrix"],
 )
 def test_budgets_count_box_cells_and_binomial_terms(capsys, argv, flag, count):
     code, out, err = run(capsys, *argv, flag, str(count))
@@ -572,6 +574,14 @@ TEXT = {
         "is shelling: yes\n"
         "PASS\n",
     ),
+    "shelling-reversed": (
+        ["shelling", "--n", "3", "--order", "reversed"],
+        "p=3 n=3 order=reversed mode=constructive\n"
+        "facets: 37  pairs: 666  constructed: 0  fallbacks: 618\n"
+        "violations: 48  disagreements: 0\n"
+        "is shelling: no\n"
+        "FAIL\n",
+    ),
     "betti": (
         ["betti", "--n", "2", "--shuffle-check"],
         "p=3 n=2\n"
@@ -582,12 +592,33 @@ TEXT = {
         "shuffle check (seed 0): yes\n"
         "PASS\n",
     ),
+    "betti-matrix": (
+        ["betti", "--n", "3", "--method", "matrix"],
+        "p=3 n=3\n"
+        "betti (matrix):   0 12 12 0\n"
+        "alternating Betti sum: 0  reduced Euler: 0  Euler-Poincare: yes\n"
+        "PASS\n",
+    ),
+    "betti-shelling": (
+        ["betti", "--n", "3", "--method", "shelling"],
+        "p=3 n=3\n"
+        "betti (shelling): 0 12 12 0\n"
+        "alternating Betti sum: 0  reduced Euler: 0  Euler-Poincare: yes\n"
+        "PASS\n",
+    ),
     "identity": (
         ["identity", "dixon", "--n-max", "3"],
         "identity dixon: checked 3, failed 0\n"
         "n=1  lhs=0  rhs=0  ok=yes\n"
         "n=2  lhs=-6  rhs=-6  ok=yes\n"
         "n=3  lhs=0  rhs=0  ok=yes\n"
+        "PASS\n",
+    ),
+    "identity-aigner": (
+        ["identity", "aigner", "--n-max", "2"],
+        "identity aigner: checked 2, failed 0\n"
+        "n=1  lhs=0  rhs=0  linear_sum=0  ok=yes\n"
+        "n=2  lhs=-2  rhs=-2  linear_sum=0  ok=yes\n"
         "PASS\n",
     ),
     "genfun": (
@@ -611,7 +642,7 @@ TEXT = {
 @pytest.mark.parametrize("argv,expected", TEXT.values(), ids=list(TEXT))
 def test_text_summaries(capsys, argv, expected):
     code, out, err = run(capsys, *argv, "--format", "text")
-    assert code == 0, err
+    assert code == {"PASS": 0, "FAIL": 1}[expected.splitlines()[-1]], err
     assert out == expected
 
 
