@@ -62,9 +62,30 @@ CATALOGUE = {
     ),
     "constructed-witness-skips-the-face-check": (
         "src/gammashell/shelling.py",
-        "        if set(f).difference(cand) != {v}:\n            return None\n",
+        "        if v in g or g[:l] != f[:l] or g[len(g) - len(after) :] != after:\n"
+        "            return None\n",
         "",
         ["tests/test_shelling.py::test_constructed_witness_is_checked_on_the_faces"],
+    ),
+    "vertex-ids-in-radix-n-carry-between-coordinates": (
+        "src/gammashell/shelling.py",
+        "        radix = n + 2\n",
+        "        radix = n\n",
+        ["tests/test_shelling.py::test_twists_match_the_frozen_tuple_route"],
+    ),
+    "failed-construct-leaves-its-group-out-of-the-search": (
+        "src/gammashell/shelling.py",
+        "                        failed |= rest ^ kept\n",
+        "                        pass\n",
+        ["tests/test_shelling.py::test_sweep_matches_the_per_pair_reference",
+         "tests/test_cli.py::test_text_summaries[shelling-reversed]"],
+    ),
+    "constructive-route-reads-the-sweep": (
+        "src/gammashell/shelling.py",
+        "        self.facets = facets\n        self.index = {f: i for i, f in enumerate(facets)}\n",
+        "        self.facets = facets\n        self.index = {f: i for i, f in enumerate(facets)}\n"
+        "        assert sum(1 for _ in _sweep(facets)) == len(facets)\n",
+        ["tests/test_independence.py::test_the_two_sides_of_each_cross_check_share_no_code"],
     ),
     "record-binder-swaps-two-fields-by-name": (
         "src/gammashell/errors.py",

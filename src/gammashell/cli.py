@@ -117,6 +117,8 @@ def cmd_shelling(args: argparse.Namespace):
     from .facets import enumerate_facets
     from .shelling import _verify_order
 
+    if args.witness_limit < 0:
+        raise DomainError(f"--witness-limit must be at least 0, got {args.witness_limit}")
     params = ComplexParams(args.p, args.n)
     facets = enumerate_facets(params, args.face_budget)
     if args.order == "reversed":

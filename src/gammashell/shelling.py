@@ -9,6 +9,8 @@ j < k and v in F_k with
 Witnesses come from a constructive route that peels a privately twistable
 vertex off F_k (a safe down-twist, or a replacement one dimension up), with
 an exhaustive search fallback, or from the exhaustive search alone.  The
+constructive route numbers vertices in radix n + 2, so a twist is one
+subtraction and each jump of the padded chain is read from a table.  The
 same machinery identifies homology facets: those attaching along their
 entire boundary, each of which contributes one sphere of its dimension.
 """
@@ -111,88 +113,123 @@ def _sweep(facets: list[Face]):
             contain[v] = contain.get(v, 0) | bit
 
 
+class _Table(dict):
+    """A dict that fills a missing key with fill(key) and keeps it."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
 class _Twists:
-    """The constructive route over one ordered facet list."""
+    """The constructive route over one ordered facet list.
+
+    Vertices get ids in radix R = n + 2, position a weighing R^(p-1-a).  On
+    the padded chain (0, ..., 0) < F < (n + 1, ..., n + 1) every jump has its
+    coordinates in 1..n + 1 < R, so a jump's id is the difference of two
+    vertex ids, with no borrow.  Two predicates are kept per jump id, each
+    worked out the first time the jump is seen: the first position whose
+    coordinate exceeds 1, and, as a bitmask over a, whether a coordinate
+    other than a equals 1.
+    """
 
     def __init__(self, params: ComplexParams, facets: list[Face]):
-        self.p, self.n = params.p, params.n
+        p, n = params.p, params.n
+        radix = n + 2
+        self.place = place = [radix ** (p - 1 - a) for a in range(p)]
+        self.ones = sum(place)
+        self.top = (n + 1) * self.ones
+        self.all_n = (n,) * p
         self.facets = facets
         self.index = {f: i for i, f in enumerate(facets)}
+
+        def digits(i: int) -> list[int]:
+            return [i // w % radix for w in place]
+
+        def first_wide(j: int) -> int | None:
+            return next((a for a, c in enumerate(digits(j)) if c > 1), None)
+
+        def beside_one(j: int) -> int:
+            unit = [b for b, c in enumerate(digits(j)) if c == 1]
+            return sum(1 << a for a in range(p) if any(b != a for b in unit))
+
+        self.ids = _Table(lambda v: sum(c * w for c, w in zip(v, place)))
+        self.vertex = _Table(lambda i: tuple(digits(i)))
+        self.first_wide = _Table(first_wide)
+        self.beside_one = _Table(beside_one)
 
     def twistable(self, k: int) -> list[tuple[int, int]]:
         """(l, a) for each vertex v_l of F_k with nonempty down-twist set B_l.
 
-        a is the left-most position of B_l; vertices come in order.
+        a is the left-most position of B_l, where jump l exceeds 1; vertices
+        come in order.
         """
+        ids, first_wide = self.ids, self.first_wide
         got = []
-        f = self.facets[k]
-        for l, v in enumerate(f):
-            if l == 0:
-                pos = next((a for a, c in enumerate(v) if c > 1), None)
-            else:
-                prev = f[l - 1]
-                pos = next((a for a, c in enumerate(v) if c - prev[a] > 1), None)
-            if pos is not None:
-                got.append((l, pos))
+        prev = 0
+        for l, v in enumerate(self.facets[k]):
+            i = ids[v]
+            a = first_wide[i - prev]
+            if a is not None:
+                got.append((l, a))
+            prev = i
         return got
 
     def construct(self, k: int, l: int, a: int) -> tuple[int, Vertex] | None:
         """Witness (j, v_l) with j < k and F_j /\\ F_k exactly F_k - {v_l}.
 
         Down-twists v_l at position a (the left-most entry of B_l).  When the
-        twist alone would break a facet condition, one replacement vertex
-        restores it a dimension up: the vertex above v_l with every other
-        coordinate advanced, or the all-n vertex after the last position.
-        Returns None if the candidate is absent or fails the check; callers
-        then fall back to exhaustive search.
+        twist alone would break a facet condition, because no coordinate of
+        jump l + 1 but a equals 1, one replacement vertex restores it a
+        dimension up: the vertex above v_l with every other coordinate
+        advanced, or the all-n vertex after the last position.  Returns None
+        if the candidate is absent or fails the check; callers then fall
+        back to exhaustive search.
         """
         f = self.facets[k]
-        r = len(f)
-        v = f[l]
-        w = tuple(c - 1 if idx == a else c for idx, c in enumerate(v))
-        if l < r - 1:
-            nxt = f[l + 1]
-            gaps = [nxt[idx] - v[idx] for idx in range(self.p) if idx != a]
-            if gaps and min(gaps) == 1:
-                cand = f[:l] + (w,) + f[l + 1 :]
-            else:
-                u = tuple(c if idx == a else c + 1 for idx, c in enumerate(v))
-                cand = f[:l] + (w, u) + f[l + 1 :]
-        else:
-            if any(v[idx] == self.n for idx in range(self.p) if idx != a):
-                cand = f[:l] + (w,)
-            else:
-                cand = f[:l] + (w, (self.n,) * self.p)
-        j = self.index.get(cand)
+        v, after = f[l], f[l + 1 :]
+        i = self.ids[v]
+        step = self.place[a]
+        twisted = (self.vertex[i - step],)
+        if not self.beside_one[(self.ids[after[0]] if after else self.top) - i] >> a & 1:
+            twisted += (self.vertex[i + self.ones - step] if after else self.all_n,)
+        j = self.index.get(f[:l] + twisted + after)
         if j is None or j >= k:
             return None
-        # verify the witness condition instead of trusting the construction:
-        # F_j /\ F_k = F_k - {v} iff F_k - F_j = {v}
-        if set(f).difference(cand) != {v}:
+        # verify the witness condition on the found facet instead of trusting
+        # the construction: F_j holds the vertices of F_k before v at its
+        # start and those after v at its end, and not v, so F_k - F_j = {v}
+        g = self.facets[j]
+        if v in g or g[:l] != f[:l] or g[len(g) - len(after) :] != after:
             return None
         return (j, v)
 
-    def witness(
-        self, i: int, k: int, cols: list[int], peels: list[int], cands: dict
-    ) -> tuple[int, Vertex] | None:
-        """Witness for (i, k), constructive where possible, else by search.
 
-        cols and peels are the sweep's bitsets for F_k: F_i holds v_l iff
-        bit i of cols[l] is set.  cands maps l to construct(k, l, a) for
-        twistable vertices v_l in order.  Unless it is empty (search only),
-        it holds the first twistable vertex missing from F_i, if there is
-        one.  The search takes the first vertex of F_k missing from F_i that
-        an earlier facet peels off, with the earliest such facet.
-        """
-        for l, res in cands.items():
-            if not cols[l] >> i & 1:
-                if res is not None:
-                    return res
-                break
-        for v, col, peel in zip(self.facets[k], cols, peels):
-            if peel and not col >> i & 1:
-                return ((peel & -peel).bit_length() - 1, v)
-        return None
+def _witness(
+    f: Face, i: int, cols: list[int], peels: list[int], cands: dict
+) -> tuple[int, Vertex] | None:
+    """Witness for (i, k), constructive where possible, else by search.
+
+    f is F_k, and cols and peels are the sweep's bitsets for it: F_i holds
+    v_l iff bit i of cols[l] is set.  cands maps l to construct(k, l, a) for
+    twistable vertices v_l in order.  Unless it is empty (search only), it
+    holds the first twistable vertex missing from F_i, if there is one.  The
+    search takes the first vertex of F_k missing from F_i that an earlier
+    facet peels off, with the earliest such facet.
+    """
+    for l, res in cands.items():
+        if not cols[l] >> i & 1:
+            if res is not None:
+                return res
+            break
+    for v, col, peel in zip(f, cols, peels):
+        if peel and not col >> i & 1:
+            return ((peel & -peel).bit_length() - 1, v)
+    return None
 
 
 class ShellingReport(Record):
@@ -273,7 +310,8 @@ def _verify_order(
     if witness_mode not in _MODES:
         raise DomainError(f"witness_mode must be one of {_MODES}")
     _require_at_least(0, witness_limit=witness_limit)
-    twists = _Twists(params, facets)
+    # search alone needs no twists
+    twists = None if witness_mode == "exhaustive" else _Twists(params, facets)
     constructed = violation_count = fallback_count = disagreement_count = 0
     witnesses: dict[tuple[int, int], tuple[int, Vertex]] = {}
     violations: list[tuple[int, int]] = []
@@ -284,30 +322,32 @@ def _verify_order(
         if witness_mode == "exhaustive":
             search = earlier
         else:
-            search = built = 0
+            # the pairs left to group, and those whose group's candidate failed
             rest = earlier
+            failed = 0
             for l, a in twists.twistable(k):
-                group = rest & ~cols[l]
-                if group:
-                    rest ^= group
-                    cands[l] = twists.construct(k, l, a)
-                    if cands[l] is None:
-                        search |= group
-                    else:
-                        built |= group
-            search |= rest
-            constructed += built.bit_count()
-            fallback_count += _tally(fallbacks, search & ~bad, k, witness_limit)
+                kept = rest & cols[l]
+                if kept != rest:
+                    res = cands[l] = twists.construct(k, l, a)
+                    if res is None:
+                        failed |= rest ^ kept
+                    rest = kept
+            search = failed | rest
+            constructed += k - search.bit_count()
+            fallback = search & ~bad
+            if fallback:
+                fallback_count += _tally(fallbacks, fallback, k, witness_limit)
             if witness_mode == "both":
                 disagreement_count += _tally(
-                    disagreements, built & bad, k, witness_limit
+                    disagreements, (earlier ^ search) & bad, k, witness_limit
                 )
         violating = search & bad
-        violation_count += _tally(violations, violating, k, witness_limit)
+        if violating:
+            violation_count += _tally(violations, violating, k, witness_limit)
         room = witness_limit - len(witnesses)
         if room > 0:
             for i in _bits(earlier & ~violating)[:room]:
-                witnesses[(i, k)] = twists.witness(i, k, cols, peels, cands)
+                witnesses[(i, k)] = _witness(facets[k], i, cols, peels, cands)
     t = len(facets)
     return ShellingReport(
         p=params.p,

@@ -114,13 +114,17 @@ def test_unwritable_output_exits_4(tmp_path, capsys, argv):
     assert not target.exists()
 
 
-def test_negative_witness_limit_exits_2(capsys):
+def test_negative_witness_limit_exits_2(capsys, monkeypatch):
+    # refused under the flag's own name, before any facet is listed
+    calls = []
+    monkeypatch.setattr(facets, "enumerate_facets", lambda *args: calls.append(args))
     code, out, err = run(
         capsys, "shelling", "--n", "3", "--order", "reversed", "--witness-limit", "-1"
     )
     assert code == 2
     assert not out
-    assert "witness_limit" in err
+    assert "--witness-limit must be at least 0" in err
+    assert not calls
 
 
 def test_argparse_rejections_raise_system_exit(capsys):

@@ -48,6 +48,10 @@ PAIRS = {
         ["shelling.betti_from_shelling"],
         ["homology.chain_ranks", "homology.betti_from_ranks"],
     ),
+    "constructive witnesses vs search": (
+        ["shelling._Twists", "shelling._Twists.twistable", "shelling._Twists.construct"],
+        ["shelling._sweep"],
+    ),
 }
 
 

@@ -1,5 +1,6 @@
 """The canonical facet order, its shelling property, and homology facets."""
 
+import random
 from functools import lru_cache
 
 import pytest
@@ -230,6 +231,80 @@ def test_constructed_witness_is_checked_on_the_faces():
     ]
     for j, v in got:
         assert set(pool[j]) & set(pool[k]) == set(pool[k]) - {v}
+
+
+# -- frozen tuple-based constructive route -----------------------------------
+#
+# twistable and construct as they read before vertices carried radix ids:
+# each builds its vertices and candidates coordinate by coordinate.  Kept
+# verbatim as an oracle for _Twists and must not be changed with it.
+
+
+class _FrozenTwists:
+    def __init__(self, params, facets):
+        self.p, self.n = params.p, params.n
+        self.facets = facets
+        self.index = {f: i for i, f in enumerate(facets)}
+
+    def twistable(self, k):
+        got = []
+        f = self.facets[k]
+        for l, v in enumerate(f):
+            if l == 0:
+                pos = next((a for a, c in enumerate(v) if c > 1), None)
+            else:
+                prev = f[l - 1]
+                pos = next((a for a, c in enumerate(v) if c - prev[a] > 1), None)
+            if pos is not None:
+                got.append((l, pos))
+        return got
+
+    def construct(self, k, l, a):
+        f = self.facets[k]
+        r = len(f)
+        v = f[l]
+        w = tuple(c - 1 if idx == a else c for idx, c in enumerate(v))
+        if l < r - 1:
+            nxt = f[l + 1]
+            gaps = [nxt[idx] - v[idx] for idx in range(self.p) if idx != a]
+            if gaps and min(gaps) == 1:
+                cand = f[:l] + (w,) + f[l + 1 :]
+            else:
+                u = tuple(c if idx == a else c + 1 for idx, c in enumerate(v))
+                cand = f[:l] + (w, u) + f[l + 1 :]
+        else:
+            if any(v[idx] == self.n for idx in range(self.p) if idx != a):
+                cand = f[:l] + (w,)
+            else:
+                cand = f[:l] + (w, (self.n,) * self.p)
+        j = self.index.get(cand)
+        if j is None or j >= k:
+            return None
+        # verify the witness condition instead of trusting the construction:
+        # F_j /\ F_k = F_k - {v} iff F_k - F_j = {v}
+        if set(f).difference(cand) != {v}:
+            return None
+        return (j, v)
+
+
+@pytest.mark.parametrize(
+    "p, n_max", [(1, 7), (2, 6), (3, 5), (4, 4), (5, 3)], ids=lambda x: str(x)
+)
+def test_twists_match_the_frozen_tuple_route(p, n_max):
+    for n in range(1, n_max + 1):
+        params = ComplexParams(p, n)
+        canonical = list(cached_facets(p, n))
+        shuffled = canonical[:]
+        random.Random(n).shuffle(shuffled)
+        for order in (canonical, canonical[::-1], shuffled):
+            twists, frozen = _Twists(params, order), _FrozenTwists(params, order)
+            for k in range(len(order)):
+                got = twists.twistable(k)
+                assert got == frozen.twistable(k), (n, order[k])
+                for l, a in got:
+                    assert twists.construct(k, l, a) == frozen.construct(k, l, a), (
+                        n, order[k], l,
+                    )
 
 
 def test_homology_criterion_examples():
