@@ -250,6 +250,57 @@ CATALOGUE = {
         "    return _indexed_boundary(params, k, list(range(f_vector_formula(params)[k])))[0]\n",
         ["tests/test_independence.py::test_the_two_sides_of_each_cross_check_share_no_code"],
     ),
+    "facet-search-trimmed-to-the-facet-counts": (
+        "src/gammashell/facets.py",
+        "    out.sort(key=len, reverse=True)\n    return out\n",
+        "    out.sort(key=len, reverse=True)\n    return out[: sum(facet_counts(params))]\n",
+        ["tests/test_independence.py::test_the_two_sides_of_each_cross_check_share_no_code"],
+    ),
+    "signed-series-reads-the-signed-chain-count": (
+        "src/gammashell/genfun.py",
+        "    _require_at_least(1, T=T)\n",
+        "    _require_at_least(1, T=T)\n    _signed_chain_count(ComplexParams(3, 1))\n",
+        ["tests/test_independence.py::test_the_two_sides_of_each_cross_check_share_no_code"],
+    ),
+    "pruned-search-filtered-by-the-one-facet-criterion": (
+        "src/gammashell/facets.py",
+        "    out.sort(key=len, reverse=True)\n    return out\n",
+        "    out.sort(key=len, reverse=True)\n"
+        "    from .shelling import homology_facet_by_criterion\n\n"
+        "    return [f for f in out\n"
+        "            if not twistable or homology_facet_by_criterion(params, f)]\n",
+        ["tests/test_independence.py::test_the_two_sides_of_each_cross_check_share_no_code"],
+    ),
+    "direct-sweep-checked-against-the-criterion": (
+        "src/gammashell/shelling.py",
+        "            found.append(facets[k])\n    return found\n",
+        "            found.append(facets[k])\n"
+        "    if found != homology_facets_by_criterion(params):\n"
+        '        raise VerificationError("the sweep and the criterion disagree")\n'
+        "    return found\n",
+        ["tests/test_independence.py::test_the_two_sides_of_each_cross_check_share_no_code"],
+    ),
+    "dixon-closed-form-from-the-sum": (
+        "src/gammashell/identities.py",
+        "    value = factorial(3 * half) // factorial(half) ** 3\n",
+        "    value = abs(dixon_lhs(n))\n",
+        ["tests/test_independence.py::test_the_two_sides_of_each_cross_check_share_no_code"],
+    ),
+    "dixon-sum-from-the-product-coefficient": (
+        "src/gammashell/identities.py",
+        "    return power_sum_lhs(n, 3)\n",
+        "    from .genfun import dixon_product_coefficient\n\n"
+        "    return dixon_product_coefficient(n)\n",
+        ["tests/test_independence.py::test_the_two_sides_of_each_cross_check_share_no_code"],
+    ),
+    "orphan-function-appended": (
+        "src/gammashell/identities.py",
+        "    return -value if (half - n2) % 2 else value\n",
+        "    return -value if (half - n2) % 2 else value\n\n\n"
+        "def threeF2_difference(n1: int, n2: int, n3: int) -> int:\n"
+        "    return threeF2_lhs(n1, n2, n3) - threeF2_rhs(n1, n2, n3)\n",
+        ["tests/test_independence.py::test_every_definition_is_reached_or_declared"],
+    ),
     "torsion-certificate-decides-a-non-unit-pivot": (
         "src/gammashell/homology.py",
         "            return None\n    return True\n",

@@ -13,7 +13,8 @@ import sys
 from math import lgamma, log
 
 from .complexes import DEFAULT_CELL_BUDGET, DEFAULT_FACE_BUDGET
-from .errors import BudgetError, DomainError, PreconditionError, VerificationError, _check_budget
+from .errors import BudgetError, DomainError, PreconditionError, VerificationError
+from .errors import _check_budget, _require_at_least
 
 __all__ = ["build_parser", "main"]
 
@@ -270,6 +271,7 @@ def cmd_genfun(args: argparse.Namespace):
         # the largest offset puts XY's box at T = n_max + max(DELTAS)
         box = max(args.n_max + max(DELTAS) + 1, 0) ** 3
         _check_budget(box, args.series_budget, "series box cells")
+        _require_at_least(2, **{"--n-max": args.n_max})
         rep = alignment_check(n_max=args.n_max)
         results = _plain(vars(rep))
         del results["n_max"]
@@ -294,6 +296,11 @@ def cmd_genfun(args: argparse.Namespace):
         raise DomainError("choose a series (P, XY, g) or pass --check-alignment")
     cells = max(args.truncation + 1, 0) ** 3 * (args.r if args.series == "g" else 1)
     _check_budget(cells, args.series_budget, "series box cells")
+    # the builders' own lower bounds, checked here under the flags' names
+    if args.series == "g":
+        _require_at_least(1, **{"--r": args.r})
+    low = {"P": 2, "XY": 1, "g": 2 * args.r}[args.series]
+    _require_at_least(low, **{"--truncate": args.truncation})
     if args.series == "P":
         s = series_P(args.truncation)
     elif args.series == "XY":

@@ -42,7 +42,6 @@ __all__ = [
     "facet_from_shift_vectors",
     "format_facets",
     "is_safe_twist",
-    "parse_facets",
     "shift_vectors",
     "twist_sets",
 ]
@@ -341,35 +340,3 @@ def format_facets(params: ComplexParams, facets: Sequence[Face]) -> str:
     for f in facets:
         lines.append(" ".join("(" + ",".join(str(c) for c in v) + ")" for v in f))
     return "\n".join(lines) + "\n"
-
-
-def parse_facets(text: str) -> tuple[ComplexParams, list[Face]]:
-    """Parse the text exchange format back into parameters and facets.
-
-    A line that is not a face, or repeats one, raises DomainError, and a
-    face that is not a facet raises PreconditionError.
-    """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("#"):
-        raise DomainError("facet text must start with a '# p=<p> n=<n>' header")
-    try:
-        fields = dict(part.split("=") for part in lines[0].lstrip("# ").split())
-        p, n = int(fields["p"]), int(fields["n"])
-    except (KeyError, ValueError) as exc:
-        raise DomainError(f"malformed facet header {lines[0]!r}") from exc
-    params = ComplexParams(p, n)
-    facets: dict[Face, None] = {}
-    for ln in lines[1:]:
-        verts = []
-        for tok in ln.split():
-            if not (tok.startswith("(") and tok.endswith(")")):
-                raise DomainError(f"malformed vertex token {tok!r}")
-            try:
-                verts.append(tuple(int(c) for c in tok[1:-1].split(",")))
-            except ValueError as exc:
-                raise DomainError(f"malformed vertex token {tok!r}") from exc
-        face = _require_facet(params, verts)
-        if face in facets:
-            raise DomainError(f"facet {face} is listed twice")
-        facets[face] = None
-    return params, list(facets)

@@ -23,8 +23,8 @@ overflow, so the quotient stays exact (see __truediv__).  x / y never builds
 the inverse of y nor any product outside the box; invert_unit is 1 / y.
 The public coeffs dict stays keyed by exponent tuples.  Ring operations
 build their results without re-checking exponents, which the kernels derive
-from in-box operands; the public constructor, parse_series and coefficient
-check every input.
+from in-box operands; the public constructor and coefficient check every
+input.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from collections.abc import Iterable
 
 from .errors import DomainError, Record, _require_at_least
 
-__all__ = ["MSeries", "dump_series", "parse_series"]
+__all__ = ["MSeries", "dump_series"]
 
 Exponent = tuple[int, ...]
 
@@ -309,18 +309,6 @@ class MSeries(Record):
         """Multiplicative inverse, valid when the constant term is +-1."""
         return MSeries.const(self.num_vars, self.truncation, 1) / self
 
-    def truncate(self, truncation: int) -> "MSeries":
-        """Restrict to a smaller box; enlarging would fabricate coefficients."""
-        _require_at_least(0, truncation=truncation)
-        if truncation > self.truncation:
-            raise DomainError(
-                f"cannot raise truncation {self.truncation} to {truncation}"
-            )
-        kept = (
-            (e, c) for e, c in self.coeffs.items() if all(x <= truncation for x in e)
-        )
-        return MSeries._from_kernel(self.num_vars, truncation, kept)
-
 
 # -- text form ---------------------------------------------------------------
 
@@ -331,22 +319,3 @@ def dump_series(series: MSeries) -> str:
     for e in sorted(series.coeffs):
         lines.append(" ".join(str(x) for x in e) + f" : {series.coeffs[e]}")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def parse_series(text: str, num_vars: int, truncation: int) -> MSeries:
-    """Inverse of dump_series for the given box; each exponent on one line."""
-    coeffs: dict[Exponent, int] = {}
-    line_of: dict[Exponent, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            left, right = line.split(":")
-            e = tuple(int(x) for x in left.split())
-            coeffs[e] = int(right)
-        except ValueError as exc:
-            raise DomainError(f"bad series line {lineno}: {raw!r}") from exc
-        if line_of.setdefault(e, lineno) != lineno:
-            raise DomainError(f"series lines {line_of[e]} and {lineno} repeat exponent {e}")
-    return MSeries(num_vars, truncation, coeffs)

@@ -127,6 +127,27 @@ def test_negative_witness_limit_exits_2(capsys, monkeypatch):
     assert not calls
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["P", "--truncate", "1"], "--truncate must be at least 2, got 1"),
+        (["XY", "--truncate", "0"], "--truncate must be at least 1, got 0"),
+        (["g", "--r", "0"], "--r must be at least 1, got 0"),
+        (["g", "--r", "2", "--truncate", "3"], "--truncate must be at least 4, got 3"),
+        (["--check-alignment", "--n-max", "1"], "--n-max must be at least 2, got 1"),
+    ],
+    ids=["P", "XY", "g-r", "g-truncate", "alignment"],
+)
+def test_series_bounds_are_refused_under_the_flag_names(capsys, monkeypatch, argv, message):
+    # the builders' bounds, refused before any series is built
+    calls = []
+    for name in ("series_P", "series_XY", "series_g_r", "alignment_check"):
+        monkeypatch.setattr(genfun, name, lambda *args, **kwargs: calls.append(args))
+    code, out, err = run(capsys, "genfun", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not calls
+
+
 def test_argparse_rejections_raise_system_exit(capsys):
     with pytest.raises(SystemExit) as info:
         main(["fvector"])

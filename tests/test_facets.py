@@ -18,7 +18,6 @@ from gammashell.facets import (
     facet_from_shift_vectors,
     format_facets,
     is_safe_twist,
-    parse_facets,
     shift_vectors,
     twist_sets,
 )
@@ -312,16 +311,6 @@ def test_facet_from_shift_vectors_validation():
         facet_from_shift_vectors(params, [(2, 3), (1, 4), (1, 4)])  # not a facet
 
 
-def test_format_and_parse_round_trip():
-    for p, n in [(2, 3), (3, 3), (3, 4)]:
-        params = ComplexParams(p, n)
-        fs = list(cached_facets(p, n))
-        text = format_facets(params, fs)
-        parsed_params, parsed = parse_facets(text)
-        assert parsed_params == params
-        assert parsed == fs
-
-
 def test_format_facets_shape():
     params = ComplexParams(3, 2)
     text = format_facets(params, list(cached_facets(3, 2)))
@@ -329,27 +318,6 @@ def test_format_facets_shape():
     assert lines[0] == "# p=3 n=2"
     assert lines[1] == "(1,1,1) (2,2,2)"
     assert text.endswith("\n")
-
-
-def test_parse_facets_errors():
-    with pytest.raises(DomainError):
-        parse_facets("(1,1,1)\n")
-    with pytest.raises(DomainError):
-        parse_facets("# p=3 n=2\n1,1,1\n")
-    for text in (
-        "# p=3\n",
-        "# p=x n=2\n",
-        "# p=3 n\n",
-        "# p=3 n=2\n(1,a,1)\n",
-        "# p=3 n=2\n()\n",
-        "# p=3 n=2\n(1,1,1) (1,1,1)\n",  # not a face
-        "# p=3 n=2\n(1,1,2) (2,2,1)\n",  # not a face
-        "# p=3 n=2\n(1,1,1) (2,2,2)\n(2,2,2) (1,1,1)\n",  # one facet twice
-    ):
-        with pytest.raises(DomainError):
-            parse_facets(text)
-    with pytest.raises(PreconditionError):
-        parse_facets("# p=3 n=2\n(1,1,1)\n")  # a face, not a facet
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -53,7 +53,6 @@ BOUNDS = {
     "MSeries_num_vars": ("num_vars", 1, lambda v: MSeries(v, 0)),
     "MSeries_truncation": ("truncation", 0, lambda v: MSeries(1, v)),
     "MSeries.__pow__": ("exponent", 0, lambda v: MSeries.const(1, 0, 1) ** v),
-    "MSeries.truncate": ("truncation", 0, lambda v: MSeries.const(1, 2, 1).truncate(v)),
     "series_P": ("T", 2, series_P),
     "series_XY": ("T", 1, series_XY),
     "series_g_r_r": ("r", 1, lambda v: series_g_r(v, 2)),

@@ -193,7 +193,6 @@ NON_INT_CALLS = {
     ),
     "ComplexParams_bool": ("p", lambda: ComplexParams(True, 2)),
     "MSeries_bool": ("num_vars", lambda: MSeries(True, 2)),
-    "MSeries.truncate_bool": ("truncation", lambda: MSeries.const(1, 2, 1).truncate(True)),
     "power_sum_lhs_bool": ("n", lambda: power_sum_lhs(True, 3)),
     "threeF2_lhs_bool": ("n1", lambda: threeF2_lhs(True, 1, 1)),
     "verify_shelling_bool": (
