@@ -4,9 +4,14 @@ Splits the facets that attach along their full boundary into the x-family
 (last vertex below the top corner) and the y-family (last vertex equal to
 it), then checks that the signed census reproduces both the reduced Euler
 characteristic and the diagonal of the signed generating series.
+
+    python scripts/homology_census.py [--n-max N]
+
+Exits 0 when the three agree at every n, 1 when they differ at any.
 """
 
 import argparse
+import sys
 
 from gammashell.complexes import (
     ComplexParams,
@@ -18,12 +23,13 @@ from gammashell.genfun import series_XY
 from gammashell.shelling import homology_families
 
 
-def main() -> None:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n-max", type=int, default=6)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     xy = series_XY(args.n_max + 1)
+    all_ok = True
     for n in range(1, args.n_max + 1):
         params = ComplexParams(3, n)
         xs, ys = homology_families(params)
@@ -45,11 +51,13 @@ def main() -> None:
             cx, cy = census[r]
             print(f"    {r} vertices: {cx + cy:>6} (x {cx:>6}, y {cy:>6})")
         ok = signed == -chi == diag
+        all_ok = all_ok and ok
         print(
             f"    signed sum {signed}  -chi {-chi}  series diagonal {diag}  "
             f"{'ok' if ok else 'MISMATCH'}"
         )
+    return 0 if all_ok else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

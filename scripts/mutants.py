@@ -27,6 +27,19 @@ TIMEOUT = 300  # seconds per pytest child; each entry's tests take a few seconds
 
 # name -> (file, old text, new text, node ids that must fail)
 CATALOGUE = {
+    "shelling-check-lists-the-facets-before-refusing-bad-input": (
+        "src/gammashell/shelling.py",
+        "    if witness_mode not in _MODES:\n"
+        '        raise DomainError(f"witness_mode must be one of {_MODES}")\n'
+        "    _require_at_least(0, witness_limit=witness_limit)\n"
+        "    return _verify_order(params, enumerate_facets(params), witness_mode, witness_limit)\n",
+        "    facets = enumerate_facets(params)\n"
+        "    if witness_mode not in _MODES:\n"
+        '        raise DomainError(f"witness_mode must be one of {_MODES}")\n'
+        "    _require_at_least(0, witness_limit=witness_limit)\n"
+        "    return _verify_order(params, facets, witness_mode, witness_limit)\n",
+        ["tests/test_shelling.py::test_bad_input_is_refused_before_any_facet_is_listed"],
+    ),
     "plain-joins-tuple-keys-with-semicolons": (
         "src/gammashell/cli.py",
         '",".join(map(str, k)) if isinstance(k, tuple)',
@@ -256,6 +269,15 @@ CATALOGUE = {
         "    out.sort(key=len, reverse=True)\n    return out[: sum(facet_counts(params))]\n",
         ["tests/test_independence.py::test_the_two_sides_of_each_cross_check_share_no_code"],
     ),
+    "shuffled-chain-eliminates-through-the-canonical-one": (
+        "src/gammashell/homology.py",
+        "    for c, unimodular in _eliminate(active):\n        yield face[c], unimodular\n",
+        "    permuted = SparseBoundaryMatrix(\n"
+        "        matrix.k, matrix.cols, [active.get(r, {}) for r in range(matrix.rows)]\n"
+        "    )\n"
+        "    for c, unimodular in _in_place(permuted):\n        yield face[c], unimodular\n",
+        ["tests/test_independence.py::test_the_two_sides_of_each_cross_check_share_no_code"],
+    ),
     "signed-series-reads-the-signed-chain-count": (
         "src/gammashell/genfun.py",
         "    _require_at_least(1, T=T)\n",
@@ -360,6 +382,12 @@ CATALOGUE = {
         '        print(f"verification failure: {exc}", file=sys.stderr)\n        return _FAIL\n',
         '        print(f"verification failure: {exc}", file=sys.stderr)\n        return _PASS\n',
         ["tests/test_cli.py::test_disagreeing_series_constructions_exit_1"],
+    ),
+    "census-exits-0-on-a-mismatch": (
+        "scripts/homology_census.py",
+        "    return 0 if all_ok else 1\n",
+        "    return 0\n",
+        ["tests/test_scripts.py::test_census_exits_1_on_a_mismatch"],
     ),
 }
 

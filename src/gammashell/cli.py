@@ -128,7 +128,6 @@ def cmd_shelling(args: argparse.Namespace):
     rep = _verify_order(params, facets, args.witness_mode, args.witness_limit)
     ok = rep.is_shelling and not rep.disagreement_count
     results = _plain(vars(rep))
-    del results["p"], results["n"]
     results.update(order=args.order, is_shelling=rep.is_shelling)
     report = _report(
         "shelling",
@@ -274,7 +273,6 @@ def cmd_genfun(args: argparse.Namespace):
         _require_at_least(2, **{"--n-max": args.n_max})
         rep = alignment_check(n_max=args.n_max)
         results = _plain(vars(rep))
-        del results["n_max"]
         ok = rep.pinned_delta is not None and rep.end_to_end_ok
         report = _report(
             "genfun", {"n_max": args.n_max}, {"deltas": list(rep.deltas)}, results, ok

@@ -239,8 +239,8 @@ class AlignmentReport(Record):
     """
 
     _fields = (
-        "n_max", "deltas", "alternating_counts", "diagonal_by_delta", "matches",
-        "pinned_delta", "end_to_end", "end_to_end_ok",
+        "deltas", "alternating_counts", "diagonal_by_delta", "matches", "pinned_delta",
+        "end_to_end", "end_to_end_ok",
     )
 
 
@@ -288,7 +288,6 @@ def alignment_check(n_max: int = 6) -> AlignmentReport:
             end_to_end[n] = values
             ok = ok and len(set(values.values())) == 1
     return AlignmentReport(
-        n_max=n_max,
         deltas=DELTAS,
         alternating_counts=alternating,
         diagonal_by_delta=diagonal_by_delta,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from itertools import groupby
 
-from .complexes import ComplexParams, Face, Vertex, canonical_face
+from .complexes import ComplexParams, Face, Vertex
 from .errors import DomainError, Record, VerificationError, _require_at_least
 from .facets import _chain_search, _jumps, _require_facet, enumerate_facets, facet_certificate
 
@@ -246,9 +246,9 @@ class ShellingReport(Record):
     """
 
     _fields = (
-        "p", "n", "mode", "facet_count", "total_pairs", "constructed",
-        "witnesses", "witness_limit", "violations", "violation_count",
-        "fallbacks", "fallback_count", "disagreements", "disagreement_count",
+        "mode", "facet_count", "total_pairs", "constructed", "witnesses",
+        "witness_limit", "violations", "violation_count", "fallbacks",
+        "fallback_count", "disagreements", "disagreement_count",
     )
 
     @property
@@ -260,39 +260,30 @@ _MODES = ("constructive", "exhaustive", "both")
 
 
 def verify_shelling(
-    params: ComplexParams,
-    order=None,
-    *,
-    witness_mode: str = "constructive",
-    witness_limit: int = 100,
+    params: ComplexParams, *, witness_mode: str = "constructive", witness_limit: int = 100
 ) -> ShellingReport:
-    """Check the pairwise shelling condition for every pair i < k.
+    """Check the pairwise shelling condition of the canonical facet order.
 
-    order defaults to the canonical facet order; an explicit order must be a
-    permutation of the facets.  One sweep over k settles all pairs (i, k) at
-    once with bitsets over i.  The search route: a pair has a witness iff
-    F_i misses some vertex of F_k that an earlier facet peels off, so the
-    pairs without one are those containing every peelable vertex (the
-    restriction criterion of Bjorner and Wachs for nonpure shellings).  The
-    constructive route groups the pairs by the first twistable vertex of
-    F_k missing from F_i and builds one candidate per group; pairs whose
-    candidate fails, or with no such vertex, go to the search.
+    The arguments are checked before any facet is listed; _verify_order,
+    which takes every other order, checks the pairs.  One sweep over k
+    settles all pairs (i, k) at once with bitsets over i.  The search
+    route: a pair has a witness iff F_i misses some vertex of F_k that an
+    earlier facet peels off, so the pairs without one are those containing
+    every peelable vertex (the restriction criterion of Bjorner and Wachs
+    for nonpure shellings).  The constructive route groups the pairs by the
+    first twistable vertex of F_k missing from F_i and builds one candidate
+    per group; pairs whose candidate fails, or with no such vertex, go to
+    the search.
 
     witness_mode selects the constructive route (with search fallback), the
     search alone, or both with an existence cross-check.  Witnesses are
     worked out pair by pair for the first witness_limit pairs only, and the
     violation, fallback and disagreement lists keep as many pairs each.
     """
-    facets = enumerate_facets(params)
-    if order is not None:
-        try:
-            ordered = [canonical_face(params, f) for f in order]
-        except TypeError:
-            raise DomainError(f"order {order!r} is not a collection of faces") from None
-        if len(ordered) != len(facets) or set(ordered) != set(facets):
-            raise DomainError("order must list every facet exactly once")
-        facets = ordered
-    return _verify_order(params, facets, witness_mode, witness_limit)
+    if witness_mode not in _MODES:
+        raise DomainError(f"witness_mode must be one of {_MODES}")
+    _require_at_least(0, witness_limit=witness_limit)
+    return _verify_order(params, enumerate_facets(params), witness_mode, witness_limit)
 
 
 def _tally(pairs: list[tuple[int, int]], mask: int, k: int, limit: int) -> int:
@@ -306,10 +297,7 @@ def _tally(pairs: list[tuple[int, int]], mask: int, k: int, limit: int) -> int:
 def _verify_order(
     params: ComplexParams, facets: list[Face], witness_mode: str, witness_limit: int
 ) -> ShellingReport:
-    """The body of verify_shelling for a list known to order every facet once."""
-    if witness_mode not in _MODES:
-        raise DomainError(f"witness_mode must be one of {_MODES}")
-    _require_at_least(0, witness_limit=witness_limit)
+    """verify_shelling's pair check on any list of every facet once; checks no argument."""
     # search alone needs no twists
     twists = None if witness_mode == "exhaustive" else _Twists(params, facets)
     constructed = violation_count = fallback_count = disagreement_count = 0
@@ -350,8 +338,6 @@ def _verify_order(
                 witnesses[(i, k)] = _witness(facets[k], i, cols, peels, cands)
     t = len(facets)
     return ShellingReport(
-        p=params.p,
-        n=params.n,
         mode=witness_mode,
         facet_count=t,
         total_pairs=t * (t - 1) // 2,

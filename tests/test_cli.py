@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -380,6 +381,45 @@ def test_reports_built_from_records_are_frozen(capsys, name):
     if name == "alignment-n12":
         # int keys became strings before sorting: "10" sorts before "2"
         assert list(res["alternating_counts"])[:3] == ["1", "10", "11"]
+
+
+def load_bench():
+    """perfbench/run.py, loaded by path and never installed.
+
+    Its frozen dataclass looks its module up in sys.modules while it is
+    built, so the module is registered there before it runs.
+    """
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH = load_bench()
+# the digests the benchmark checks each workload report against
+BENCH_REFERENCE = json.loads(BENCH.REFERENCE_FILE.read_text(encoding="utf-8"))
+# the benchmark's workloads and the smoke test's smaller shapes; a seeded
+# argv template at two seeds
+BENCH_RUNS = [
+    (w, seed)
+    for w in [*BENCH.WORKLOADS.values(), *BENCH.workloads(4, 4, 4).values()]
+    for seed in ((3, 8) if w.seeded else (0,))
+]
+
+
+def test_bench_runs_cover_every_reference():
+    assert {w.key for w, _ in BENCH_RUNS} == BENCH_REFERENCE.keys()
+
+
+@pytest.mark.parametrize(
+    "workload,seed", BENCH_RUNS, ids=[f"{w.name}-seed{seed}" for w, seed in BENCH_RUNS]
+)
+def test_reports_match_the_benchmark_reference_digests(capsys, workload, seed):
+    code, out, err = run(capsys, *workload.command(seed))
+    assert code == 0, err
+    assert BENCH.report_digest(out.encode(), workload, seed) == BENCH_REFERENCE[workload.key]
 
 
 @pytest.mark.parametrize("p,n,expected", [(14284, 2, 0), (14285, 2, 3), (10, 2000, 3)])

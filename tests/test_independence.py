@@ -53,6 +53,12 @@ PAIRS = {
         ["homology.boundary_matrix"],
         {},
     ),
+    "canonical vs shuffled chain": (
+        ["homology._in_place"],
+        ["homology._steps"],
+        {"homology._eliminate": "the one elimination: the shuffle tests that the ranks do "
+                                "not depend on face order, not the elimination itself"},
+    ),
     "shelling vs matrix ranks": (
         ["shelling.betti_from_shelling"],
         ["homology.chain_ranks", "homology.betti_from_ranks"],

@@ -77,11 +77,11 @@ RECORDS = {
     ),
     "report": (
         verify_shelling(ComplexParams(3, 1)),
-        "ShellingReport(p=3, n=1, mode='constructive', facet_count=1, total_pairs=0, ",
+        "ShellingReport(mode='constructive', facet_count=1, total_pairs=0, ",
     ),
     "alignment": (
         alignment_check(2),
-        "AlignmentReport(n_max=2, deltas=(0, 1, 2, 3), alternating_counts={1: 0, 2: -6}, ",
+        "AlignmentReport(deltas=(0, 1, 2, 3), alternating_counts={1: 0, 2: -6}, ",
     ),
     "matrix": (
         boundary_matrix(ComplexParams(3, 1), 0),

@@ -1,5 +1,5 @@
-"""Smoke runs of the scripts: each exits 0 and reports no mismatch; the
-mutation catalogue still applies to the tree."""
+"""Smoke runs of the scripts: each exits 0 and reports no mismatch, and the
+census exits 1 on one; the mutation catalogue still applies to the tree."""
 
 import importlib.util
 import os
@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from gammashell.series import MSeries
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -33,14 +35,28 @@ def test_script_runs_clean(script):
         assert bad not in words, proc.stdout
 
 
-def load_mutants():
-    spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-MUTANTS = load_mutants()
+def test_census_exits_1_on_a_mismatch(monkeypatch, capsys):
+    census = load_script("homology_census")
+    series_XY = census.series_XY
+
+    def skewed(T):
+        # the diagonal coefficient of n = 2 off by one
+        xy = series_XY(T)
+        return MSeries(3, T, {**xy.coeffs, (3, 3, 3): xy.coefficient((3, 3, 3)) + 1})
+
+    monkeypatch.setattr(census, "series_XY", skewed)
+    assert census.main(["--n-max", "3"]) == 1
+    assert "MISMATCH" in capsys.readouterr().out.split()
+
+
+MUTANTS = load_script("mutants")
 
 
 @pytest.mark.parametrize("name", sorted(MUTANTS.CATALOGUE))

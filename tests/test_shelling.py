@@ -21,6 +21,7 @@ from gammashell.identities import dixon_lhs, power_sum_lhs
 from gammashell.shelling import (
     ShellingReport,
     _Twists,
+    _verify_order,
     betti_from_shelling,
     block_partition,
     homology_facet_by_criterion,
@@ -131,7 +132,7 @@ def test_canonical_order_is_a_shelling(p, n):
 def test_reversed_order_is_not_a_shelling(n):
     params = ComplexParams(3, n)
     reversed_order = list(cached_facets(3, n))[::-1]
-    report = verify_shelling(params, reversed_order, witness_mode="exhaustive")
+    report = _verify_order(params, reversed_order, "exhaustive", 100)
     assert not report.is_shelling
     assert len(report.violations) >= 1
     assert report.violation_count >= len(report.violations)
@@ -140,8 +141,8 @@ def test_reversed_order_is_not_a_shelling(n):
 def test_pair_lists_are_capped_at_the_witness_limit():
     params = ComplexParams(3, 3)
     order = list(cached_facets(3, 3))[::-1]
-    full = verify_shelling(params, order, witness_mode="both", witness_limit=10**6)
-    capped = verify_shelling(params, order, witness_mode="both", witness_limit=7)
+    full = _verify_order(params, order, "both", 10**6)
+    capped = _verify_order(params, order, "both", 7)
     assert capped.violation_count > 7
     assert not capped.is_shelling
     for name in ("violation", "fallback", "disagreement"):
@@ -175,13 +176,19 @@ def test_verify_shelling_rejects_bad_input():
         verify_shelling(params, witness_mode="telepathy")
     with pytest.raises(DomainError):
         verify_shelling(params, witness_limit=-1)
+
+
+def test_bad_input_is_refused_before_any_facet_is_listed(monkeypatch):
+    def listing(*args, **kwargs):
+        raise AssertionError("facets listed before the arguments were checked")
+
+    # 355993 facets at n = 8, none of which a refusal needs
+    monkeypatch.setattr(shelling, "enumerate_facets", listing)
+    params = ComplexParams(3, 8)
     with pytest.raises(DomainError):
-        verify_shelling(params, list(cached_facets(3, 2))[:-1])
+        verify_shelling(params, witness_mode="telepathy")
     with pytest.raises(DomainError):
-        verify_shelling(params, list(cached_facets(3, 3)))
-    for order in ([1, 2, 3], 5):
-        with pytest.raises(DomainError, match="not a collection"):
-            verify_shelling(params, order)
+        verify_shelling(params, witness_limit=-1)
 
 
 @given(facet_pairs(), st.sampled_from(["constructive", "exhaustive", "both"]))
@@ -207,7 +214,7 @@ def test_pair_without_a_witness_is_a_violation():
     edge = ((1, 1, 1), (2, 2, 2))
     singleton = ((1, 1, 2),)
     pair = (pool.index(singleton), pool.index(edge))
-    report = verify_shelling(ComplexParams(3, 2), pool, witness_limit=10**6)
+    report = _verify_order(ComplexParams(3, 2), pool, "constructive", 10**6)
     assert pair in report.violations
     assert pair not in report.witnesses
 
@@ -589,8 +596,6 @@ def _reference_shelling(params, facets, witness_mode, witness_limit):
             elif len(wits) < witness_limit:
                 wits[(i, k)] = res
     return ShellingReport(
-        p=params.p,
-        n=params.n,
         mode=witness_mode,
         facet_count=len(facets),
         total_pairs=total,
@@ -625,10 +630,10 @@ def shuffled_orders(draw):
 )
 def test_sweep_matches_the_per_pair_reference(case, mode, limit):
     params, order = case
-    got = verify_shelling(params, order, witness_mode=mode, witness_limit=limit)
+    got = _verify_order(params, order, mode, limit)
     want = _reference_shelling(params, list(order), mode, limit)
     for name in (
-        "p", "n", "mode", "facet_count", "total_pairs", "constructed", "witnesses",
+        "mode", "facet_count", "total_pairs", "constructed", "witnesses",
         "witness_limit", "violation_count", "fallback_count", "disagreement_count",
     ):
         assert getattr(got, name) == getattr(want, name), name
