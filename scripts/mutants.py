@@ -166,8 +166,8 @@ CATALOGUE = {
     ),
     "twist-sets-back-on-canonical-face": (
         "src/gammashell/facets.py",
-        "    return _twist_sets(params, facet_certificate(params, face).face)\n",
-        "    return _twist_sets(params, canonical_face(params, face))\n",
+        "    jumps = _jumps(params, facet_certificate(params, face).face)\n",
+        "    jumps = _jumps(params, canonical_face(params, face))\n",
         ["tests/test_facets.py::test_twist_sets_requires_nonempty_face"],
     ),
     "padded-chain-tops-out-at-n": (
@@ -177,11 +177,11 @@ CATALOGUE = {
         ["tests/test_facets.py::test_twist_sets_are_the_single_steps_that_stay_faces",
          "tests/test_facets.py::test_shift_vectors_example"],
     ),
-    "safe-twist-reads-the-other-jump": (
-        "src/gammashell/facets.py",
-        "    return min(_jumps(params, g)[ell + (direction == DOWN)]) == 1\n",
-        "    return min(_jumps(params, g)[ell + (direction == UP)]) == 1\n",
-        ["tests/test_facets.py::test_safe_twists_are_exactly_the_facet_preserving_ones"],
+    "boundary-matrix-lists-faces-under-the-default-budget": (
+        "src/gammashell/homology.py",
+        "enumerate_faces(params, k - 1, None), enumerate_faces(params, k, None)",
+        "enumerate_faces(params, k - 1), enumerate_faces(params, k)",
+        ["tests/test_cli.py::test_export_matrix_lists_its_faces_under_the_raised_budgets"],
     ),
     "block-partition-back-on-raw-tuples": (
         "src/gammashell/shelling.py",
@@ -259,7 +259,8 @@ CATALOGUE = {
     ),
     "single-matrix-assembled-by-the-chain": (
         "src/gammashell/homology.py",
-        "    return _assemble(k, enumerate_faces(params, k - 1), enumerate_faces(params, k))\n",
+        "    return _assemble(k, enumerate_faces(params, k - 1, None), "
+        "enumerate_faces(params, k, None))\n",
         "    return _indexed_boundary(params, k, list(range(f_vector_formula(params)[k])))[0]\n",
         ["tests/test_independence.py::test_the_two_sides_of_each_cross_check_share_no_code"],
     ),

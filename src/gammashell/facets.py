@@ -1,4 +1,4 @@
-"""Facet recognition, enumeration, twists, and shift vectors.
+"""Facet recognition, enumeration, twist sets, and shift vectors.
 
 A nonempty face F = {v_1 < ... < v_r} of Gamma_p(n) is a facet exactly when
 
@@ -7,10 +7,11 @@ A nonempty face F = {v_1 < ... < v_r} of Gamma_p(n) is a facet exactly when
   P3: every difference v_{l+1} - v_l has a coordinate equal to 1
                                                (nothing fits in between).
 
-Twists move a single coordinate of a single vertex by one step; a twist is
-safe when the one condition it can break survives.  Shift vectors encode a
-facet as p compositions of n + 1 (first value, consecutive differences,
-distance from n + 1), one per coordinate position.
+Twist sets list, per vertex, the coordinate positions that can move one
+step up or down with the result still a face; the shelling's down-twists
+act on vertex ids (see shelling._Twists).  Shift vectors encode a facet as
+p compositions of n + 1 (first value, consecutive differences, distance
+from n + 1), one per coordinate position.
 """
 
 from __future__ import annotations
@@ -28,26 +29,19 @@ from .complexes import (
     Vertex,
     canonical_face,
 )
-from .errors import DomainError, PreconditionError, Record, _check_budget, _require_ints
+from .errors import DomainError, PreconditionError, Record, _check_budget
 
 __all__ = [
-    "DOWN",
-    "UP",
     "FacetCertificate",
     "TwistSets",
-    "apply_twist",
     "enumerate_facets",
     "facet_certificate",
     "facet_counts",
     "facet_from_shift_vectors",
     "format_facets",
-    "is_safe_twist",
     "shift_vectors",
     "twist_sets",
 ]
-
-UP = "up"
-DOWN = "down"
 
 
 class FacetCertificate(Record):
@@ -129,16 +123,20 @@ def _chain_search(params: ComplexParams, twistable: bool = False) -> list[Face]:
             if any(map(eq, w, step)) and (not twistable or w != step)
         ]
     out: list[Face] = []
-
-    def follow(chain: Face, out_edges) -> None:
-        for w, terminal in out_edges:
+    # an explicit stack of (chain, its unvisited out-edges), so a chain may be
+    # longer than the recursion limit; the starts, vertices with P2, are the
+    # successors of a virtual vertex 0
+    stack = [((), iter(successors((0,) * params.p)))]
+    while stack:
+        chain, edges = stack[-1]
+        for w, terminal in edges:
             if terminal:
                 out.append(chain + (w,))
             else:
-                follow(chain + (w,), successors(w))
-
-    # the starts, vertices with P2, are the successors of a virtual vertex 0
-    follow((), successors((0,) * params.p))
+                stack.append((chain + (w,), iter(successors(w))))
+                break
+        else:
+            stack.pop()
     # the search emits chains in sigma-word order, so a stable sort by
     # length alone gives complexes.order_key's order
     out.sort(key=len, reverse=True)
@@ -193,11 +191,6 @@ def enumerate_facets(params: ComplexParams, budget: int | None = DEFAULT_FACE_BU
     return _chain_search(params)
 
 
-def twist_sets(params: ComplexParams, face: Iterable[Sequence[int]]) -> TwistSets:
-    """Compute the up- and down-twistable positions of every vertex of a face."""
-    return _twist_sets(params, facet_certificate(params, face).face)
-
-
 def _jumps(params: ComplexParams, f: Face) -> list[Vertex]:
     """The r + 1 jumps along the padded chain (0, ..., 0) < f < (n + 1, ..., n + 1).
 
@@ -212,70 +205,14 @@ def _jumps(params: ComplexParams, f: Face) -> list[Vertex]:
     return list(zip(*[map(sub, flat[p:], flat)] * p))
 
 
-def _twist_sets(params: ComplexParams, f: Face) -> TwistSets:
-    """twist_sets of a validated face: A_l reads jump l + 1 and B_l jump l."""
-    wide = [tuple(a for a, d in enumerate(jump) if d > 1) for jump in _jumps(params, f)]
+def twist_sets(params: ComplexParams, face: Iterable[Sequence[int]]) -> TwistSets:
+    """Compute the up- and down-twistable positions of every vertex of a face.
+
+    A_l reads jump l + 1 and B_l jump l, each where it exceeds 1.
+    """
+    jumps = _jumps(params, facet_certificate(params, face).face)
+    wide = [tuple(a for a, d in enumerate(jump) if d > 1) for jump in jumps]
     return TwistSets(tuple(wide[1:]), tuple(wide[:-1]))
-
-
-def apply_twist(
-    params: ComplexParams,
-    face: Iterable[Sequence[int]],
-    ell: int,
-    position: int,
-    direction: str,
-) -> Face:
-    """Move one coordinate of vertex ell by one step and return the new face.
-
-    ell and position are 0-based; direction is "up" or "down".  The twist
-    must be applicable, i.e. position must lie in A_ell (up) or B_ell (down),
-    which guarantees the result is again a face.
-    """
-    _require_ints(ell=ell, position=position)
-    return _twist(params, facet_certificate(params, face).face, ell, position, direction)
-
-
-def _twist(params: ComplexParams, f: Face, ell: int, position: int, direction: str) -> Face:
-    """apply_twist on a validated face f, with ell and position known ints."""
-    sets = _twist_sets(params, f)
-    if direction == UP:
-        allowed = sets.a_sets
-        step = 1
-    elif direction == DOWN:
-        allowed = sets.b_sets
-        step = -1
-    else:
-        raise DomainError(f"direction must be 'up' or 'down', got {direction!r}")
-    if ell < 0 or ell >= len(f):
-        raise PreconditionError(f"vertex index {ell} out of range for {f}")
-    if position not in allowed[ell]:
-        raise PreconditionError(
-            f"position {position} is not {direction}-twistable at vertex {ell} of {f}"
-        )
-    v = f[ell]
-    w = tuple(c + step if a == position else c for a, c in enumerate(v))
-    return f[:ell] + (w,) + f[ell + 1 :]
-
-
-def is_safe_twist(
-    params: ComplexParams,
-    facet: Iterable[Sequence[int]],
-    ell: int,
-    position: int,
-    direction: str,
-) -> bool:
-    """True iff the twist preserves the one facet condition it can break.
-
-    A twist of vertex ell narrows one jump of the padded chain and widens
-    the other: an up-twist widens jump ell, below the vertex, and a
-    down-twist widens jump ell + 1, above it.  Only the widened jump can
-    lose its 1, so the twist is safe iff that jump still holds one; a safe
-    twist of a facet is again a facet.
-    """
-    f = _require_facet(params, facet)
-    _require_ints(ell=ell, position=position)
-    g = _twist(params, f, ell, position, direction)
-    return min(_jumps(params, g)[ell + (direction == DOWN)]) == 1
 
 
 def shift_vectors(

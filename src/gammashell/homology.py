@@ -135,7 +135,8 @@ def boundary_matrix(
     if k < 0 or k > params.n - 1:
         raise DomainError(f"boundary dimension {k} outside [0, {params.n - 1}]")
     _check_cells(params, budget, (k,))
-    return _assemble(k, enumerate_faces(params, k - 1), enumerate_faces(params, k))
+    # f_{k-1} x f_k cells bound each face list, so neither is priced again
+    return _assemble(k, enumerate_faces(params, k - 1, None), enumerate_faces(params, k, None))
 
 
 def _cone_masks(n: int, subsets: list[tuple[int, ...]]) -> list[int]:

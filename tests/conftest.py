@@ -102,16 +102,6 @@ def faces(draw, max_p=3, max_n=5):
 
 
 @st.composite
-def facets(draw, max_p=3, max_n=4):
-    """A random (params, facet) pair drawn from the full facet list."""
-    p = draw(st.integers(min_value=1, max_value=max_p))
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    pool = cached_facets(p, n)
-    idx = draw(st.integers(min_value=0, max_value=len(pool) - 1))
-    return ComplexParams(p, n), pool[idx]
-
-
-@st.composite
 def facet_pairs(draw, max_n=4):
     """Two facets of the same Delta(n) at distinct order positions i < k."""
     n = draw(st.integers(min_value=2, max_value=max_n))

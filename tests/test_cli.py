@@ -255,6 +255,33 @@ def test_small_facet_budget_stops_a_huge_search_at_once(argv):
     assert "budget" in child["err"]
 
 
+# runs main(argv + ["--p", "1", "--n", n]) with n just past a lowered
+# recursion limit, which keeps the closed-form facet count (quadratic in n
+# at p = 1) cheap
+_PAST_THE_RECURSION_LIMIT = """
+import sys
+from gammashell.cli import main
+sys.setrecursionlimit(200)
+n = str(sys.getrecursionlimit() + 100)
+sys.exit(main([*sys.argv[1:], "--p", "1", "--n", n]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["shelling"], ["export", "facets"], ["betti", "--method", "shelling"]],
+    ids=["shelling", "export-facets", "betti-shelling"],
+)
+def test_a_facet_longer_than_the_recursion_limit_is_listed(argv):
+    # Gamma_1(n) has one facet, (1) < (2) < ... < (n), and the facet search
+    # goes one level deeper per vertex
+    proc = subprocess.run(
+        [sys.executable, "-c", _PAST_THE_RECURSION_LIMIT, *argv],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_small_face_budget_stops_a_huge_enumeration_at_once():
     # the face count must refuse at the budget without listing all 10^8
     # vertices of Gamma_8(10) first
@@ -737,6 +764,24 @@ def test_export_matrix_content(capsys):
     )
     assert code == 0
     assert out == expected == "%% 8 1\n0 0 1\n7 0 -1\n"
+
+
+def test_export_matrix_lists_its_faces_under_the_raised_budgets(capsys, monkeypatch):
+    # 121287375 faces of dimension 3 at p=3 n=12: over the default face
+    # budget, but within the two raised here; the stub lists none of them
+    budgets = []
+
+    def listing(params, dim, budget="the default"):
+        budgets.append(budget)
+        return []
+
+    monkeypatch.setattr(homology, "enumerate_faces", listing)
+    code, _, err = run(capsys, "export", "matrix", "--p", "3", "--n", "12", "--k", "4",
+                       "--face-budget", "2000000000",
+                       "--cell-budget", "1000000000000000000")
+    assert code == 0, err
+    # the cell budget priced both lists, so neither is priced again
+    assert budgets == [None, None]
 
 
 # SHA-256 of the export matrix payloads for p=3 n=3, frozen from the

@@ -1,23 +1,18 @@
-"""Facet recognition, twists, shift vectors, and the exchange format."""
+"""Facet recognition, twist sets, shift vectors, and the exchange format."""
 
 import itertools
 
 import pytest
-from hypothesis import given
 
 from gammashell import facets as facets_module
 from gammashell.complexes import ComplexParams, enumerate_faces, is_face, order_key
 from gammashell.errors import BudgetError, DomainError, PreconditionError
 from gammashell.facets import (
-    DOWN,
-    UP,
-    apply_twist,
     enumerate_facets,
     facet_certificate,
     facet_counts,
     facet_from_shift_vectors,
     format_facets,
-    is_safe_twist,
     shift_vectors,
     twist_sets,
 )
@@ -26,7 +21,6 @@ from .conftest import (
     REFERENCE_SHAPES,
     all_faces_bruteforce,
     cached_facets,
-    facets,
     is_maximal_bruteforce,
     reference_enumerate_facets,
 )
@@ -188,79 +182,6 @@ def test_twist_sets_are_the_single_steps_that_stay_faces(p, n):
                     moved = facet[:ell] + (w,) + facet[ell + 1 :]
                     stays = w[a] in values and is_face(params, moved)
                     assert (a in allowed) == stays, (facet, ell, a, step)
-
-
-def test_apply_twist_examples():
-    params = ComplexParams(3, 5)
-    face = ((1, 1, 2), (2, 5, 5))
-    assert apply_twist(params, face, 1, 1, DOWN) == ((1, 1, 2), (2, 4, 5))
-    assert apply_twist(params, face, 0, 2, DOWN) == ((1, 1, 1), (2, 5, 5))
-    assert apply_twist(params, face, 1, 0, UP) == ((1, 1, 2), (3, 5, 5))
-
-
-def test_apply_twist_preconditions():
-    params = ComplexParams(3, 5)
-    face = ((1, 1, 2), (2, 5, 5))
-    with pytest.raises(PreconditionError):
-        apply_twist(params, face, 0, 0, DOWN)  # value 1 cannot move down
-    with pytest.raises(PreconditionError):
-        apply_twist(params, face, 1, 1, UP)  # value 5 = n cannot move up
-    with pytest.raises(PreconditionError):
-        apply_twist(params, face, 5, 0, DOWN)
-    with pytest.raises(DomainError):
-        apply_twist(params, face, 0, 0, "sideways")
-    with pytest.raises(DomainError, match="is not a face"):
-        apply_twist(ComplexParams(2, 3), ((1, 2), (2, 1)), 1, 0, UP)
-
-
-@given(facets())
-def test_applied_twists_stay_faces(pair):
-    params, facet = pair
-    sets = twist_sets(params, facet)
-    for ell in range(len(facet)):
-        for a in sets.a_sets[ell]:
-            result = apply_twist(params, facet, ell, a, UP)
-            facet_certificate(params, result)  # raises if not a face
-        for a in sets.b_sets[ell]:
-            result = apply_twist(params, facet, ell, a, DOWN)
-            facet_certificate(params, result)
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_safe_twists_are_exactly_the_facet_preserving_ones(n):
-    params = ComplexParams(3, n)
-    for facet in cached_facets(3, n):
-        sets = twist_sets(params, facet)
-        for ell in range(len(facet)):
-            for direction, positions in ((UP, sets.a_sets[ell]), (DOWN, sets.b_sets[ell])):
-                for a in positions:
-                    twisted = apply_twist(params, facet, ell, a, direction)
-                    assert (
-                        is_safe_twist(params, facet, ell, a, direction)
-                        == facet_certificate(params, twisted).is_facet
-                    ), (facet, ell, a, direction)
-
-
-def test_is_safe_twist_certifies_its_facet_once(monkeypatch):
-    calls = []
-
-    def counting(params, face):
-        calls.append(face)
-        return facet_certificate(params, face)
-
-    monkeypatch.setattr(facets_module, "facet_certificate", counting)
-    params = ComplexParams(3, 5)
-    facet = ((1, 1, 2), (2, 5, 5))
-    for ell, a, direction in ((0, 1, UP), (1, 0, UP), (0, 2, DOWN), (1, 1, DOWN)):
-        calls.clear()
-        is_safe_twist(params, facet, ell, a, direction)
-        assert len(calls) == 1, (ell, a, direction)
-
-
-def test_is_safe_twist_requires_a_facet():
-    params = ComplexParams(3, 3)
-    with pytest.raises(PreconditionError):
-        is_safe_twist(params, [(1, 1, 1)], 0, 0, UP)
 
 
 def test_shift_vectors_example():

@@ -101,8 +101,6 @@ PAIRS = {
 # used by no command, traced layer or script; each is kept for the claim of
 # the paper that the suite checks with it, or as an oracle of a test
 DECLARED = {
-    "facets.apply_twist": "claim: twist lemma, a twist moves one coordinate one step",
-    "facets.is_safe_twist": "claim: twist lemma, a safe twist of a facet is a facet",
     "facets.shift_vectors": "claim: bijection of facets with p compositions of n + 1",
     "facets.facet_from_shift_vectors": "claim: bijection, the inverse of shift_vectors",
     "shelling.block_partition": "claim: two facets have as many private blocks",

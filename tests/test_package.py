@@ -13,7 +13,7 @@ import pytest
 import gammashell
 from gammashell.complexes import ComplexParams, enumerate_faces
 from gammashell.errors import DomainError, Record
-from gammashell.facets import UP, FacetCertificate, apply_twist, twist_sets
+from gammashell.facets import FacetCertificate, twist_sets
 from gammashell.genfun import (
     alignment_check,
     dixon_product_coefficient,
@@ -170,7 +170,6 @@ NON_INT_CALLS = {
     "shuffled_rank_float": (
         "seed", lambda: shuffled_rank(boundary_matrix(ComplexParams(3, 2), 1), 1.5)
     ),
-    "apply_twist": ("ell", lambda: apply_twist(ComplexParams(3, 2), ((1, 1, 2),), "0", 0, UP)),
     "series_P_bool": ("T", lambda: series_P(True)),
     "series_XY_bool": ("T", lambda: series_XY(True)),
     "series_g_r_bool": ("r", lambda: series_g_r(True, 4)),
@@ -187,9 +186,6 @@ NON_INT_CALLS = {
     ),
     "chain_ranks_bool": (
         "seed", lambda: chain_ranks(ComplexParams(3, 2), seed=True)
-    ),
-    "apply_twist_bool": (
-        "ell", lambda: apply_twist(ComplexParams(3, 2), ((1, 1, 2),), False, 0, UP)
     ),
     "ComplexParams_bool": ("p", lambda: ComplexParams(True, 2)),
     "MSeries_bool": ("num_vars", lambda: MSeries(True, 2)),

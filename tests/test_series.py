@@ -144,7 +144,7 @@ def test_canonical_form():
         MSeries(2, -1)
 
 
-def test_dump_is_sorted_and_parse_inverts_it():
+def test_dump_lists_terms_in_exponent_order():
     s = MSeries(2, 3, {(1, 0): 3, (0, 2): -1, (0, 0): 7})
     text = dump_series(s)
     assert text == "0 0 : 7\n0 2 : -1\n1 0 : 3\n"

@@ -170,14 +170,6 @@ def test_witness_limit_caps_stored_witnesses():
     assert report.total_pairs == 666
 
 
-def test_verify_shelling_rejects_bad_input():
-    params = ComplexParams(3, 2)
-    with pytest.raises(DomainError):
-        verify_shelling(params, witness_mode="telepathy")
-    with pytest.raises(DomainError):
-        verify_shelling(params, witness_limit=-1)
-
-
 def test_bad_input_is_refused_before_any_facet_is_listed(monkeypatch):
     def listing(*args, **kwargs):
         raise AssertionError("facets listed before the arguments were checked")
